@@ -32,6 +32,12 @@
 //! cannot be serialized in commit order with reads explained by
 //! committed state — the certificate this layer checks — and a clean
 //! verdict means every chunk passed that test.
+//!
+//! A run whose recorded history has a hole — a worker died between
+//! drawing a stamp and shipping its event — ends in an explicit
+//! *incomplete* verdict ([`OnlineReport::undelivered_stamps`] > 0): the
+//! pipeline certifies the merged prefix up to the hole and makes no
+//! claim about the rest.
 
 pub mod chunk;
 
@@ -111,14 +117,26 @@ pub struct OnlineReport {
     pub chunks_certified: u64,
     /// High-water mark of epochs sealed but not yet certified.
     pub max_lag_epochs: u64,
+    /// Stamps the recorder drew that never reached the pipeline (see
+    /// [`EventStream::undelivered_stamps`]); nonzero makes the report
+    /// incomplete.
+    pub undelivered_stamps: u64,
     /// The merged history, when [`OnlineConfig::keep_history`] was set.
     pub history: Option<History>,
 }
 
 impl OnlineReport {
-    /// Whether every chunk certified clean.
+    /// Whether the pipeline certified the whole recorded history, as
+    /// opposed to the prefix before a lost stamp.
+    pub fn is_complete(&self) -> bool {
+        self.undelivered_stamps == 0
+    }
+
+    /// Whether the whole history was certified and every chunk passed.
+    /// An incomplete run is never certified opaque, though a violation
+    /// it found in its prefix stands.
     pub fn certified_opaque(&self) -> bool {
-        self.violation.is_none()
+        self.violation.is_none() && self.is_complete()
     }
 }
 
@@ -158,6 +176,7 @@ struct SealerOut {
     commits: u64,
     aborts: u64,
     epochs: u64,
+    undelivered_stamps: u64,
     history: Option<History>,
 }
 
@@ -211,6 +230,7 @@ impl OnlinePipeline {
             epochs_sealed: sealer.epochs,
             chunks_certified: certifier.chunks,
             max_lag_epochs: certifier.max_lag,
+            undelivered_stamps: sealer.undelivered_stamps,
             history: sealer.history,
         }
     }
@@ -233,6 +253,7 @@ fn run_sealer(
         commits: 0,
         aborts: 0,
         epochs: 0,
+        undelivered_stamps: 0,
         history: config.keep_history.then(History::new),
     };
     // Dispatches the accumulated chunks as one epoch. A send error
@@ -300,6 +321,7 @@ fn run_sealer(
             ]
         });
         if closed {
+            out.undelivered_stamps = stream.undelivered_stamps();
             return out;
         }
     }
@@ -341,7 +363,7 @@ fn run_certifier(
 
 /// A bank-style contended workload for the online pipeline: `threads`
 /// worker threads, each running `txs_per_thread` transactions against
-/// `accounts` t-variables — a seeded xorshift mix of transfers
+/// `accounts` t-variables — a seeded splitmix64 mix of transfers
 /// (read/read/write/write between two accounts) and audits (read a
 /// window of accounts).
 #[derive(Debug, Clone)]
@@ -367,12 +389,15 @@ impl Default for OnlineWorkload {
     }
 }
 
+/// splitmix64: every state, zero included, yields a full-period
+/// stream.
 #[inline]
-fn xorshift(s: &mut u64) -> u64 {
-    *s ^= *s << 13;
-    *s ^= *s >> 7;
-    *s ^= *s << 17;
-    *s
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Runs the bank workload on `tm` under the sharded recorder with the
@@ -411,7 +436,7 @@ where
             scope.spawn(move || {
                 let mut writer = recorder.shard(ProcessId(t));
                 for _ in 0..txs {
-                    let r = xorshift(&mut rng);
+                    let r = splitmix(&mut rng);
                     let a = (r as usize >> 8) % accounts;
                     let b = (r as usize >> 24) % accounts;
                     if r.is_multiple_of(4) && accounts > 1 {
@@ -456,7 +481,10 @@ where
 mod tests {
     use super::*;
     use tm_core::TVarId;
-    use tm_stm::concurrent::{atomically_sharded, ConcurrentBuggy, ConcurrentTl2, ShardedRecorder};
+    use tm_stm::concurrent::{
+        atomically_sharded, ConcurrentBuggy, ConcurrentTl2, ConcurrentTm, ShardedRecorder,
+        Transaction, TxAbort,
+    };
 
     fn pipeline_over<T, F>(tm: T, threads: usize, config: OnlineConfig, body: F) -> OnlineReport
     where
@@ -566,6 +594,133 @@ mod tests {
             offline.is_ok(),
             report.certified_opaque(),
             "chunked and whole-history verdicts must agree"
+        );
+    }
+
+    #[test]
+    fn every_seed_gives_each_thread_a_live_stream() {
+        // This seed zeroes thread 0's initial state; a generator stuck
+        // at zero would run audits of account 0 only.
+        let workload = OnlineWorkload {
+            threads: 2,
+            accounts: 8,
+            txs_per_thread: 50,
+            seed: 0x9e37_79b9_7f4a_7c15,
+        };
+        let config = OnlineConfig {
+            keep_history: true,
+            ..OnlineConfig::default()
+        };
+        let report = certify_workload(ConcurrentTl2::new(workload.accounts), &workload, config);
+        assert!(report.certified_opaque(), "{:?}", report.violation);
+        let history = report.history.expect("keep_history was set");
+        let touched: std::collections::BTreeSet<TVarId> = history
+            .events()
+            .iter()
+            .filter(|e| e.process == ProcessId(0))
+            .filter_map(|e| e.tvar())
+            .collect();
+        assert!(touched.len() > 1, "thread 0 touched only {touched:?}");
+    }
+
+    /// TL2 whose `commits`-th commit calls `point` and then panics, so
+    /// the drawn stamp never reaches an event.
+    struct PanicsAfterPoint {
+        inner: ConcurrentTl2,
+        commits: AtomicU64,
+    }
+
+    struct PanicsAfterPointTx<'a> {
+        tm: &'a PanicsAfterPoint,
+        inner: <ConcurrentTl2 as ConcurrentTm>::Tx<'a>,
+    }
+
+    impl ConcurrentTm for PanicsAfterPoint {
+        type Tx<'a> = PanicsAfterPointTx<'a>;
+
+        fn name(&self) -> &'static str {
+            "panics-after-point"
+        }
+
+        fn tvar_count(&self) -> usize {
+            self.inner.tvar_count()
+        }
+
+        fn begin(&self) -> Self::Tx<'_> {
+            PanicsAfterPointTx {
+                tm: self,
+                inner: self.inner.begin(),
+            }
+        }
+    }
+
+    impl Transaction for PanicsAfterPointTx<'_> {
+        fn read(&mut self, x: TVarId) -> Result<u64, TxAbort> {
+            self.inner.read(x)
+        }
+
+        fn write(&mut self, x: TVarId, v: u64) -> Result<(), TxAbort> {
+            self.inner.write(x, v)
+        }
+
+        fn commit_at(self, point: &mut dyn FnMut()) -> Result<(), TxAbort> {
+            if self.tm.commits.fetch_sub(1, Ordering::Relaxed) == 1 {
+                point();
+                panic!("TM failed inside its commit");
+            }
+            self.inner.commit_at(point)
+        }
+    }
+
+    #[test]
+    fn a_lost_stamp_ends_in_an_incomplete_verdict() {
+        let tm = PanicsAfterPoint {
+            inner: ConcurrentTl2::new(4),
+            commits: AtomicU64::new(20),
+        };
+        let (recorder, stream) = ShardedRecorder::new(tm);
+        let pipeline = OnlinePipeline::spawn(stream, OnlineConfig::default());
+        let panicked = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let recorder = &recorder;
+                    scope.spawn(move || {
+                        let mut writer = recorder.shard(ProcessId(t));
+                        for i in 0..200usize {
+                            atomically_sharded(&mut writer, |tx| {
+                                let a = tx.read(TVarId((i + t) % 4))?;
+                                tx.write(TVarId((i + t + 1) % 4), a + 1)
+                            });
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().is_err())
+                .filter(|&p| p)
+                .count()
+        });
+        assert_eq!(panicked, 1, "exactly one worker hits the failing commit");
+        recorder.close();
+        let (done_tx, done_rx) = channel();
+        let joiner = std::thread::spawn(move || {
+            let _ = done_tx.send(pipeline.join());
+        });
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("OnlinePipeline::join must return after a lost stamp");
+        joiner.join().expect("joiner thread");
+        assert!(report.undelivered_stamps >= 1);
+        assert!(!report.is_complete());
+        assert!(
+            !report.certified_opaque(),
+            "an incomplete run claims nothing"
+        );
+        assert_eq!(report.violation, None, "the prefix is a real TL2 history");
+        assert_eq!(
+            report.events + report.undelivered_stamps,
+            recorder.events_stamped()
         );
     }
 }

@@ -26,8 +26,11 @@
 //!   bounded differential tests.
 //! * [`ShardedRecorder`] — the production path. Per-thread shards
 //!   append to private buffers; a global `AtomicU64` stamps every
-//!   event with a dense sequence number; batches travel to the
-//!   consumer once per transaction attempt over a lock-free channel.
+//!   event with a dense sequence number; exact-size batches travel to
+//!   the consumer once per transaction attempt over a lock-free
+//!   channel, and the consumer merges them shard by shard — stamps
+//!   increase within a shard, so the next stamp, once it has arrived,
+//!   is at the head of its shard's FIFO.
 //!
 //! On top of the sharded stream, `tm_sim::online` runs the streaming
 //! certification pipeline:
@@ -37,11 +40,12 @@
 //!  ──────────────                    ──────────────────────────────
 //!  shard 0 ─ events ─┐
 //!  shard 1 ─ events ─┼─► EventStream ─► sealer ──► chunker ─► rayon pool
-//!  shard 2 ─ events ─┘   (reorder by    (epoch =    (cut at     (one
-//!        │                seq stamp;     merged      quiescent    IncrementalChecker
-//!   AtomicU64 seq         contiguous     prefix      points +     per chunk, seeded
-//!   fetch_add per         prefix =       slices)     conflict     with its frontier
-//!   event                 complete                   components)  state)
+//!  shard 2 ─ events ─┘   (per-shard     (epoch =    (cut at     (one
+//!        │                FIFO merge     merged      quiescent    IncrementalChecker
+//!   AtomicU64 seq         by seq stamp;  prefix      points +     per chunk, seeded
+//!   fetch_add per         contiguous     slices)     conflict     with its frontier
+//!   event                 prefix =                   components)  state)
+//!                         complete                        │
 //!                         history)                        │
 //!                                                         ▼
 //!                                              deterministic verdict fold

@@ -26,23 +26,46 @@
 //! * **batched hand-off** — a shard sends its buffered events to the
 //!   consumer once per *transaction attempt* (commit, abort, or
 //!   abandon) over a lock-free channel, so the channel cost is
-//!   amortized over the attempt's operations.
+//!   amortized over the attempt's operations. The batch is an
+//!   exact-size copy of the attempt's events (about ten for a
+//!   two-account transfer) tagged with the shard's index; the shard
+//!   keeps its one reusable append buffer, so a backlog of queued
+//!   batches holds the recorded events and no spare capacity.
 //!
-//! The consumer end is [`EventStream`]: a reorder buffer that merges
-//! the per-shard batches back into one stream by sequence number.
-//! Because stamps are dense (`fetch_add(1)` per event, no gaps), the
-//! contiguous stamp prefix of the buffer is exactly the complete merged
-//! history so far — no quiescence protocol, no epoch barriers stalling
+//! The consumer end is [`EventStream`], which merges the per-shard
+//! batches back into one stream by sequence number. Two facts make the
+//! merge O(1) per event:
+//!
+//! * one thread stamps each shard, in program order, so stamps strictly
+//!   increase within a shard — the commit response's
+//!   serialization-point stamp included, since it is drawn after every
+//!   earlier stamp of its attempt and before any later one;
+//! * the channel delivers each sender's batches in FIFO order.
+//!
+//! So the stream keeps one FIFO of batches per shard, with a read
+//! cursor into the front batch, and a shard that holds the next stamp
+//! holds it at its head: everything the shard stamped earlier has a
+//! smaller stamp and is already out. Draining copies a run from one
+//! shard while its head continues the sequence, then looks across the
+//! shard heads for the next stamp — O(1) per event and O(shards) per
+//! run. Because stamps are dense (`fetch_add(1)` per event, no gaps),
+//! the contiguous stamp prefix is exactly the complete merged history
+//! so far — no quiescence protocol, no epoch barriers stalling
 //! writers. A long-running straggler transaction simply holds back the
 //! prefix, which downstream surfaces honestly as checker lag rather
-//! than being papered over by reordering.
+//! than being papered over by reordering. A stamp drawn by a writer
+//! that dies before shipping its event leaves a permanent gap; the
+//! stream then closes at the gap and reports the stamps it could not
+//! deliver ([`EventStream::undelivered_stamps`]).
 //!
 //! `tm_sim::online` builds the epoch sealer, chunker, and parallel
 //! certifier on top of this stream; the layer diagram lives in the
 //! [`concurrent`](super) module docs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -61,8 +84,9 @@ pub struct StampedEvent {
     pub event: Event,
 }
 
-/// Batches travel shard → consumer once per transaction attempt.
-type Batch = Vec<StampedEvent>;
+/// Batches travel shard → consumer once per transaction attempt,
+/// tagged with the index of the shard that recorded them.
+type Batch = (usize, Vec<StampedEvent>);
 
 /// A sharded, lock-free history recorder around a concurrent TM.
 ///
@@ -74,7 +98,11 @@ type Batch = Vec<StampedEvent>;
 #[derive(Debug)]
 pub struct ShardedRecorder<T> {
     inner: T,
-    seq: AtomicU64,
+    /// The global stamp counter, shared with the stream so that it can
+    /// count stamps that never arrive.
+    seq: Arc<AtomicU64>,
+    /// Shards created so far, hence the next shard's index.
+    shards: AtomicUsize,
     telemetry: Telemetry,
     /// Prototype sender, cloned once per shard. Behind a mutex only so
     /// the recorder stays `Sync`; the hot path never touches it.
@@ -94,13 +122,16 @@ impl<T: ConcurrentTm> ShardedRecorder<T> {
     /// [`Counter::TxAborts`].
     pub fn with_telemetry(inner: T, telemetry: Telemetry) -> (Self, EventStream) {
         let (tx, rx) = channel();
+        let seq = Arc::new(AtomicU64::new(0));
+        let stream = EventStream::new(rx, Arc::clone(&seq));
         let recorder = ShardedRecorder {
             inner,
-            seq: AtomicU64::new(0),
+            seq,
+            shards: AtomicUsize::new(0),
             telemetry,
             sender: Mutex::new(Some(tx)),
         };
-        (recorder, EventStream::new(rx))
+        (recorder, stream)
     }
 
     /// The wrapped TM.
@@ -129,6 +160,8 @@ impl<T: ConcurrentTm> ShardedRecorder<T> {
         ShardWriter {
             recorder: self,
             sender,
+            // Relaxed: the index only has to be unique.
+            index: self.shards.fetch_add(1, Ordering::Relaxed),
             process,
             batch: Vec::with_capacity(64),
             ops: 0,
@@ -161,8 +194,10 @@ impl<T: ConcurrentTm> ShardedRecorder<T> {
 pub struct ShardWriter<'a, T: ConcurrentTm> {
     recorder: &'a ShardedRecorder<T>,
     sender: Sender<Batch>,
+    /// This shard's slot in the stream's per-shard queues.
+    index: usize,
     process: ProcessId,
-    batch: Batch,
+    batch: Vec<StampedEvent>,
     /// Operations since the last flush (flushed into
     /// [`Counter::OpsRecorded`] alongside the batch).
     ops: u64,
@@ -189,14 +224,16 @@ impl<'a, T: ConcurrentTm> ShardWriter<'a, T> {
         if self.batch.is_empty() {
             return;
         }
-        let capacity = self.batch.capacity();
-        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(capacity));
+        // Ship an exact-size copy and keep the buffer's capacity for the
+        // next attempt: a queued batch then holds no spare slots.
+        let batch = self.batch.to_vec();
+        self.batch.clear();
         self.recorder
             .telemetry
             .add(Counter::OpsRecorded, std::mem::take(&mut self.ops));
         // A dropped receiver means the consumer is gone; recording
         // degrades to a no-op rather than poisoning the workload.
-        let _ = self.sender.send(batch);
+        let _ = self.sender.send((self.index, batch));
     }
 
     /// Starts a recorded transaction on this shard.
@@ -359,36 +396,52 @@ where
     }
 }
 
-/// Min-heap entry ordered by sequence stamp alone.
-#[derive(Debug)]
-struct Pending(StampedEvent);
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.seq == other.0.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop smallest seq first.
-        other.0.seq.cmp(&self.0.seq)
-    }
-}
-
 /// Whether an [`EventStream`] can still produce events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamStatus {
     /// Writers may still be active; poll again.
     Open,
     /// Every shard writer and the recorder's prototype sender are gone
-    /// and the reorder buffer is fully drained.
+    /// and every event that can be merged has been handed out (see
+    /// [`EventStream::undelivered_stamps`] for any that cannot).
     Closed,
+}
+
+/// One shard's undelivered batches, oldest first.
+#[derive(Debug, Default)]
+struct ShardQueue {
+    batches: VecDeque<Vec<StampedEvent>>,
+    /// Events of the front batch already handed out.
+    cursor: usize,
+}
+
+impl ShardQueue {
+    /// The smallest stamp the shard still holds.
+    fn head(&self) -> Option<u64> {
+        self.batches.front().map(|batch| batch[self.cursor].seq)
+    }
+
+    /// Hands out the shard's events while they continue the merged
+    /// prefix at `next`; returns the first stamp not handed out.
+    fn drain_run(&mut self, mut next: u64, out: &mut Vec<StampedEvent>) -> u64 {
+        while let Some(batch) = self.batches.front() {
+            let rest = &batch[self.cursor..];
+            let run = rest
+                .iter()
+                .zip(next..)
+                .take_while(|(stamped, seq)| stamped.seq == *seq)
+                .count();
+            out.extend_from_slice(&rest[..run]);
+            next += run as u64;
+            if run < rest.len() {
+                self.cursor += run;
+                break;
+            }
+            self.batches.pop_front();
+            self.cursor = 0;
+        }
+        next
+    }
 }
 
 /// The consumer end of a [`ShardedRecorder`]: merges per-shard batches
@@ -399,16 +452,20 @@ pub enum StreamStatus {
 #[derive(Debug)]
 pub struct EventStream {
     rx: Receiver<Batch>,
-    reorder: std::collections::BinaryHeap<Pending>,
+    /// Per-shard FIFOs, indexed by shard.
+    queues: Vec<ShardQueue>,
+    /// The recorder's stamp counter.
+    stamped: Arc<AtomicU64>,
     next_seq: u64,
     disconnected: bool,
 }
 
 impl EventStream {
-    fn new(rx: Receiver<Batch>) -> Self {
+    fn new(rx: Receiver<Batch>, stamped: Arc<AtomicU64>) -> Self {
         EventStream {
             rx,
-            reorder: std::collections::BinaryHeap::new(),
+            queues: Vec::new(),
+            stamped,
             next_seq: 0,
             disconnected: false,
         }
@@ -420,31 +477,51 @@ impl EventStream {
         self.next_seq
     }
 
-    fn absorb(&mut self, batch: Batch) {
-        for stamped in batch {
-            self.reorder.push(Pending(stamped));
+    /// Stamps the recorder drew that this stream will never hand out.
+    ///
+    /// Zero while the stream is open and after a clean close. Nonzero
+    /// only when a writer drew a stamp and died before shipping the
+    /// event for it — a TM that panics inside
+    /// [`Transaction::commit_at`] after calling `point`. The merged
+    /// history then ends at that gap, and the count includes every
+    /// event recorded after it: handing those out would present a
+    /// history with a hole as a complete one.
+    pub fn undelivered_stamps(&self) -> u64 {
+        if self.disconnected {
+            // Every writer drew its stamps before dropping its sender,
+            // and observing the disconnect synchronizes with those
+            // drops, so the counter is final here.
+            self.stamped.load(Ordering::Acquire) - self.next_seq
+        } else {
+            0
         }
     }
 
-    fn drain_prefix(&mut self, out: &mut Vec<StampedEvent>) -> usize {
-        let before = out.len();
-        while let Some(top) = self.reorder.peek() {
-            if top.0.seq != self.next_seq {
-                break;
-            }
-            let Pending(stamped) = self.reorder.pop().expect("peeked");
-            self.next_seq += 1;
-            out.push(stamped);
+    fn absorb(&mut self, (shard, events): Batch) {
+        if shard >= self.queues.len() {
+            self.queues.resize_with(shard + 1, ShardQueue::default);
         }
-        out.len() - before
+        self.queues[shard].batches.push_back(events);
+    }
+
+    fn drain_prefix(&mut self, out: &mut Vec<StampedEvent>) {
+        // Stamps increase within a shard, so the shard holding
+        // `next_seq` holds it at its head.
+        while let Some(queue) = self
+            .queues
+            .iter_mut()
+            .find(|queue| queue.head() == Some(self.next_seq))
+        {
+            self.next_seq = queue.drain_run(self.next_seq, out);
+        }
     }
 
     /// Waits up to `timeout` for progress, then appends every newly
     /// contiguous event (in sequence order) to `out`.
     ///
     /// Returns [`StreamStatus::Closed`] once all writers are gone and
-    /// the buffer is drained; `out` may still have received final
-    /// events on that call.
+    /// everything mergeable is drained; `out` may still have received
+    /// final events on that call.
     pub fn poll(
         &mut self,
         timeout: std::time::Duration,
@@ -470,15 +547,17 @@ impl EventStream {
             }
         }
         self.drain_prefix(out);
-        if self.disconnected && self.reorder.is_empty() {
+        // Once disconnected every batch has arrived, so whatever the
+        // drain left behind sits past a gap that can never fill.
+        if self.disconnected {
             StreamStatus::Closed
         } else {
             StreamStatus::Open
         }
     }
 
-    /// Blocks until the stream closes and returns the complete merged
-    /// history (convenience for tests and offline replay).
+    /// Blocks until the stream closes and returns the merged history
+    /// (convenience for tests and offline replay).
     pub fn drain_all(mut self) -> Vec<StampedEvent> {
         let mut out = Vec::new();
         while self.poll(std::time::Duration::from_millis(50), &mut out) == StreamStatus::Open {}
@@ -490,8 +569,9 @@ impl EventStream {
 mod tests {
     use super::*;
     use crate::concurrent::{ConcurrentNOrec, ConcurrentTl2};
+    use std::time::Duration;
     use tm_core::History;
-    use tm_safety::{check_opacity_auto, CheckOutcome};
+    use tm_safety::{check_opacity_auto, CheckOutcome, IncrementalChecker, Mode};
 
     const X: TVarId = TVarId(0);
 
@@ -592,5 +672,213 @@ mod tests {
         assert_eq!(snapshot.get(Counter::TxCommits), 5);
         assert_eq!(snapshot.get(Counter::TxAborts), 0);
         assert_eq!(events.len() as u64, recorder.events_stamped());
+    }
+
+    #[test]
+    fn eight_thread_merge_is_dense_and_opaque() {
+        let (recorder, stream) = ShardedRecorder::new(ConcurrentTl2::new(4));
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let mut shard = recorder.shard(ProcessId(t));
+                s.spawn(move || {
+                    for i in 0..300usize {
+                        atomically_sharded(&mut shard, |tx| {
+                            let a = tx.read(TVarId((i + t) % 4))?;
+                            tx.write(TVarId((i + 2 * t + 1) % 4), a + 1)
+                        });
+                    }
+                });
+            }
+        });
+        recorder.close();
+        let events = stream.drain_all();
+        assert_eq!(events.len() as u64, recorder.events_stamped());
+        for (i, stamped) in events.iter().enumerate() {
+            assert_eq!(stamped.seq, i as u64, "merged stream must be dense");
+        }
+        let h = merged_history(&events);
+        assert!(h.is_well_formed());
+        assert!(h.is_complete());
+        assert_eq!(h.events().iter().filter(|e| e.is_commit()).count(), 8 * 300);
+        let verdict = IncrementalChecker::new(Mode::Opacity).push_all(h.events().iter().copied());
+        assert!(
+            verdict.is_ok(),
+            "real TL2 interleavings must certify: {verdict:?}"
+        );
+    }
+
+    #[test]
+    fn flushed_batches_are_exact_size() {
+        let (recorder, stream) = ShardedRecorder::new(ConcurrentTl2::new(2));
+        let mut shard = recorder.shard(ProcessId(0));
+        atomically_sharded(&mut shard, |tx| {
+            let v = tx.read(X)?;
+            tx.write(X, v + 1)
+        });
+        let (index, batch) = stream.rx.try_recv().expect("one batch per attempt");
+        assert_eq!(index, 0);
+        // read · value · write · ok · tryC · C
+        assert_eq!(batch.len(), 6);
+        assert_eq!(
+            batch.capacity(),
+            batch.len(),
+            "a queued batch holds no spare slots"
+        );
+        assert!(shard.batch.is_empty());
+        assert!(
+            shard.batch.capacity() >= 64,
+            "the shard keeps its append buffer"
+        );
+    }
+
+    /// splitmix64, for the random delivery schedules below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(rng: &mut u64, n: usize) -> usize {
+        (splitmix(rng) % n as u64) as usize
+    }
+
+    /// Differential test of the per-shard merge against sort-by-seq.
+    /// Each case splits dense stamps `0..n` across 1–8 shards (in
+    /// increasing order within a shard, as one writer thread draws
+    /// them), cuts every shard into random batches, and delivers the
+    /// batches in a random interleaving that keeps each shard's FIFO
+    /// order. Odd cases hold back the shard owning stamp 0 until every
+    /// other shard is done. The stream is polled at random points:
+    /// each poll must have handed out exactly the delivered contiguous
+    /// prefix in stamp order, and report `Closed` only once every
+    /// shard is done and the last event is out.
+    #[test]
+    fn per_shard_merge_equals_sort_by_seq() {
+        for case in 0..400u64 {
+            let mut rng = case;
+            let shards = 1 + below(&mut rng, 8);
+            let n = below(&mut rng, 200) as u64;
+            let mut per_shard = vec![Vec::new(); shards];
+            for seq in 0..n {
+                let s = below(&mut rng, shards);
+                let event = Event::read(ProcessId(s), TVarId(seq as usize % 3));
+                per_shard[s].push(StampedEvent { seq, event });
+            }
+            let mut expected: Vec<StampedEvent> = per_shard.concat();
+            expected.sort_by_key(|stamped| stamped.seq);
+            let mut batches: Vec<VecDeque<Vec<StampedEvent>>> = per_shard
+                .iter()
+                .map(|events| {
+                    let mut queue = VecDeque::new();
+                    let mut rest = &events[..];
+                    while !rest.is_empty() {
+                        let k = (1 + below(&mut rng, 6)).min(rest.len());
+                        queue.push_back(rest[..k].to_vec());
+                        rest = &rest[k..];
+                    }
+                    queue
+                })
+                .collect();
+            let straggler = (case % 2 == 1 && n > 0).then(|| owner_of(&per_shard, 0));
+
+            let (tx, rx) = channel();
+            let mut stream = EventStream::new(rx, Arc::new(AtomicU64::new(n)));
+            let mut senders: Vec<Option<Sender<Batch>>> = batches
+                .iter()
+                .map(|queue| (!queue.is_empty()).then(|| tx.clone()))
+                .collect();
+            drop(tx);
+            let mut delivered = vec![false; n as usize];
+            let mut out = Vec::new();
+            let mut check = |stream: &mut EventStream, delivered: &[bool], done: bool| {
+                let status = stream.poll(Duration::ZERO, &mut out);
+                let prefix = delivered.iter().take_while(|d| **d).count();
+                assert_eq!(out, expected[..prefix], "case {case}: merged prefix");
+                assert_eq!(stream.merged_up_to(), prefix as u64);
+                assert_eq!(status == StreamStatus::Closed, done, "case {case}: status");
+            };
+            loop {
+                let live: Vec<usize> = (0..shards).filter(|&s| senders[s].is_some()).collect();
+                if live.is_empty() {
+                    break;
+                }
+                let candidates: Vec<usize> = live
+                    .iter()
+                    .copied()
+                    .filter(|&s| Some(s) != straggler || live.len() == 1)
+                    .collect();
+                let s = candidates[below(&mut rng, candidates.len())];
+                let batch = batches[s].pop_front().expect("live shard has batches");
+                for stamped in &batch {
+                    delivered[stamped.seq as usize] = true;
+                }
+                senders[s]
+                    .as_ref()
+                    .expect("live")
+                    .send((s, batch))
+                    .expect("stream alive");
+                if batches[s].is_empty() {
+                    senders[s] = None;
+                }
+                if below(&mut rng, 3) == 0 {
+                    let done = senders.iter().all(Option::is_none);
+                    check(&mut stream, &delivered, done);
+                }
+            }
+            check(&mut stream, &delivered, true);
+            assert_eq!(stream.undelivered_stamps(), 0);
+        }
+    }
+
+    /// The shard that recorded stamp `seq`.
+    fn owner_of(per_shard: &[Vec<StampedEvent>], seq: u64) -> usize {
+        per_shard
+            .iter()
+            .position(|events| events.iter().any(|e| e.seq == seq))
+            .expect("stamp is owned")
+    }
+
+    fn stamped_reads(seqs: std::ops::Range<u64>) -> Vec<StampedEvent> {
+        seqs.map(|seq| StampedEvent {
+            seq,
+            event: Event::read(ProcessId(0), X),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_lost_stamp_closes_the_stream_at_the_gap() {
+        // Stamps 0..6 drawn; stamp 2's writer died before shipping it.
+        let (tx, rx) = channel();
+        let mut stream = EventStream::new(rx, Arc::new(AtomicU64::new(6)));
+        tx.send((0, stamped_reads(0..2))).unwrap();
+        tx.send((1, stamped_reads(3..6))).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(stream.poll(Duration::ZERO, &mut out), StreamStatus::Open);
+        assert_eq!(
+            stream.undelivered_stamps(),
+            0,
+            "open streams owe nothing yet"
+        );
+        drop(tx);
+        assert_eq!(stream.poll(Duration::ZERO, &mut out), StreamStatus::Closed);
+        assert_eq!(out, stamped_reads(0..2));
+        assert_eq!(stream.merged_up_to(), 2);
+        assert_eq!(stream.undelivered_stamps(), 4);
+    }
+
+    #[test]
+    fn a_lost_final_stamp_is_counted() {
+        let (tx, rx) = channel();
+        let stream = EventStream::new(rx, Arc::new(AtomicU64::new(4)));
+        tx.send((0, stamped_reads(0..3))).unwrap();
+        drop(tx);
+        let mut stream = stream;
+        let mut out = Vec::new();
+        assert_eq!(stream.poll(Duration::ZERO, &mut out), StreamStatus::Closed);
+        assert_eq!(out.len(), 3);
+        assert_eq!(stream.undelivered_stamps(), 1);
     }
 }
