@@ -1,26 +1,13 @@
 //! PERF3 — naive enumerator vs prefix-sharing DFS explorer.
 //!
-//! Measures the model checker across depths and process counts in six
+//! Measures the model checker across depths and process counts in four
 //! configurations — the seed's from-scratch enumerator, the DFS explorer
-//! single-threaded, the DFS explorer with its parallel frontier, DFS
-//! with sleep-set pruning, DFS with source-set DPOR, and DFS with
-//! optimal (wakeup-tree) DPOR — and emits a machine-readable
+//! single-threaded, the DFS explorer with its parallel frontier, and DFS
+//! with optimal (wakeup-tree) DPOR — and emits a machine-readable
 //! `BENCH_explorer.json` at the workspace root so the perf trajectory is
 //! tracked across PRs. Each comparison row records the *executed*
-//! schedule counts under sleep sets, source-set DPOR and optimal DPOR:
-//! the equivalence-class reduction headline.
-//!
-//! A note on the `sleep_set_blocks` column: it counts subtrees the
-//! *coarse* sleep-set mode prunes, and that mode's per-variable
-//! independence relation never fires on the 2-process workload (both
-//! clients increment the same variable), so the column is structurally 0
-//! on 2-process rows. The fine-grained footprint oracle behind DPOR
-//! *does* see independence there (op steps carry empty write masks), so
-//! the redundancy the sleep discipline suppresses in that mode is
-//! reported separately as `dpor_sleep_blocked_executions` — the
-//! executions classic sleep-set DPOR would start and abandon, nonzero on
-//! both shapes, and the waste `sleep_blocked_executions` (optimal mode)
-//! pins at exactly zero.
+//! schedule count under optimal DPOR against the full tree: the
+//! equivalence-class reduction headline.
 //!
 //! Run: `cargo bench -p bench --bench explorer_scaling`
 
@@ -69,24 +56,6 @@ fn bench_two_processes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dfs-par", depth), &depth, |b, &d| {
             b.iter(|| explore_with(factory2, &scripts, &ExploreConfig::new(d)))
         });
-        group.bench_with_input(BenchmarkId::new("dfs-sleep", depth), &depth, |b, &d| {
-            b.iter(|| {
-                explore_with(
-                    factory2,
-                    &scripts,
-                    &ExploreConfig::new(d).sequential().with_sleep_sets(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("dfs-dpor", depth), &depth, |b, &d| {
-            b.iter(|| {
-                explore_with(
-                    factory2,
-                    &scripts,
-                    &ExploreConfig::new(d).sequential().with_dpor(),
-                )
-            })
-        });
         group.bench_with_input(BenchmarkId::new("dfs-optimal", depth), &depth, |b, &d| {
             b.iter(|| {
                 explore_with(
@@ -114,15 +83,6 @@ fn bench_three_processes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dfs-par", depth), &depth, |b, &d| {
             b.iter(|| explore_with(factory3, &scripts, &ExploreConfig::new(d)))
         });
-        group.bench_with_input(BenchmarkId::new("dfs-dpor", depth), &depth, |b, &d| {
-            b.iter(|| {
-                explore_with(
-                    factory3,
-                    &scripts,
-                    &ExploreConfig::new(d).sequential().with_dpor(),
-                )
-            })
-        });
         group.bench_with_input(BenchmarkId::new("dfs-optimal", depth), &depth, |b, &d| {
             b.iter(|| {
                 explore_with(
@@ -144,7 +104,6 @@ fn emit_json(_c: &mut Criterion) {
 
     let mut rows = Vec::new();
     let mut headline_speedup = 0.0;
-    let mut headline_dpor_reduction = 0.0;
     let mut headline_optimal_reduction = 0.0;
     let table: &[(usize, usize)] = if test_mode {
         &[(2, 6)]
@@ -159,14 +118,8 @@ fn emit_json(_c: &mut Criterion) {
         };
         // Interleave the configurations round by round so slow drift
         // (thermal, co-tenancy) hits them evenly.
-        let (mut naive, mut dfs, mut par, mut sleep, mut dpor, mut optimal) = (
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::INFINITY,
-        );
+        let (mut naive, mut dfs, mut par, mut optimal) =
+            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..runs {
             naive = naive.min(best_secs(1, || {
                 explore_schedules_naive(factory, &scripts, depth);
@@ -176,20 +129,6 @@ fn emit_json(_c: &mut Criterion) {
             }));
             par = par.min(best_secs(1, || {
                 explore_with(factory, &scripts, &ExploreConfig::new(depth));
-            }));
-            sleep = sleep.min(best_secs(1, || {
-                explore_with(
-                    factory,
-                    &scripts,
-                    &ExploreConfig::new(depth).sequential().with_sleep_sets(),
-                );
-            }));
-            dpor = dpor.min(best_secs(1, || {
-                explore_with(
-                    factory,
-                    &scripts,
-                    &ExploreConfig::new(depth).sequential().with_dpor(),
-                );
             }));
             optimal = optimal.min(best_secs(1, || {
                 explore_with(
@@ -203,31 +142,12 @@ fn emit_json(_c: &mut Criterion) {
             headline_speedup = naive / dfs;
         }
         // Executed-schedule counts: the equivalence-class reduction.
-        // The sample runs carry counter-mode telemetry so the artifact
-        // rows gain the engine's own tallies (sleep-set blocks, DPOR
-        // races, TM fork/refork traffic) alongside the timings.
-        let sleep_telemetry = Telemetry::counters();
-        let sleep_sample = explore_with(
-            factory,
-            &scripts,
-            &ExploreConfig::new(depth)
-                .sequential()
-                .with_sleep_sets()
-                .with_telemetry(&sleep_telemetry),
-        );
-        let dpor_telemetry = Telemetry::counters();
-        let dpor_sample = explore_with(
-            factory,
-            &scripts,
-            &ExploreConfig::new(depth)
-                .sequential()
-                .with_dpor()
-                .with_telemetry(&dpor_telemetry),
-        );
-        // The optimal-DPOR sample streams when `TM_TELEMETRY` is set
-        // (the CI smoke does), so each row is followed by a
-        // `counter_snapshot` event pinning `sleep_blocked_executions: 0`
-        // in the NDJSON stream; otherwise it accumulates counters only.
+        // The sample run carries telemetry so the artifact rows gain the
+        // engine's own tallies (DPOR races, wakeup-tree inserts, TM
+        // fork/refork traffic) alongside the timings. It streams when
+        // `TM_TELEMETRY` is set (the CI smoke does), so each row is
+        // followed by its run's events in the NDJSON stream; otherwise it
+        // accumulates counters only.
         let optimal_telemetry = {
             let streamed = Telemetry::from_env();
             if streamed.streams() {
@@ -244,43 +164,19 @@ fn emit_json(_c: &mut Criterion) {
                 .with_optimal_dpor()
                 .with_telemetry(&optimal_telemetry),
         );
-        let (sleep_snap, dpor_snap, optimal_snap) = (
-            sleep_telemetry.snapshot(),
-            dpor_telemetry.snapshot(),
-            optimal_telemetry.snapshot(),
-        );
+        let optimal_snap = optimal_telemetry.snapshot();
+        let exhaustive = explore_with(factory, &scripts, &ExploreConfig::new(depth).sequential());
         assert_eq!(
-            sleep_sample.all_opaque(),
-            dpor_sample.all_opaque(),
-            "DPOR changed a verdict at {procs}p depth {depth}"
-        );
-        assert_eq!(
-            dpor_sample.all_opaque(),
+            exhaustive.all_opaque(),
             optimal_sample.all_opaque(),
             "optimal DPOR changed a verdict at {procs}p depth {depth}"
         );
-        // Optimality: never more executions than source sets (strictly
-        // fewer once a race has multiple weak initials, i.e. ≥3
-        // processes), and not one sleep-blocked execution.
         assert!(
-            optimal_sample.schedules <= dpor_sample.schedules,
-            "optimal DPOR executed more than source sets at {procs}p depth {depth}"
+            optimal_sample.schedules < exhaustive.schedules,
+            "optimal DPOR must prune at {procs}p depth {depth}"
         );
-        if procs >= 3 {
-            assert!(
-                optimal_sample.schedules < dpor_sample.schedules,
-                "optimal DPOR must beat source sets at {procs}p depth {depth}"
-            );
-        }
-        assert_eq!(
-            optimal_snap.get(Counter::SleepBlockedExecutions),
-            0,
-            "optimal DPOR started a redundant execution at {procs}p depth {depth}"
-        );
-        let reduction = sleep_sample.schedules as f64 / dpor_sample.schedules as f64;
-        let optimal_reduction = dpor_sample.schedules as f64 / optimal_sample.schedules as f64;
+        let optimal_reduction = exhaustive.schedules as f64 / optimal_sample.schedules as f64;
         if procs == 3 && depth == 8 {
-            headline_dpor_reduction = reduction;
             headline_optimal_reduction = optimal_reduction;
         }
         rows.push(Json::Obj(vec![
@@ -299,48 +195,26 @@ fn emit_json(_c: &mut Criterion) {
             // the same call would only record noise).
             ("dfs_engine_ms".into(), Json::Num(dfs * 1e3)),
             ("dfs_par_ms".into(), Json::Num(par * 1e3)),
-            ("dfs_sleep_ms".into(), Json::Num(sleep * 1e3)),
-            ("dfs_dpor_ms".into(), Json::Num(dpor * 1e3)),
             ("dfs_optimal_ms".into(), Json::Num(optimal * 1e3)),
-            (
-                "sleep_schedules".into(),
-                Json::Int(sleep_sample.schedules as i64),
-            ),
-            (
-                "executed_schedules".into(),
-                Json::Int(dpor_sample.schedules as i64),
-            ),
             (
                 "optimal_schedules".into(),
                 Json::Int(optimal_sample.schedules as i64),
             ),
-            // Structurally 0 on 2-process rows: the coarse per-variable
-            // relation behind sleep-set mode never fires when both
-            // clients share one variable (see the module docs); the
-            // fine-oracle analogue is dpor_sleep_blocked_executions.
-            (
-                "sleep_set_blocks".into(),
-                Json::Int(sleep_snap.get(Counter::SleepSetBlocks) as i64),
-            ),
             (
                 "dpor_races".into(),
-                Json::Int(dpor_snap.get(Counter::DporRaces) as i64),
+                Json::Int(optimal_snap.get(Counter::DporRaces) as i64),
             ),
             (
-                "dpor_schedules_pruned".into(),
-                Json::Int(dpor_snap.get(Counter::SchedulesPruned) as i64),
+                "optimal_schedules_pruned".into(),
+                Json::Int(optimal_snap.get(Counter::SchedulesPruned) as i64),
             ),
             (
-                "dpor_tm_forks".into(),
-                Json::Int(dpor_snap.get(Counter::TmForks) as i64),
+                "optimal_tm_forks".into(),
+                Json::Int(optimal_snap.get(Counter::TmForks) as i64),
             ),
             (
-                "dpor_tm_reforks".into(),
-                Json::Int(dpor_snap.get(Counter::TmReforks) as i64),
-            ),
-            (
-                "dpor_sleep_blocked_executions".into(),
-                Json::Int(dpor_snap.get(Counter::SleepBlockedExecutions) as i64),
+                "optimal_tm_reforks".into(),
+                Json::Int(optimal_snap.get(Counter::TmReforks) as i64),
             ),
             (
                 "wakeup_inserts".into(),
@@ -351,17 +225,12 @@ fn emit_json(_c: &mut Criterion) {
                 Json::Int(optimal_snap.get(Counter::WakeupRedundant) as i64),
             ),
             (
-                "sleep_blocked_executions".into(),
-                Json::Int(optimal_snap.get(Counter::SleepBlockedExecutions) as i64),
-            ),
-            ("dpor_reduction_vs_sleep".into(), Json::Num(reduction)),
-            (
-                "optimal_reduction_vs_dpor".into(),
+                "optimal_reduction_vs_exhaustive".into(),
                 Json::Num(optimal_reduction),
             ),
             ("speedup_dfs_vs_naive".into(), Json::Num(naive / dfs)),
             ("speedup_par_vs_seq".into(), Json::Num(dfs / par)),
-            ("speedup_dpor_vs_sleep".into(), Json::Num(sleep / dpor)),
+            ("speedup_optimal_vs_seq".into(), Json::Num(dfs / optimal)),
         ]));
     }
 
@@ -410,15 +279,6 @@ fn emit_json(_c: &mut Criterion) {
         &ExploreConfig::new(parity_depth),
     );
     let parity = naive == dfs;
-    // DPOR parity: identical verdict, and every violation it reports is
-    // one the naive enumerator reports verbatim.
-    let dpor = explore_with(
-        || tm_stm::literal_fgp(2, 1),
-        &buggy_scripts,
-        &ExploreConfig::new(parity_depth).sequential().with_dpor(),
-    );
-    let dpor_parity = naive.all_opaque() == dpor.all_opaque()
-        && dpor.violations.iter().all(|v| naive.violations.contains(v));
     // Optimal-DPOR parity on the same verdict-bearing workload: the
     // wakeup-tree walk must also find the leak, reporting only
     // violations the naive enumerator reports verbatim.
@@ -446,15 +306,10 @@ fn emit_json(_c: &mut Criterion) {
                 Json::Num(headline_speedup),
             ),
             (
-                "headline_dpor_reduction_vs_sleep_3p_depth8".into(),
-                Json::Num(headline_dpor_reduction),
-            ),
-            (
-                "headline_optimal_reduction_vs_dpor_3p_depth8".into(),
+                "headline_optimal_reduction_vs_exhaustive_3p_depth8".into(),
                 Json::Num(headline_optimal_reduction),
             ),
             ("verdict_parity_with_naive".into(), Json::Bool(parity)),
-            ("dpor_verdict_parity".into(), Json::Bool(dpor_parity)),
             (
                 "optimal_dpor_verdict_parity".into(),
                 Json::Bool(optimal_parity),
@@ -463,18 +318,12 @@ fn emit_json(_c: &mut Criterion) {
     );
     if !test_mode {
         assert!(
-            headline_dpor_reduction >= 5.0,
-            "DPOR must execute ≥5× fewer schedules than sleep sets at 3p depth 8 \
-             (got {headline_dpor_reduction:.1}×)"
-        );
-        assert!(
-            headline_optimal_reduction >= 1.5,
-            "optimal DPOR must execute ≥1.5× fewer schedules than source sets at 3p \
-             depth 8 (got {headline_optimal_reduction:.2}×)"
+            headline_optimal_reduction >= 10.0,
+            "optimal DPOR must execute ≥10× fewer schedules than the full tree at 3p \
+             depth 8 (got {headline_optimal_reduction:.1}×)"
         );
     }
     assert!(parity, "DFS and naive explorer reports must be identical");
-    assert!(dpor_parity, "DPOR diverged from the naive verdict");
     assert!(
         optimal_parity,
         "optimal DPOR diverged from the naive verdict"

@@ -1,8 +1,8 @@
 //! Shared helpers for the figure/theorem harness binaries.
 //!
 //! Each binary in `src/bin/` regenerates one figure or theorem of the
-//! paper (see DESIGN.md §5 and EXPERIMENTS.md); this crate provides the
-//! small amount of shared output plumbing.
+//! paper, named after it (`fig16_fgp_history`, `thm3_fgp_verify`, ...);
+//! this crate provides the small amount of shared output plumbing.
 
 /// Prints a section header in the harness output style.
 pub fn section(title: &str) {

@@ -11,7 +11,7 @@
 //! * `Val[k][j]` — the value of t-variable `xj` as seen by `pk`;
 //! * `f(pk)` — `pk`'s pending invocation, or `⊥`.
 //!
-//! # Variants (see DESIGN.md, D2 and D-Fgp-rollback)
+//! # Variants
 //!
 //! The paper's prose and formal transition rules disagree in two places,
 //! and the formal rules contain an outright bug; we implement all three
@@ -526,8 +526,9 @@ mod tests {
     #[test]
     fn figure_16_style_history_with_two_tvars() {
         // Three processes, two t-variables, CpOnly: reconstruct the shape
-        // of the paper's Figure 16 history Hex (see EXPERIMENTS.md for the
-        // exact interleaving we validate).
+        // of the paper's Figure 16 history Hex (the exact interleaving
+        // validated is the step sequence below; the `fig16_fgp_history`
+        // harness in the bench crate renders the full figure).
         let mut r = runner(3, 2, FgpVariant::CpOnly);
         // p1: x.read → 0, x.write(1).
         assert_eq!(

@@ -148,21 +148,6 @@ impl History {
         self.events.push(event);
     }
 
-    /// Replaces the event at `index` in place, preserving every other
-    /// event's position. Recorder repair path: a commit response logged
-    /// optimistically at the TM's serialization point whose commit then
-    /// fails its final validation is amended to the abort response at
-    /// the same position (sound — aborted transactions impose no
-    /// commit-order obligation, and the position still falls inside the
-    /// transaction's `tryC` window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn amend(&mut self, index: usize, event: Event) {
-        self.events[index] = event;
-    }
-
     /// Appends an event, validating that the resulting history stays
     /// well-formed with respect to the process's pending invocation.
     ///

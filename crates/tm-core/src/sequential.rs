@@ -11,8 +11,7 @@
 //!
 //! Note: the PODC'12 text elides the word "committed" in its `visible(Tj)`
 //! definition; taking it literally would make Figure 1 non-opaque,
-//! contradicting the paper's own claim, so we follow the book definition
-//! (see DESIGN.md, D-visible).
+//! contradicting the paper's own claim, so we follow the book definition.
 
 use std::collections::BTreeMap;
 

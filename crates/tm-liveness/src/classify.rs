@@ -72,8 +72,8 @@ pub fn is_parasitic(h: &InfiniteHistory, process: ProcessId) -> bool {
 /// not parasitic.
 ///
 /// A process with no events at all is *absent* — it is outside the history
-/// and neither correct nor faulty (DESIGN.md discusses this edge of the
-/// paper's definitions).
+/// and neither correct nor faulty (an edge case the paper's definitions
+/// leave open).
 pub fn is_correct(h: &InfiniteHistory, process: ProcessId) -> bool {
     h.participates(process) && !is_crashed(h, process) && !is_parasitic(h, process)
 }

@@ -8,7 +8,7 @@
 //! responses no opaque TM could give (e.g. Figure 14's aborting reader
 //! observing never-committed values), we substitute the nearest consistent
 //! responses — liveness classification depends only on event *kinds*, never
-//! on values. Both simplifications are recorded in DESIGN.md.
+//! on values.
 
 use tm_core::{History, HistoryBuilder, ProcessId, TVarId};
 

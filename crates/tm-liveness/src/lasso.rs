@@ -6,8 +6,7 @@
 //! it has the form `prefix · cycle^ω`. On that class, all of the paper's
 //! "finitely many events of kind k" / "infinitely many events of kind k"
 //! predicates are exactly decidable, which makes the liveness
-//! classification in [`mod@crate::classify`] exact rather than heuristic
-//! (DESIGN.md, D1).
+//! classification in [`mod@crate::classify`] exact rather than heuristic.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -140,7 +139,7 @@ impl InfiniteHistory {
 
     /// Whether `process` has at least one event in the history (the paper's
     /// histories implicitly range over participating processes; see
-    /// DESIGN.md on absent processes).
+    /// [`crate::classify::is_correct`] on absent processes).
     pub fn participates(&self, process: ProcessId) -> bool {
         self.prefix.project(process).len() + self.cycle.project(process).len() > 0
     }

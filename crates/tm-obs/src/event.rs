@@ -169,7 +169,7 @@ pub enum EventBody {
         /// The snapshot label (the TM name in both checkers).
         label: String,
         /// The emitted counters in snapshot order (zero-valued counters
-        /// are elided at the source unless pinned).
+        /// are elided at the source).
         counters: Vec<(String, i64)>,
     },
     /// An event tag this consumer does not know — skipped, per the v1

@@ -55,7 +55,7 @@ pub struct RunSummary {
     /// The label of the run's last `counter_snapshot`.
     pub counter_label: Option<String>,
     /// The run's last `counter_snapshot`, verbatim (snapshot order,
-    /// zero-valued counters elided at the source unless pinned).
+    /// zero-valued counters elided at the source).
     pub counters: Vec<(String, i64)>,
     /// The run's verdict, when one streamed.
     pub verdict: Option<VerdictSummary>,

@@ -1,85 +1,22 @@
-//! Seen-set and interning backends of the exploration kernel.
+//! Seen-set and interning tables of the exploration kernel.
 //!
 //! Every search in this crate keys some table on canonical configuration
-//! digests: the safety explorer memoizes subtree summaries, the liveness
-//! checker interns graph nodes. Two backends cover both:
-//!
-//! * **worker-local** hash maps — lock-free and run-to-run
-//!   deterministic (the default everywhere);
-//! * the 64-way lock-striped [`StripedTable`] — one table shared across
-//!   rayon workers for cross-subtree hits, at stripe-lock cost. Sound
-//!   because digests are thread-agnostic: a memoized value is exact
-//!   wherever it was computed.
+//! digests: the safety explorer memoizes subtree summaries in a
+//! [`SeenSet`], the liveness checker interns graph nodes in an
+//! [`Interner`]. Both are worker-local hash maps — lock-free and
+//! run-to-run deterministic; the parallel frontier gives each worker
+//! its own.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
 
-/// A sharded, lock-striped concurrent map: each key hashes to one of 64
-/// shards and operations take only that shard's lock, so concurrent
-/// workers contend per stripe, not per table.
-#[derive(Debug)]
-pub struct StripedTable<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
-}
-
-impl<K: Hash + Eq, V: Copy> StripedTable<K, V> {
-    /// Number of stripes.
-    pub const SHARDS: usize = 64;
-
-    /// An empty table.
-    pub fn new() -> Self {
-        StripedTable {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let mut h = tm_core::StableHasher::new();
-        key.hash(&mut h);
-        use std::hash::Hasher;
-        &self.shards[(h.finish() % Self::SHARDS as u64) as usize]
-    }
-
-    /// Looks `key` up in its stripe.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .expect("stripe poisoned")
-            .get(key)
-            .copied()
-    }
-
-    /// Inserts into `key`'s stripe.
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key)
-            .lock()
-            .expect("stripe poisoned")
-            .insert(key, value);
-    }
-}
-
-impl<K: Hash + Eq, V: Copy> Default for StripedTable<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The digest seen set of one search walk: disabled, worker-local, or a
-/// handle to a shared [`StripedTable`]. The uniform `get`/`insert`
-/// surface lets the walkers stay backend-agnostic.
+/// The digest seen set of one search walk: a worker-local map that can
+/// be switched off, so the walkers call one `get`/`insert` surface
+/// whether or not dedup runs.
 #[derive(Debug)]
 pub struct SeenSet<K, V> {
     enabled: bool,
-    backend: SeenBackend<K, V>,
-}
-
-#[derive(Debug)]
-enum SeenBackend<K, V> {
-    Local(HashMap<K, V>),
-    Shared(Arc<StripedTable<K, V>>),
+    map: HashMap<K, V>,
 }
 
 impl<K: Hash + Eq, V: Copy> SeenSet<K, V> {
@@ -87,15 +24,7 @@ impl<K: Hash + Eq, V: Copy> SeenSet<K, V> {
     pub fn new(enabled: bool) -> Self {
         SeenSet {
             enabled,
-            backend: SeenBackend::Local(HashMap::new()),
-        }
-    }
-
-    /// A handle onto a table shared with other workers.
-    pub fn shared(table: Arc<StripedTable<K, V>>) -> Self {
-        SeenSet {
-            enabled: true,
-            backend: SeenBackend::Shared(table),
+            map: HashMap::new(),
         }
     }
 
@@ -105,21 +34,20 @@ impl<K: Hash + Eq, V: Copy> SeenSet<K, V> {
     }
 
     /// Looks `key` up.
+    ///
+    /// `get` and `insert` stay out of line: the walkers call them on a
+    /// branch that is cold whenever dedup is off, and inlined copies
+    /// enlarge every frame of the recursive walk, which measurably
+    /// slows it.
+    #[inline(never)]
     pub fn get(&self, key: &K) -> Option<V> {
-        match &self.backend {
-            SeenBackend::Local(map) => map.get(key).copied(),
-            SeenBackend::Shared(table) => table.get(key),
-        }
+        self.map.get(key).copied()
     }
 
     /// Records `key → value`.
+    #[inline(never)]
     pub fn insert(&mut self, key: K, value: V) {
-        match &mut self.backend {
-            SeenBackend::Local(map) => {
-                map.insert(key, value);
-            }
-            SeenBackend::Shared(table) => table.insert(key, value),
-        }
+        self.map.insert(key, value);
     }
 }
 
@@ -170,28 +98,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn striped_table_round_trips() {
-        let table: StripedTable<u64, u32> = StripedTable::new();
-        for i in 0..1000u64 {
-            table.insert(i, (i * 2) as u32);
-        }
-        for i in 0..1000u64 {
-            assert_eq!(table.get(&i), Some((i * 2) as u32));
-        }
-        assert_eq!(table.get(&1_000_000), None);
-    }
-
-    #[test]
-    fn disabled_seen_set_is_inert_shared_is_cross_handle() {
-        let mut local: SeenSet<u64, u32> = SeenSet::new(false);
-        assert!(!local.enabled());
-        local.insert(1, 2);
-        // (Callers gate on enabled(); the table itself still stores.)
-        let table = Arc::new(StripedTable::new());
-        let mut a: SeenSet<u64, u32> = SeenSet::shared(Arc::clone(&table));
-        let b: SeenSet<u64, u32> = SeenSet::shared(table);
-        a.insert(7, 9);
-        assert_eq!(b.get(&7), Some(9));
+    fn seen_set_round_trips_and_reports_disabled() {
+        let mut seen: SeenSet<u64, u32> = SeenSet::new(true);
+        assert!(seen.enabled());
+        seen.insert(7, 9);
+        assert_eq!(seen.get(&7), Some(9));
+        assert_eq!(seen.get(&8), None);
+        assert!(!SeenSet::<u64, u32>::new(false).enabled());
     }
 
     #[test]

@@ -31,12 +31,11 @@
 //!      │        per-branch [`crate::faults::FaultState`] masks fold into
 //!      │        memo keys and node identities so dedup stays sound
 //!      ▲                ▲                            ▲
-//!   reduction   DPOR backtrack/sleep sets     transition memoization
+//!   reduction   optimal DPOR: wakeup trees    transition memoization
 //!      │        (`reduction`, schedule search) (edge replay, graph search)
 //!      ▲                ▲                            ▲
-//!   seen sets   [`memo::SeenSet`] — per-worker deterministic tables or the
-//!      │        64-way lock-striped [`memo::StripedTable`]; [`memo::Interner`]
-//!      │        for the graph checker's configuration ids
+//!   seen sets   [`memo::SeenSet`] — per-worker deterministic tables;
+//!      │        [`memo::Interner`] for the graph checker's configuration ids
 //!      ▲                ▲                            ▲
 //!   space       [`SearchSpace`] — expand a configuration one process-step
 //!      │        at a time ([`StepRecord`]), digest it, checkpoint/rollback
@@ -50,8 +49,8 @@
 //!
 //! * [`crate::explore::explore_with`] drives a `ScheduleSpace` (clients +
 //!   schedule path + history + incremental opacity certifier) through the
-//!   schedule tree, with sleep-set / source-set-DPOR reduction and the
-//!   split-depth parallel frontier;
+//!   schedule tree, exhaustively or under optimal-DPOR reduction, with
+//!   the split-depth parallel frontier;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
 //!   schedule + history, no certifier) through the interned state graph,
 //!   with transition-level reduction (execute each graph edge once,

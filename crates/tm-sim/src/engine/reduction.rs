@@ -1,19 +1,14 @@
-//! The reduction layer of the exploration kernel: the pruning state the
-//! schedule-tree search threads through its walk.
+//! The reduction layer of the exploration kernel: the optimal-DPOR state
+//! the schedule-tree search threads through its walk.
 //!
-//! Three reductions live here, all driven by per-TM independence
-//! contracts (see the soundness discussion in [`crate::explore`]'s
-//! module docs):
-//!
-//! * **sleep sets** over the coarse variable-footprint relation
-//!   ([`Footprint`], gated on `SteppedTm::disjoint_var_ops_commute`);
-//! * **source-set DPOR** ([`Dpor`]): vector clocks over the conflict
-//!   relation declared by `SteppedTm::step_footprint`, with
-//!   Flanagan–Godefroid backtrack sets and Abdulla-et-al source sets;
-//! * **optimal DPOR** ([`OptimalDpor`]): the wakeup-tree algorithm of
-//!   Abdulla, Aronis, Jonsson and Sagonas, replacing the flat backtrack
-//!   sets with ordered sleep-set-aware trees of race-reversal
-//!   *sequences*.
+//! One reduction lives here, driven by the per-TM conflict oracle
+//! `SteppedTm::step_footprint` (see the soundness discussion in
+//! [`crate::explore`]'s module docs): **optimal DPOR**
+//! ([`OptimalDpor`]), the wakeup-tree algorithm of Abdulla, Aronis,
+//! Jonsson and Sagonas. Its [`HbTrace`] is the executed path with
+//! vector clocks over the conflict relation (happens-before), from
+//! which race detection derives reversal *sequences* that are inserted
+//! into ordered, sleep-set-aware wakeup trees.
 //!
 //! # Wakeup trees
 //!
@@ -44,9 +39,9 @@
 //! every sibling label — a matching label would have been consumed as an
 //! initial — which keeps child labels unique.
 //!
-//! **Why no execution is ever sleep-blocked.** A node's sleep set grows
+//! **Why no execution is ever abandoned.** A node's sleep set grows
 //! only by (a) inheritance — sleeping siblings filtered through the
-//! SDPOR independence test — and (b) its own explored children, and the
+//! independence test — and (b) its own explored children, and the
 //! weak-initial guard checks both against `v` at insertion time. That
 //! guard is exact for a *static* independence relation; our footprints
 //! are state-dependent, so a sequence inserted from one execution
@@ -57,77 +52,17 @@
 //! asleep. The walk therefore re-tests each popped edge: an asleep head
 //! certifies that an already-explored sibling subtree covers the whole
 //! branch, and the edge is dropped — subtree included — *before any
-//! step executes* (counted redundant). Source-set mode, by contrast,
-//! suppresses race-inserted backtrack branches whose process has gone to
-//! sleep *after* the insertion — each suppression is an execution the
-//! classic SDPOR formulation starts and abandons, counted by
-//! `Counter::SleepBlockedExecutions`. Optimal mode never starts a
-//! schedule it abandons, so it must keep that counter at exactly zero
-//! (asserted in the differential suite).
+//! step executes* (counted redundant). The walk thus never starts a
+//! schedule it then abandons.
 //!
 //! The graph search's transition memoization (execute each state-graph
 //! edge once, replay re-walks) is the liveness checker's analogue; it
 //! lives with the graph structures in [`crate::livecheck`].
 
-use tm_core::{Invocation, ProcessId, TVarId};
+use tm_core::ProcessId;
 use tm_stm::{BoxedTm, StepFootprint, SteppedTm};
 
 use crate::workload::Client;
-
-/// What a process's next step would do, for the sleep sets' coarse
-/// independence relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Footprint {
-    /// An operation step confined to one t-variable.
-    Var(TVarId),
-    /// A step whose effect or outcome depends on global TM state
-    /// (`tryC`, or polling a blocking TM).
-    Global,
-}
-
-/// Per-node footprints of every process's next step, on the stack (no
-/// allocation in the hot recursion).
-pub(crate) type Feet = [Footprint; 64];
-
-pub(crate) fn footprint(tm: &BoxedTm, clients: &[Client], k: usize) -> Footprint {
-    if tm.has_pending(ProcessId(k)) {
-        return Footprint::Global;
-    }
-    match clients[k].next_invocation() {
-        Invocation::Read(x) | Invocation::Write(x, _) => Footprint::Var(x),
-        Invocation::TryCommit => Footprint::Global,
-    }
-}
-
-pub(crate) fn independent(a: Footprint, b: Footprint) -> bool {
-    match (a, b) {
-        (Footprint::Var(x), Footprint::Var(y)) => x != y,
-        _ => false,
-    }
-}
-
-/// The sleep-set footprints of every process's next step at the current
-/// configuration.
-pub(crate) fn sleep_feet(tm: &BoxedTm, clients: &[Client]) -> Feet {
-    let mut feet: Feet = [Footprint::Global; 64];
-    for (k, foot) in feet.iter_mut().enumerate().take(clients.len()) {
-        *foot = footprint(tm, clients, k);
-    }
-    feet
-}
-
-/// The sleep set `sleep` filtered down for the child reached by stepping
-/// `k`: a sibling stays asleep only while its step is independent of the
-/// step just taken.
-pub(crate) fn filtered_sleep(sleep: u64, feet: &Feet, k: usize, n: usize) -> u64 {
-    let mut kept = 0u64;
-    for q in 0..n {
-        if sleep & (1 << q) != 0 && independent(feet[q], feet[k]) {
-            kept |= 1 << q;
-        }
-    }
-    kept
-}
 
 /// The next-step footprint of process `q` at the current configuration:
 /// the TM's conflict oracle for the pending invocation, with the
@@ -143,10 +78,10 @@ pub(crate) fn next_footprint(tm: &BoxedTm, clients: &[Client], q: usize) -> Step
     }
 }
 
-/// One executed step of the DPOR trace (the current path of the walk,
-/// annotated with the data race reversal needs).
+/// One executed step of the happens-before trace (the current path of
+/// the walk, annotated with the data race reversal needs).
 #[derive(Debug)]
-pub(crate) struct DporStep {
+pub(crate) struct TraceStep {
     pub(crate) proc: u8,
     pub(crate) foot: StepFootprint,
     /// 1-based count of this process's steps up to and including this one.
@@ -155,53 +90,42 @@ pub(crate) struct DporStep {
     prev_of_proc: Option<u32>,
 }
 
-/// The source-set DPOR state riding along the depth-first walk: the
-/// executed trace with vector clocks (happens-before), and the per-node
-/// backtrack sets race detection grows.
+/// The executed trace riding along the depth-first walk, with vector
+/// clocks over the conflict relation (happens-before).
 #[derive(Debug)]
-pub(crate) struct Dpor {
+pub(crate) struct HbTrace {
     n: usize,
-    pub(crate) steps: Vec<DporStep>,
+    pub(crate) steps: Vec<TraceStep>,
     /// Flat vector-clock matrix: `clocks[i * n + q]` = how many of
     /// process `q`'s steps happen before (or are) step `i`.
     clocks: Vec<u32>,
     /// Per-process trace index of the last executed step.
     last_of: Vec<Option<u32>>,
-    /// Per-depth backtrack sets (a step's trace index is also the depth
-    /// of the node it was executed from).
-    pub(crate) backtrack: Vec<u64>,
     /// Reversible races detected over this instance's lifetime
     /// (telemetry tally, flushed per worker as [`Counter::DporRaces`]).
     ///
     /// [`Counter::DporRaces`]: tm_telemetry::Counter::DporRaces
     pub(crate) races: u64,
-    /// Backtrack bits suppressed by the sleep discipline: at node
-    /// completion, processes the backtrack set demanded but the walk
-    /// never ran because they were asleep. Each is an execution classic
-    /// sleep-set DPOR would start and abandon — the redundant work
-    /// source sets schedule and optimal mode never does (telemetry
-    /// tally, flushed per worker as [`Counter::SleepBlockedExecutions`]).
-    ///
-    /// [`Counter::SleepBlockedExecutions`]: tm_telemetry::Counter::SleepBlockedExecutions
-    pub(crate) blocked: u64,
 }
 
-impl Dpor {
+impl HbTrace {
     pub(crate) fn new(n: usize) -> Self {
-        Dpor {
+        HbTrace {
             n,
             steps: Vec::new(),
             clocks: Vec::new(),
             last_of: vec![None; n],
-            backtrack: Vec::new(),
             races: 0,
-            blocked: 0,
         }
     }
 
     /// Records the execution of one step by `k` with footprint `foot`:
     /// its clock is the join of the process's previous clock and the
     /// clocks of every earlier conflicting step, plus itself.
+    ///
+    /// Kept out of line: inlined into the recursive `walk_optimal`, it
+    /// enlarges every frame of the walk, which measurably slows it.
+    #[inline(never)]
     pub(crate) fn push(&mut self, k: usize, foot: StepFootprint) {
         let n = self.n;
         let i = self.steps.len();
@@ -228,7 +152,7 @@ impl Dpor {
         }
         let local_index = self.last_of[k].map_or(0, |p| self.steps[p as usize].local_index) + 1;
         self.clocks[base + k] = local_index;
-        self.steps.push(DporStep {
+        self.steps.push(TraceStep {
             proc: u8::try_from(k).expect("≤ 64 processes"),
             foot,
             local_index,
@@ -261,73 +185,6 @@ impl Dpor {
                     >= self.steps[i].local_index
             }
         }
-    }
-
-    /// SDPOR race detection for the next step of process `k` (footprint
-    /// `fp`) against the trace steps at indices `lo..`: for every step
-    /// in a reversible race with it — conflicting, by another process,
-    /// not already ordered before `k` — ensure the backtrack set at that
-    /// step's node intersects the race's source set, inserting one
-    /// source member if not.
-    ///
-    /// Callers pass `lo = 0` for a full scan, or `lo = len - 1` to check
-    /// only the step just executed: a race ensured at an ancestor stays
-    /// ensured, because an initial of the shorter reversed continuation
-    /// remains an initial of every extension (new events by other
-    /// processes cannot become happens-before predecessors of it), so
-    /// only the *new* step needs checking when neither `k`'s footprint
-    /// nor its clock changed.
-    pub(crate) fn detect_races_from(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
-        for e in (lo..self.steps.len()).rev() {
-            let step = &self.steps[e];
-            if step.proc as usize == k || !step.foot.conflicts(fp) || self.hb_to_next(e, k) {
-                continue;
-            }
-            self.races += 1;
-            let initials = self.source_initials(e, k);
-            if self.backtrack[e] & initials == 0 {
-                let add = if initials & (1 << k) != 0 {
-                    k
-                } else {
-                    initials.trailing_zeros() as usize
-                };
-                self.backtrack[e] |= 1 << add;
-            }
-        }
-    }
-
-    /// The source set `I(notdep(e, E) · next_k)`: processes whose first
-    /// step in the race's reversed continuation has no happens-before
-    /// predecessor inside it. Exploring any one of them from `e`'s node
-    /// (eventually) covers the reversal, which is the source-set
-    /// weakening of plain DPOR's "add `k` itself".
-    fn source_initials(&self, e: usize, k: usize) -> u64 {
-        let len = self.steps.len();
-        let mut initials = 0u64;
-        for q in 0..self.n {
-            let first = (e + 1..len).find(|&j| self.steps[j].proc as usize == q);
-            match first {
-                Some(j) => {
-                    if self.hb_steps(e, j) {
-                        continue; // causally after e: not in notdep
-                    }
-                    let blocked =
-                        (e + 1..j).any(|j2| !self.hb_steps(e, j2) && self.hb_steps(j2, j));
-                    if !blocked {
-                        initials |= 1 << q;
-                    }
-                }
-                None => {
-                    if q == k {
-                        initials |= 1 << k;
-                    }
-                }
-            }
-        }
-        if initials == 0 {
-            initials = 1 << k; // defensive: k is always a valid insertion
-        }
-        initials
     }
 }
 
@@ -479,13 +336,13 @@ impl WakeupTree {
     }
 }
 
-/// The optimal-DPOR state riding along the walk: the source-set core
-/// (trace, vector clocks, race detection) plus per-path-node context —
-/// the sleep set, the wakeup tree, and every process's next-step
-/// footprint at that node (for the weak-initial guard).
+/// The optimal-DPOR state riding along the walk: the happens-before
+/// trace plus per-path-node context — the sleep set, the wakeup tree,
+/// and every process's next-step footprint at that node (for the
+/// weak-initial guard).
 #[derive(Debug)]
 pub(crate) struct OptimalDpor {
-    pub(crate) core: Dpor,
+    pub(crate) core: HbTrace,
     n: usize,
     /// Per-node sleep sets along the current path (inherited sleepers
     /// plus explored children), indexed by node depth.
@@ -503,27 +360,18 @@ pub(crate) struct OptimalDpor {
     /// head — state-dependent footprints make the insertion-time guard
     /// conservative, so coverage can surface late (telemetry tally).
     pub(crate) redundant: u64,
-    /// Executions started and then abandoned as redundant. Structurally
-    /// zero here: the walk drops covered branches before their first
-    /// step (module docs). Kept so the optimal path flushes the same
-    /// [`Counter::SleepBlockedExecutions`] tally source mode does — the
-    /// pinned zero *is* the optimality claim.
-    ///
-    /// [`Counter::SleepBlockedExecutions`]: tm_telemetry::Counter::SleepBlockedExecutions
-    pub(crate) blocked: u64,
 }
 
 impl OptimalDpor {
     pub(crate) fn new(n: usize) -> Self {
         OptimalDpor {
-            core: Dpor::new(n),
+            core: HbTrace::new(n),
             n,
             sleeps: Vec::new(),
             wuts: Vec::new(),
             feet: Vec::new(),
             inserts: 0,
             redundant: 0,
-            blocked: 0,
         }
     }
 
@@ -559,12 +407,20 @@ impl OptimalDpor {
         self.wuts[depth].pop_first()
     }
 
-    /// Optimal-mode race detection for the next step of process `k`
-    /// (footprint `fp`) against trace steps `lo..`: for every reversible
-    /// race, derive the full reversal sequence `notdep(e, E) · k` and
+    /// Race detection for the next step of process `k` (footprint
+    /// `fp`) against trace steps `lo..`: for every reversible race — a
+    /// conflicting step by another process, not already ordered before
+    /// `k` — derive the full reversal sequence `notdep(e, E) · k` and
     /// insert it into the racing node's wakeup tree unless the
-    /// weak-initial sleep guard proves it covered. Same incremental
-    /// contract as [`Dpor::detect_races_from`].
+    /// weak-initial sleep guard proves it covered.
+    ///
+    /// Callers pass `lo = 0` for a full scan, or `lo = len - 1` to check
+    /// only the step just executed: a race handled at an ancestor stays
+    /// handled, because an initial of the shorter reversed continuation
+    /// remains an initial of every extension (new events by other
+    /// processes cannot become happens-before predecessors of it), so
+    /// only the *new* step needs checking when neither `k`'s footprint
+    /// nor its clock changed.
     pub(crate) fn detect_races(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
         let len = self.core.steps.len();
         for e in (lo..len).rev() {

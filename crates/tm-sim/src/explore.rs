@@ -7,6 +7,11 @@
 //! commit-order certifier and falls back to the exact witness search on
 //! rejection, so every reported violation is definitive.
 //!
+//! The explorer has two walkers over one search space: the plain
+//! exhaustive walk (the default, and the differential oracle next to
+//! [`explore_schedules_naive`]) and the optimal-DPOR walk behind
+//! [`ExploreConfig::optimal_dpor`], the only reduced one.
+//!
 //! # Prefix-sharing DFS
 //!
 //! Schedules of length `d` over `n` processes form the complete `n`-ary
@@ -44,57 +49,23 @@
 //! are processed in lexicographic order and merged in order, keeping the
 //! report deterministic regardless of thread count.
 //!
-//! # Sleep-set pruning
-//!
-//! With [`ExploreConfig::sleep_sets`], schedules that differ only by
-//! swapping adjacent **independent** steps are explored once. Two steps
-//! are treated as independent exactly when both are operation steps
-//! (read or write) by different processes on **different t-variables**
-//! *and* the TM has opted into
-//! [`tm_stm::SteppedTm::disjoint_var_ops_commute`] — an audited,
-//! per-algorithm contract that such steps map TM states to the same
-//! state in either order with the same responses. For TMs that keep
-//! the conservative default (the blocking global-lock TM acquires the
-//! lock on its first operation; SwissTM draws a fresh global
-//! begin-timestamp), the explorer silently disables pruning instead of
-//! risking a false certification. The remaining soundness argument:
-//!
-//! * `tryC` steps mutate global state (clocks, committed values,
-//!   dooming) and are never classified independent;
-//! * poll steps of blocking TMs depend on the global lock state and are
-//!   likewise never independent;
-//! * client state is per-process, so steps of different processes
-//!   commute trivially;
-//! * the certifier's verdict is invariant under swapping adjacent events
-//!   of different processes on different variables when no commit
-//!   intervenes (candidate slots are pruned per-variable against a
-//!   committed-state sequence that only `tryC` extends).
-//!
-//! Swapping adjacent independent steps therefore maps each pruned
-//! schedule to an explored one with an identical safety verdict: the
-//! pruned exploration reports a violation iff the full exploration does.
-//! Pruning changes the *number* of schedules visited (that is its
-//! point), so differential tests comparing counts run with it disabled;
-//! a separate test checks verdict equivalence with it enabled.
-//!
 //! # Digest dedup: collapsing the tree into a DAG
 //!
 //! Distinct schedule prefixes routinely reach the *same* configuration —
 //! the same TM state, client cursors and certifier state (permuting two
 //! processes' already-certified steps is the canonical case). The subtree
 //! below such a configuration depends on nothing else, so with
-//! [`ExploreConfig::dedup`] the explorer keys a seen set on
+//! [`ExploreConfig::dedup`] the explorer keys a worker-local seen set on
 //!
-//! `(TM state digest, client cursors, certifier digest, sleep set,
-//!   remaining depth)`
+//! `(TM state digest, client cursors, certifier digest, remaining depth)`
 //!
-//! and, on a hit, *replays the memoized subtree summary* (schedule and
-//! pruned-subtree counts) instead of walking the subtree again — turning
-//! the schedule tree into a DAG. TM digests come from the per-algorithm
+//! and, on a hit, *replays the memoized subtree summary* (its schedule
+//! count) instead of walking the subtree again — turning the schedule
+//! tree into a DAG. TM digests come from the per-algorithm
 //! [`tm_stm::SteppedTm::state_digest`] canonicalization contract;
 //! certifier digests from
 //! [`tm_safety::IncrementalChecker::state_digest`]. For TMs without a
-//! fingerprint the option silently disables (mirroring sleep sets).
+//! fingerprint the option silently disables.
 //!
 //! Two rules keep the reports **byte-identical** to the exhaustive
 //! explorer's (differential-tested across the catalogue):
@@ -113,15 +84,15 @@
 //! so the memoized counts transfer exactly, collision risk aside (which
 //! is what the differential suite guards).
 //!
-//! # Source-set DPOR: equivalence-class pruning
+//! # Optimal DPOR: one schedule per equivalence class
 //!
 //! Most interleavings differ only by swaps of **independent** steps and
 //! therefore carry the same verdict; the paper's quantitative results
 //! are themselves stated per Mazurkiewicz equivalence class. With
-//! [`ExploreConfig::dpor`] the explorer visits **one representative
-//! schedule per class** instead of every member, using source-set
-//! dynamic partial-order reduction (Flanagan–Godefroid backtrack sets
-//! with Abdulla–Aronis–Jonsson–Sagonas source sets and sleep sets).
+//! [`ExploreConfig::optimal_dpor`] the explorer visits **one
+//! representative schedule per class** instead of every member, using
+//! the optimal dynamic partial-order reduction of Abdulla, Aronis,
+//! Jonsson and Sagonas: wakeup trees of race reversals over sleep sets.
 //!
 //! **The independence relation.** Per-TM, via the conflict oracle
 //! [`tm_stm::SteppedTm::step_footprint`]: before a step executes, the TM
@@ -133,84 +104,76 @@
 //! one. Two next-steps by different processes are independent iff their
 //! footprints do not [`tm_stm::StepFootprint::conflicts`]. The oracle's
 //! audited contract is that independent steps *commute*: either order
-//! yields the same TM state and responses. The begin/end flags extend
-//! commutation from states to **verdicts**: a swap of two interior op
-//! steps preserves per-process event sequences, read values, and every
-//! transaction's real-time precedence, so the opacity verdict of each
-//! leaf history — and of every extension — is class-invariant. (A
-//! transaction-*ending* step swapped with a transaction-*beginning* one
-//! would reorder a completion past a start and could relax real-time
-//! precedence, so such pairs are declared conflicting.) TMs that keep
-//! the conservative default oracle conflict on every pair and soundly
-//! degenerate to full exploration — the blocking global-lock TM does so
-//! by audit, not by default.
+//! yields the same TM state and responses, and client state is
+//! per-process, so the clients commute trivially.
+//!
+//! **Verdict invariance.** The begin/end flags extend commutation from
+//! states to **verdicts**: a swap of two interior op steps preserves
+//! per-process event sequences, read values, and every transaction's
+//! real-time precedence, so the opacity verdict of each leaf history —
+//! and of every extension — is class-invariant. (A transaction-*ending*
+//! step swapped with a transaction-*beginning* one would reorder a
+//! completion past a start and could relax real-time precedence, so
+//! such pairs are declared conflicting.) TMs that keep the conservative
+//! default oracle conflict on every pair and soundly degenerate to full
+//! exploration — the blocking global-lock TM does so by audit, not by
+//! default.
 //!
 //! **The walk.** Each executed schedule carries vector clocks over the
 //! conflict relation. At every node — leaves included, since at the
 //! depth frontier the racing "second" step never executes — the walk
 //! checks each process's next step against the trace for *races*:
-//! conflicting earlier steps not already ordered before it. For each
-//! race the walk ensures the backtrack set at the earlier step's node
-//! intersects the race's **source set** (the initials of the reversed
-//! continuation), inserting one member if not; each node then explores
-//! exactly its backtrack set, seeded with a single process, under
-//! SDPOR sleep sets. Soundness of the certified verdict: every schedule
-//! of the full tree is reachable from an explored one by swapping
-//! adjacent independent steps, each swap preserves the leaf verdict
-//! (above), and the incremental certifier never accepts a violating
-//! history — so `all_opaque` is preserved exactly, and every violation
-//! DPOR reports is one the unreduced explorer reports verbatim.
+//! conflicting earlier steps not already ordered before it. Each race
+//! yields a **reversal sequence** (the steps after the earlier one that
+//! do not depend on it, then the racing step), inserted into the
+//! **wakeup tree** of the earlier step's node unless a weak-initial
+//! sleep guard proves an explored or pending branch already covers it.
+//! A node explores exactly its tree: the walk pops the first edge,
+//! executes it, and hands the edge's subtree to the child, seeding one
+//! free representative only at nodes whose tree is empty. A sleeping
+//! process — one an explored sibling already covers — stays asleep in a
+//! child while its next step is independent of the step just taken.
 //!
-//! **Composition.** With [`ExploreConfig::dedup`], a memoized subtree
-//! summary additionally stores the union of every footprint the subtree
-//! queried or executed; a hit is replayed only when nothing in the
-//! current trace conflicts with that union — otherwise the skipped walk
-//! could owe race-reversal backtrack points to the prefix. (Subtree
-//! *shape* is prefix-independent: race insertions into the subtree
-//! depend only on its own trace, because trace indices put subtree
-//! steps after every prefix step in the max-scan and happens-before
-//! chains between subtree events cannot route through the prefix.) With
-//! [`ExploreConfig::parallel`], the prefix tree up to the split depth is
-//! enumerated exhaustively — a reduced prefix tree could owe reversals
-//! across the boundary — and each root runs an independent source-set
-//! walk from a fresh trace.
+//! **Soundness of the certified verdict.** Every schedule of the full
+//! tree is reachable from an explored one by swapping adjacent
+//! independent steps, each swap preserves the leaf verdict (above), and
+//! the incremental certifier never accepts a violating history — so
+//! `all_opaque` is preserved exactly, and every violation the walk
+//! reports is one the exhaustive explorer reports verbatim.
 //!
-//! # Optimal DPOR: wakeup trees
-//!
-//! Source sets still waste work: a backtrack process inserted by race
-//! detection can be put to sleep by a *later*-explored sibling, and the
-//! classic formulation only discovers that after starting the branch and
-//! abandoning it (counted by `sleep_blocked_executions`). With
-//! [`ExploreConfig::optimal_dpor`] each node instead carries a **wakeup
-//! tree** (Abdulla–Aronis–Jonsson–Sagonas): an ordered tree of full
-//! race-reversal *sequences*, inserted under a weak-initial sleep guard
-//! and walked verbatim — the walk pops the first edge, executes it, and
-//! hands the edge's subtree to the child, seeding a fresh branch only at
-//! nodes whose tree is exhausted. The payoff is the optimality property:
-//! the walk **never starts a schedule it abandons as redundant**
-//! (`sleep_blocked_executions` is pinned at exactly zero by the
-//! differential suite), and executes at most as many schedules as
-//! source-set mode — strictly fewer from three processes up (169 vs 330
-//! at 3 processes, depth 8, on the bench workload). At two processes the
-//! counts coincide: every race there has a single initial, so sleep sets
-//! alone already achieve one schedule per class.
-//!
-//! Two honest caveats, both consequences of measuring against *this*
-//! engine rather than the paper's abstract setting. First, the classic
-//! optimality theorem ("exactly one execution per Mazurkiewicz class")
+//! **Optimality, with two caveats.** The walk never starts a schedule it
+//! abandons as redundant: an edge whose head has fallen asleep is
+//! dropped before any of its steps execute. Executed schedules are
+//! therefore pairwise inequivalent (asserted via
+//! [`schedule_normal_form`]). Both caveats come from measuring against
+//! *this* engine rather than the paper's abstract setting. First, the
+//! classic theorem ("exactly one execution per Mazurkiewicz class")
 //! assumes a static independence relation; our footprints are
 //! state-dependent, so an inserted reversal can lose its justifying
 //! conflict by the time it is replayed and is then dropped, asleep, at
-//! pop time (see `engine::reduction`'s module docs) — executed schedules
-//! stay
-//! pairwise inequivalent (asserted via [`schedule_normal_form`]), but
-//! the class count from [`mazurkiewicz_classes`] is a ceiling, not an
-//! equality, at the bounded-depth frontier. Second, composition follows
-//! source mode: dedup additionally keys on the pending wakeup tree's
-//! digest and keeps the footprint replay guard; the parallel frontier
-//! enumerates the prefix tree exhaustively and runs an independent
-//! wakeup-tree walk per root, so reports stay deterministic and
-//! byte-identical across thread counts.
+//! pop time (see `engine::reduction`'s module docs). Second, at the
+//! bounded-depth frontier the one-step race lookahead lets one executed
+//! schedule cover truncated neighbour classes it never runs. The class
+//! count from [`mazurkiewicz_classes`] is thus a ceiling, not an
+//! equality.
+//!
+//! **Composition.** With [`ExploreConfig::dedup`], the seen-set key
+//! adds the node's sleep set and the digest of its pending wakeup tree,
+//! and a memoized summary additionally stores the union of every
+//! footprint the subtree queried or executed; a hit is replayed only
+//! when nothing in the current trace conflicts with that union —
+//! otherwise the skipped walk could owe race reversals to the prefix.
+//! (Subtree *shape* is prefix-independent: race insertions into the
+//! subtree depend only on its own trace, because trace indices put
+//! subtree steps after every prefix step in the max-scan and
+//! happens-before chains between subtree events cannot route through
+//! the prefix.) With [`ExploreConfig::parallel`], the exhaustive walk
+//! enumerates the prefix tree up to the split depth — a reduced prefix
+//! tree could owe reversals across the boundary — and each root runs an
+//! independent wakeup-tree walk from a fresh trace, so reports stay
+//! deterministic and byte-identical across thread counts. With
+//! [`ExploreConfig::faults`], the run takes the exhaustive walk (see
+//! [`explore_with`]).
 //!
 //! # The exploration kernel
 //!
@@ -219,13 +182,11 @@
 //! [`mod@crate::livecheck`]): its `ScheduleSpace` implements the kernel's
 //! [`SearchSpace`] contract (one stepper, client mark/restore, certifier
 //! checkpoint/rollback, canonical configuration keys), TM branching runs
-//! through the shared [`tm_stm::TmPool`], the seen sets are the kernel's
-//! [`crate::engine::memo`] backends (worker-local or the 64-way
-//! lock-striped shared table), the DPOR/sleep-set state lives in the
-//! kernel's reduction layer, and the parallel frontier merges subtree
-//! reports deterministically via [`crate::engine::frontier::distribute`].
-
-use std::sync::Arc;
+//! through the shared [`tm_stm::TmPool`], the seen set is the kernel's
+//! worker-local [`crate::engine::memo::SeenSet`], the happens-before
+//! trace and wakeup trees live in the kernel's reduction layer, and the
+//! parallel frontier merges subtree reports deterministically via
+//! [`crate::engine::frontier::distribute`].
 
 use tm_core::{Event, History, ProcessId};
 use tm_safety::{check_opacity, Checkpoint, IncrementalChecker, Mode, SafetyVerdict};
@@ -234,8 +195,8 @@ use tm_telemetry::{Counter, Json, Telemetry, Timer};
 
 use crate::engine::budget::{Budget, BudgetMeter};
 use crate::engine::frontier;
-use crate::engine::memo::{SeenSet, StripedTable};
-use crate::engine::reduction::{self, Dpor, Feet, OptimalDpor, WakeupTree};
+use crate::engine::memo::SeenSet;
+use crate::engine::reduction::{self, OptimalDpor, WakeupTree};
 use crate::engine::space::{
     emit_trace, expand_child, step_process, SearchSpace, StepRecord, TraceWitness,
 };
@@ -269,8 +230,6 @@ pub struct Exploration {
     pub exact_fallbacks: usize,
     /// Definitive opacity violations, in schedule-lexicographic order.
     pub violations: Vec<Violation>,
-    /// Subtrees skipped by sleep-set pruning (0 unless enabled).
-    pub pruned_subtrees: usize,
     /// Subtrees replayed from the digest seen set (0 unless enabled).
     pub dedup_hits: usize,
     /// Every executed schedule (process index per step), in exploration
@@ -298,8 +257,8 @@ impl Exploration {
     }
 
     /// The *report* portion of the exploration — schedule count, exact
-    /// fallback count and violations. Search diagnostics (pruned-subtree
-    /// and dedup-hit counts) are excluded: two explorations "report
+    /// fallback count and violations. Search diagnostics (dedup-hit
+    /// counts, the schedule log) are excluded: two explorations "report
     /// identically" iff these match.
     pub fn report(&self) -> (usize, usize, &[Violation]) {
         (self.schedules, self.exact_fallbacks, &self.violations)
@@ -309,7 +268,6 @@ impl Exploration {
         self.schedules += other.schedules;
         self.exact_fallbacks += other.exact_fallbacks;
         self.violations.extend(other.violations);
-        self.pruned_subtrees += other.pruned_subtrees;
         self.dedup_hits += other.dedup_hits;
         self.schedule_log.extend(other.schedule_log);
         if self.exhausted.is_none() {
@@ -331,19 +289,13 @@ pub struct ExploreConfig {
     /// roots; `None` picks the smallest prefix yielding at least eight
     /// roots per worker thread.
     pub split_depth: Option<usize>,
-    /// Skip schedules differing only by swaps of adjacent independent
-    /// steps (see the module docs for the soundness argument). Changes
-    /// `schedules` counts, never verdicts. Takes effect only for TMs
-    /// whose [`tm_stm::SteppedTm::disjoint_var_ops_commute`] contract
-    /// holds; for the rest pruning is silently disabled.
-    pub sleep_sets: bool,
     /// Collapse the schedule tree into a DAG via the digest seen set
     /// (see the module docs). Reports stay byte-identical; `schedules`
     /// still counts every leaf of the full tree. Takes effect only for
     /// TMs implementing [`tm_stm::SteppedTm::state_digest`]; for the
     /// rest dedup is silently disabled.
     pub dedup: bool,
-    /// Source-set dynamic partial-order reduction (see the module docs):
+    /// Optimal dynamic partial-order reduction (see the module docs):
     /// explore **one representative schedule per Mazurkiewicz
     /// equivalence class** of the independence relation declared by the
     /// TM's conflict oracle ([`tm_stm::SteppedTm::step_footprint`]).
@@ -351,33 +303,15 @@ pub struct ExploreConfig {
     /// of magnitude below `n^depth` — while the violation verdict
     /// (`all_opaque`, and every violation actually reported) is
     /// preserved: each reported violation is a real explored schedule
-    /// the unreduced explorer also reports. For TMs that keep the
+    /// the exhaustive explorer also reports. The walk never starts a
+    /// schedule it abandons as redundant. For TMs that keep the
     /// conservative default oracle, every step conflicts and the walk
     /// soundly degenerates to full exploration.
-    pub dpor: bool,
-    /// Optimal DPOR (see the module docs): replace `dpor`'s flat
-    /// backtrack sets with **wakeup trees** — ordered trees of full
-    /// race-reversal sequences, inserted under a weak-initial sleep
-    /// guard. Same coverage and verdict guarantees as `dpor` (every
-    /// reported violation is a real schedule the unreduced explorer also
-    /// reports), but strictly fewer or equal executed schedules and —
-    /// the optimality property — **zero sleep-blocked executions**: the
-    /// walk never starts a schedule it abandons as redundant. Implies
-    /// the `dpor` machinery; for TMs with the conservative default
-    /// oracle it likewise degenerates to full exploration.
     pub optimal_dpor: bool,
     /// Record every executed schedule into
     /// [`Exploration::schedule_log`]. Disables digest dedup for the run
     /// (a replayed subtree summary cannot reproduce its schedules).
     pub record_schedules: bool,
-    /// Share one sharded, lock-striped digest seen set across the
-    /// parallel workers instead of per-worker tables: adds
-    /// cross-subtree dedup hits at the price of lock traffic. Reports
-    /// are byte-identical either way (memoized summaries are exact
-    /// wherever they were computed); the per-worker default is kept
-    /// because its diagnostics (`dedup_hits`) are run-to-run
-    /// deterministic. No effect unless `dedup` and `parallel` are on.
-    pub shared_dedup: bool,
     /// Fault quantification (see the module docs): with a non-trivial
     /// config, `crash(p)` / `parasite(p)` become scheduler-level
     /// transitions of the search, exhaustively explored like any process
@@ -399,19 +333,16 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Exhaustive exploration to `depth`: parallel, no pruning — the
+    /// Exhaustive exploration to `depth`: parallel, no reduction — the
     /// drop-in semantics of [`explore_schedules`].
     pub fn new(depth: usize) -> Self {
         ExploreConfig {
             depth,
             parallel: true,
             split_depth: None,
-            sleep_sets: false,
             dedup: false,
-            dpor: false,
             optimal_dpor: false,
             record_schedules: false,
-            shared_dedup: false,
             faults: FaultConfig::none(),
             budget: Budget::unlimited(),
             telemetry: Telemetry::off(),
@@ -421,12 +352,6 @@ impl ExploreConfig {
     /// Disables the parallel frontier.
     pub fn sequential(mut self) -> Self {
         self.parallel = false;
-        self
-    }
-
-    /// Enables sleep-set pruning.
-    pub fn with_sleep_sets(mut self) -> Self {
-        self.sleep_sets = true;
         self
     }
 
@@ -442,13 +367,7 @@ impl ExploreConfig {
         self
     }
 
-    /// Enables source-set dynamic partial-order reduction.
-    pub fn with_dpor(mut self) -> Self {
-        self.dpor = true;
-        self
-    }
-
-    /// Enables optimal DPOR (wakeup trees + sleep-set-aware scheduling).
+    /// Enables optimal DPOR (wakeup trees over sleep sets).
     pub fn with_optimal_dpor(mut self) -> Self {
         self.optimal_dpor = true;
         self
@@ -457,12 +376,6 @@ impl ExploreConfig {
     /// Records executed schedules into [`Exploration::schedule_log`].
     pub fn with_schedule_log(mut self) -> Self {
         self.record_schedules = true;
-        self
-    }
-
-    /// Shares the digest seen set across parallel workers (sharded).
-    pub fn with_shared_dedup(mut self) -> Self {
-        self.shared_dedup = true;
         self
     }
 
@@ -665,6 +578,7 @@ struct MemoKey {
     tm: u64,
     clients: u64,
     checker: u64,
+    /// The node's sleep set (optimal mode only; 0 otherwise).
     sleep: u64,
     remaining: u32,
     /// Structural digest of the node's *pending* wakeup tree (optimal
@@ -681,16 +595,13 @@ struct MemoKey {
 #[derive(Debug, Clone, Copy)]
 struct MemoDelta {
     schedules: usize,
-    pruned_subtrees: usize,
     /// Union of every footprint the subtree queried or executed — the
-    /// DPOR-mode replay guard (see the module docs). Unused (empty)
-    /// without DPOR.
+    /// optimal-mode replay guard (see the module docs). Unused (empty)
+    /// in the exhaustive walk.
     agg: StepFootprint,
 }
 
-/// The digest seen set of one walk: the kernel's backend-agnostic table
-/// (worker-local, or a handle onto the 64-way lock-striped shared table
-/// behind [`ExploreConfig::shared_dedup`]).
+/// The digest seen set of one walk (worker-local).
 type Memo = SeenSet<MemoKey, MemoDelta>;
 
 /// The per-path mutable state of the depth-first walk. The TM is owned
@@ -723,23 +634,17 @@ struct Walk<'a> {
 #[derive(Default)]
 struct Tally {
     /// Seen-set lookups that did not replay a summary (true misses plus
-    /// DPOR-mode hits blocked by the footprint replay guard).
+    /// optimal-mode hits blocked by the footprint replay guard).
     memo_misses: u64,
-    /// Reversible races the source-set analysis detected.
+    /// Reversible races the optimal-DPOR analysis detected.
     dpor_races: u64,
-    /// Reversal sequences inserted into wakeup trees (optimal mode).
+    /// Reversal sequences inserted into wakeup trees.
     wakeup_inserts: u64,
-    /// Reversals proved covered and dropped (optimal mode): rejected at
-    /// insertion by the weak-initial sleep guard, subsumed by a pending
-    /// branch, or — because footprints are state-dependent — popped
-    /// with an asleep head and discarded before executing anything.
+    /// Reversals proved covered and dropped: rejected at insertion by
+    /// the weak-initial sleep guard, subsumed by a pending branch, or —
+    /// because footprints are state-dependent — popped with an asleep
+    /// head and discarded before executing anything.
     wakeup_redundant: u64,
-    /// Executions the sleep discipline started and then abandoned:
-    /// source mode's suppressed backtrack branches. Structurally zero
-    /// in optimal mode — the wakeup-tree walk drops covered branches
-    /// before their first step — which is the optimality property the
-    /// differential suite pins.
-    sleep_blocked: u64,
     /// Fault transitions (`crash(p)` / `parasite(p)`) the walk took.
     faults_injected: u64,
 }
@@ -750,39 +655,30 @@ impl Tally {
         telemetry.add(Counter::DporRaces, self.dpor_races);
         telemetry.add(Counter::WakeupInserts, self.wakeup_inserts);
         telemetry.add(Counter::WakeupRedundant, self.wakeup_redundant);
-        telemetry.add(Counter::SleepBlockedExecutions, self.sleep_blocked);
         telemetry.add(Counter::FaultsInjected, self.faults_injected);
     }
 }
 
-/// Depth-first walk of the schedule tree below the current path,
-/// invoking `leaf` at depth `remaining == 0` with ownership of the TM.
-/// Returns the TM box for recycling (`None` if a leaf kept it).
-///
-/// `sleep` is the sleep set: processes whose next step is provably
-/// covered by an already-explored sibling subtree. When `sleep_sets` is
-/// false it is always empty.
+/// Exhaustive depth-first walk of the schedule tree below the current
+/// path, invoking `leaf` at depth `remaining == 0` with ownership of the
+/// TM. Returns the TM box for recycling (`None` if a leaf kept it).
 ///
 /// With faults enabled ([`Walk::faults`]) each node additionally
 /// branches on every `crash(p)` / `parasite(p)` the config still allows:
-/// fault edges consume one depth unit, leave the TM and the schedule
-/// path untouched, and reset the child sleep set (their footprint is
-/// conservatively global — no sibling subtree covers anything across a
-/// fault). Crashed processes drop out of the eligible set, and the
-/// [`FaultState`] masks fold into the memo key so summaries never leak
-/// across fault placements. With `FaultConfig::none()` the node shape —
-/// including which child consumes the parent's box — is exactly the
-/// fault-free walk, which is what keeps those reports byte-identical.
+/// fault edges consume one depth unit and leave the TM and the schedule
+/// path untouched. Crashed processes drop out of the eligible set, and
+/// the [`FaultState`] masks fold into the memo key so summaries never
+/// leak across fault placements. With `FaultConfig::none()` the node
+/// shape — including which child consumes the parent's box — is exactly
+/// the fault-free walk, which is what keeps those reports byte-identical.
 fn walk_tree<L>(
     walk: &mut Walk<'_>,
     mut tm: BoxedTm,
     remaining: usize,
-    mut sleep: u64,
-    sleep_sets: bool,
     leaf: &mut L,
 ) -> Option<BoxedTm>
 where
-    L: FnMut(&mut Walk<'_>, BoxedTm, u64) -> Option<BoxedTm>,
+    L: FnMut(&mut Walk<'_>, BoxedTm) -> Option<BoxedTm>,
 {
     // Budget gate before any expansion: a tripped meter unwinds the
     // whole walk into a partial report ([`Exploration::exhausted`]).
@@ -790,7 +686,7 @@ where
         return Some(tm);
     }
     if remaining == 0 {
-        return leaf(walk, tm, sleep);
+        return leaf(walk, tm);
     }
     // Digest dedup: replay a memoized subtree summary, or note the entry
     // counters so this subtree can be memoized on the way out. No lookup
@@ -805,14 +701,13 @@ where
             tm: tm_digest,
             clients,
             checker: walk.space.checker.state_digest(),
-            sleep,
+            sleep: 0,
             remaining: remaining as u32,
             wut: 0,
             faults: walk.space.fstate.key(),
         };
         if let Some(delta) = walk.memo.get(&key) {
             walk.out.schedules += delta.schedules;
-            walk.out.pruned_subtrees += delta.pruned_subtrees;
             walk.out.dedup_hits += 1;
             return Some(tm);
         }
@@ -822,20 +717,11 @@ where
             walk.out.schedules,
             walk.out.exact_fallbacks,
             walk.out.violations.len(),
-            walk.out.pruned_subtrees,
         ))
     } else {
         None
     };
     let n = walk.space.width();
-    walk.out.pruned_subtrees += sleep.count_ones() as usize;
-    // Only materialize footprints when pruning is on: the array init is
-    // measurable in the no-pruning hot path.
-    let feet: Option<Feet> = if sleep_sets {
-        Some(reduction::sleep_feet(&tm, &walk.space.clients))
-    } else {
-        None
-    };
     // The fault transitions available at this node, in canonical order
     // (crashes ascending, then parasitic turns ascending) — empty in
     // fault-free runs, so the node shape below degenerates exactly to
@@ -859,26 +745,22 @@ where
     }
     let last = (0..n)
         .rev()
-        .find(|k| sleep & (1 << k) == 0 && crashed & (1 << k) == 0)
+        .find(|k| crashed & (1 << k) == 0)
         .expect("a live step is always possible");
     // With fault edges pending, every process child forks and the *last
     // fault edge* consumes the parent's box instead.
     let consume_last = fault_edges.is_empty();
     for k in 0..n {
-        if sleep & (1 << k) != 0 || crashed & (1 << k) != 0 || (consume_last && k == last) {
+        if crashed & (1 << k) != 0 || (consume_last && k == last) {
             continue;
         }
         let mark = walk.space.mark(k);
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
-        let child_sleep = feet
-            .as_ref()
-            .map_or(0, |f| reduction::filtered_sleep(sleep, f, k, n));
-        let recycled = walk_tree(walk, child, remaining - 1, child_sleep, sleep_sets, leaf);
+        let recycled = walk_tree(walk, child, remaining - 1, leaf);
         if let Some(recycled) = recycled {
             walk.pool.put_back(recycled);
         }
         walk.space.rewind(k, mark);
-        sleep |= 1 << k;
     }
     let recycled = if consume_last {
         // The last child consumes the parent's TM instance: no fork.
@@ -886,20 +768,15 @@ where
         // sound but measurably slower — it trades the undo log's tight
         // LIFO locality for large cold sweeps.)
         let mark = walk.space.mark(last);
-        let child_sleep = feet
-            .as_ref()
-            .map_or(0, |f| reduction::filtered_sleep(sleep, f, last, n));
         walk.space.step(&mut tm, last);
-        let recycled = walk_tree(walk, tm, remaining - 1, child_sleep, sleep_sets, leaf);
+        let recycled = walk_tree(walk, tm, remaining - 1, leaf);
         walk.space.rewind(last, mark);
         recycled
     } else {
         // Fault branches. A fault edge mutates only the fault state and
         // the per-branch fault log: the TM is untouched (a crash is the
         // *absence* of future steps; a parasitic turn reroutes the
-        // client at its next `tryC`), so the box forks unchanged. The
-        // child sleep set resets to zero — the fault's footprint is
-        // conservatively global.
+        // client at its next `tryC`), so the box forks unchanged.
         let count = fault_edges.len();
         let mut slot = Some(tm);
         for (i, fault) in fault_edges.into_iter().enumerate() {
@@ -924,7 +801,7 @@ where
                 walk.pool
                     .fork_child(slot.as_ref().expect("box still owned"))
             };
-            let recycled = walk_tree(walk, child, remaining - 1, 0, sleep_sets, leaf);
+            let recycled = walk_tree(walk, child, remaining - 1, leaf);
             if let Some(recycled) = recycled {
                 if is_last {
                     slot = Some(recycled);
@@ -941,7 +818,7 @@ where
     // fallbacks carry path-dependent report data that must be recomputed
     // per prefix (see the module docs) — and never a subtree truncated
     // by a tripped budget (its summary would under-count on replay).
-    if let Some((key, schedules, fallbacks, violations, pruned)) = memo_note {
+    if let Some((key, schedules, fallbacks, violations)) = memo_note {
         if walk.out.exact_fallbacks == fallbacks
             && walk.out.violations.len() == violations
             && walk.meter.within()
@@ -950,7 +827,6 @@ where
                 key,
                 MemoDelta {
                     schedules: walk.out.schedules - schedules,
-                    pruned_subtrees: walk.out.pruned_subtrees - pruned,
                     agg: StepFootprint::local(),
                 },
             );
@@ -959,157 +835,13 @@ where
     recycled
 }
 
-/// Source-set DPOR walk (see the module docs): at each node, explore
-/// only the processes the race analysis proves necessary, starting from
-/// one arbitrary representative. Returns the TM box for recycling and
-/// the union of every footprint the subtree queried or executed (the
-/// memo replay guard).
-fn walk_dpor(
-    walk: &mut Walk<'_>,
-    dpor: &mut Dpor,
-    tm: BoxedTm,
-    remaining: usize,
-    mut sleep: u64,
-    parent_feet: Option<&[StepFootprint; 64]>,
-) -> (BoxedTm, StepFootprint) {
-    if !walk.meter.note_state() {
-        return (tm, StepFootprint::local());
-    }
-    let n = walk.space.width();
-    let mut feet = [StepFootprint::local(); 64];
-    let mut agg = StepFootprint::local();
-    for (q, foot) in feet.iter_mut().enumerate().take(n) {
-        *foot = reduction::next_footprint(&tm, &walk.space.clients, q);
-        agg.merge(foot);
-    }
-    // Race detection at *every* node for *every* process's next step
-    // (Flanagan–Godefroid style), leaves included: at the depth frontier
-    // the conflicting "second" step never executes, so detection keyed
-    // on executed steps alone would miss reversals that only differ in
-    // the final steps of the bounded window. Incremental: a process that
-    // did not just step and whose footprint is unchanged since the
-    // parent node has all its races against older steps already ensured
-    // there (its clock is unchanged too), so only the newest trace step
-    // needs checking — full rescans happen exactly for the process that
-    // stepped or on a state-induced footprint change.
-    let len = dpor.steps.len();
-    if len > 0 {
-        let last_proc = dpor.steps[len - 1].proc as usize;
-        for (q, foot) in feet.iter().enumerate().take(n) {
-            let full = q == last_proc || parent_feet.is_none_or(|pf| pf[q] != *foot);
-            dpor.detect_races_from(q, foot, if full { 0 } else { len - 1 });
-        }
-    }
-    if remaining == 0 {
-        certify_leaf(walk.space, walk.out);
-        walk.meter.note_schedule();
-        return (tm, agg);
-    }
-    // Digest dedup, DPOR flavour: a stored subtree summary may be
-    // replayed only when nothing in the current trace conflicts with
-    // anything the stored subtree touched — otherwise the skipped walk
-    // could owe race-reversal backtrack points to the prefix (see the
-    // module docs).
-    let memo_note = if walk.memo.enabled() && walk.space.checker.violation().is_none() {
-        let (tm_digest, clients) = walk
-            .space
-            .config_key(&tm)
-            .expect("dedup runs only for fingerprinting TMs");
-        let key = MemoKey {
-            tm: tm_digest,
-            clients,
-            checker: walk.space.checker.state_digest(),
-            sleep,
-            remaining: remaining as u32,
-            wut: 0,
-            faults: walk.space.fstate.key(),
-        };
-        if let Some(delta) = walk.memo.get(&key) {
-            if dpor.steps.iter().all(|s| !s.foot.conflicts(&delta.agg)) {
-                walk.out.schedules += delta.schedules;
-                walk.out.pruned_subtrees += delta.pruned_subtrees;
-                walk.out.dedup_hits += 1;
-                return (tm, delta.agg);
-            }
-        }
-        walk.tally.memo_misses += 1;
-        Some((
-            key,
-            walk.out.schedules,
-            walk.out.exact_fallbacks,
-            walk.out.violations.len(),
-            walk.out.pruned_subtrees,
-        ))
-    } else {
-        None
-    };
-    let depth = dpor.steps.len();
-    debug_assert_eq!(dpor.backtrack.len(), depth);
-    dpor.backtrack.push(0);
-    // Seed with the first process the sleep set does not prove covered;
-    // race detection grows the set from there. A fully-asleep node is
-    // entirely covered by explored siblings.
-    if let Some(first) = (0..n).find(|q| sleep & (1 << q) == 0) {
-        dpor.backtrack[depth] |= 1 << first;
-    }
-    let mut explored = 0u64;
-    loop {
-        let avail = dpor.backtrack[depth] & !sleep;
-        if avail == 0 {
-            break;
-        }
-        let k = avail.trailing_zeros() as usize;
-        explored |= 1 << k;
-        let mark = walk.space.mark(k);
-        let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
-        dpor.push(k, feet[k]);
-        // SDPOR sleep inheritance: a sibling stays asleep only while its
-        // next step is independent of the step just taken.
-        let mut child_sleep = 0u64;
-        for q in 0..n {
-            if sleep & (1 << q) != 0 && !feet[q].conflicts(&feet[k]) {
-                child_sleep |= 1 << q;
-            }
-        }
-        let (recycled, child_agg) =
-            walk_dpor(walk, dpor, child, remaining - 1, child_sleep, Some(&feet));
-        agg.merge(&child_agg);
-        walk.pool.put_back(recycled);
-        dpor.pop();
-        walk.space.rewind(k, mark);
-        sleep |= 1 << k; // explored: its subtree covers it for the siblings
-    }
-    // Backtrack bits the sleep set suppressed: branches race detection
-    // demanded that never ran. Each is an execution classic sleep-set
-    // DPOR starts and abandons as redundant — the waste wakeup trees
-    // eliminate (optimal mode keeps this tally at exactly zero).
-    dpor.blocked += u64::from((dpor.backtrack[depth] & !explored).count_ones());
-    dpor.backtrack.pop();
-    if let Some((key, schedules, fallbacks, violations, pruned)) = memo_note {
-        if walk.out.exact_fallbacks == fallbacks
-            && walk.out.violations.len() == violations
-            && walk.meter.within()
-        {
-            walk.memo.insert(
-                key,
-                MemoDelta {
-                    schedules: walk.out.schedules - schedules,
-                    pruned_subtrees: walk.out.pruned_subtrees - pruned,
-                    agg,
-                },
-            );
-        }
-    }
-    (tm, agg)
-}
-
 /// Optimal-DPOR walk (see the module docs): at each node, explore
 /// exactly the branches of its wakeup tree — full reversal sequences
 /// race detection inserted, minus those the weak-initial sleep guard
 /// proved covered — seeding one free representative only when the tree
 /// is empty. `wut` is the pending subtree the parent's popped edge
-/// handed down. Returns the TM box for recycling and the footprint
-/// union for the memo replay guard, exactly like [`walk_dpor`].
+/// handed down. Returns the TM box for recycling and the union of every
+/// footprint the subtree queried or executed (the memo replay guard).
 fn walk_optimal(
     walk: &mut Walk<'_>,
     opt: &mut OptimalDpor,
@@ -1129,10 +861,18 @@ fn walk_optimal(
         *foot = reduction::next_footprint(&tm, &walk.space.clients, q);
         agg.merge(foot);
     }
-    // Race detection at every node for every process's next step, under
-    // the same incremental rescan discipline as [`walk_dpor`]. Reversal
-    // sequences insert into *ancestor* nodes' wakeup trees (this node's
-    // own entry is pushed below, after detection).
+    // Race detection at *every* node for *every* process's next step,
+    // leaves included: at the depth frontier the conflicting "second"
+    // step never executes, so detection keyed on executed steps alone
+    // would miss reversals that only differ in the final steps of the
+    // bounded window. Incremental: a process that did not just step and
+    // whose footprint is unchanged since the parent node has all its
+    // races against older steps already handled there (its clock is
+    // unchanged too), so only the newest trace step needs checking —
+    // full rescans happen exactly for the process that stepped or on a
+    // state-induced footprint change. Reversal sequences insert into
+    // *ancestor* nodes' wakeup trees (this node's own entry is pushed
+    // below, after detection).
     let len = opt.core.steps.len();
     if len > 0 {
         let last_proc = opt.core.steps[len - 1].proc as usize;
@@ -1146,9 +886,12 @@ fn walk_optimal(
         walk.meter.note_schedule();
         return (tm, agg);
     }
-    // Digest dedup, optimal flavour: the replay guard of [`walk_dpor`]
-    // plus the pending-tree digest in the key — a summary transfers only
-    // between nodes owing identical reversal branches.
+    // Digest dedup, optimal flavour: a stored subtree summary may be
+    // replayed only when nothing in the current trace conflicts with
+    // anything the stored subtree touched — otherwise the skipped walk
+    // could owe race reversals to the prefix — and the pending-tree
+    // digest in the key makes a summary transfer only between nodes
+    // owing identical reversal branches (see the module docs).
     let memo_note = if walk.memo.enabled() && walk.space.checker.violation().is_none() {
         let (tm_digest, clients) = walk
             .space
@@ -1166,7 +909,6 @@ fn walk_optimal(
         if let Some(delta) = walk.memo.get(&key) {
             if opt.core.steps.iter().all(|s| !s.foot.conflicts(&delta.agg)) {
                 walk.out.schedules += delta.schedules;
-                walk.out.pruned_subtrees += delta.pruned_subtrees;
                 walk.out.dedup_hits += 1;
                 return (tm, delta.agg);
             }
@@ -1177,7 +919,6 @@ fn walk_optimal(
             walk.out.schedules,
             walk.out.exact_fallbacks,
             walk.out.violations.len(),
-            walk.out.pruned_subtrees,
         ))
     } else {
         None
@@ -1209,14 +950,15 @@ fn walk_optimal(
             // already-explored sibling subtree covers the whole branch,
             // sub-tree included. Drop it before executing anything: the
             // schedule never starts, so this is a redundant reversal,
-            // not a sleep-blocked execution.
+            // not an abandoned execution.
             opt.redundant += 1;
             continue;
         }
         let mark = walk.space.mark(k);
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
         opt.core.push(k, feet[k]);
-        // SDPOR sleep inheritance, exactly as in [`walk_dpor`].
+        // Sleep inheritance: a sibling stays asleep only while its next
+        // step is independent of the step just taken.
         let mut child_sleep = 0u64;
         for q in 0..n {
             if sleep & (1 << q) != 0 && !feet[q].conflicts(&feet[k]) {
@@ -1240,7 +982,7 @@ fn walk_optimal(
         sleep |= 1 << k;
     }
     opt.pop_node();
-    if let Some((key, schedules, fallbacks, violations, pruned)) = memo_note {
+    if let Some((key, schedules, fallbacks, violations)) = memo_note {
         if walk.out.exact_fallbacks == fallbacks
             && walk.out.violations.len() == violations
             && walk.meter.within()
@@ -1249,7 +991,6 @@ fn walk_optimal(
                 key,
                 MemoDelta {
                     schedules: walk.out.schedules - schedules,
-                    pruned_subtrees: walk.out.pruned_subtrees - pruned,
                     agg,
                 },
             );
@@ -1263,7 +1004,6 @@ fn walk_optimal(
 struct SubtreeRoot {
     tm: BoxedTm,
     space: ScheduleSpace,
-    sleep: u64,
 }
 
 /// Explores every schedule of length `config.depth` over `scripts.len()`
@@ -1282,7 +1022,7 @@ where
 {
     let n = scripts.len();
     assert!(n > 0, "need at least one process");
-    assert!(n <= 64, "sleep sets are a u64 bitmask");
+    assert!(n <= 64, "process sets are a u64 bitmask");
     let tm = factory();
     assert_eq!(tm.process_count(), n, "factory must match scripts");
     let telemetry = config.telemetry.clone();
@@ -1296,18 +1036,13 @@ where
             ("processes", Json::Int(n as i64)),
         ],
     );
-    // Sleep sets are sound only for TMs whose disjoint-variable
-    // operations provably commute (an audited, opt-in trait contract);
-    // for the rest, pruning silently disables rather than risking a
-    // false certification.
-    let sleep_sets = config.sleep_sets && tm.disjoint_var_ops_commute();
     // Probe refork support once ([`TmPool::for_tm`]): TMs without it
     // keep the spare pool empty rather than paying a failed dynamic
     // refork per tree edge.
     let pool = TmPool::for_tm(&tm).instrument(&telemetry);
-    // Digest dedup silently disables for TMs without a fingerprint,
-    // mirroring the sleep-set probe above — and under schedule logging,
-    // whose replayed summaries could not reproduce their schedules.
+    // Digest dedup silently disables for TMs without a fingerprint —
+    // and under schedule logging, whose replayed summaries could not
+    // reproduce their schedules.
     let dedup = config.dedup && !config.record_schedules && tm.state_digest().is_some();
     // The run's budget meter, shared by every worker. Its verdict is
     // read once at the end: a tripped cap makes the report partial.
@@ -1318,26 +1053,23 @@ where
     // transition is the global one (a crash reshapes every process's
     // future), under which the race analysis would demand every
     // reversal anyway — so the kernel takes the honest exhaustive walk
-    // instead of a vacuous reduction. Sleep sets stay on where the TM
-    // admits them: fault edges are never pruned and clear the child
-    // sleep set, so the pruning refines only process-step pairs.
+    // instead of a vacuous reduction.
     let fault_mode = config.faults.enabled();
     let out = if config.optimal_dpor && !fault_mode {
-        // Optimal DPOR: wakeup trees over the same parallel-split
-        // strategy as source sets below (exhaustive prefix tree, one
-        // independent walk per root with a fresh trace).
-        let n = scripts.len();
+        // Optimal DPOR. Parallel: the prefix tree up to the split depth
+        // is enumerated exhaustively and each root runs an independent
+        // wakeup-tree walk with a fresh, empty trace; every full
+        // schedule then has its exact prefix explored and a
+        // representative of its suffix class explored from that exact
+        // state, which preserves the verdict.
         explore_split(
             tm,
             pool,
             scripts,
             config,
-            SplitMode {
-                dedup,
-                split_sleep_sets: false,
-            },
+            dedup,
             &meter,
-            move |walk, tm, remaining, _sleep| {
+            move |walk, tm, remaining| {
                 let mut opt = OptimalDpor::new(n);
                 walk_optimal(
                     walk,
@@ -1351,33 +1083,6 @@ where
                 walk.tally.dpor_races += opt.core.races;
                 walk.tally.wakeup_inserts += opt.inserts;
                 walk.tally.wakeup_redundant += opt.redundant;
-                walk.tally.sleep_blocked += opt.blocked;
-            },
-        )
-    } else if config.dpor && !fault_mode {
-        // Source-set DPOR. Parallel: the prefix tree up to the split
-        // depth is enumerated **exhaustively** (no sleep sets — a
-        // reduced prefix tree could owe race reversals across the
-        // boundary) and each root runs an independent source-set walk
-        // with a fresh, empty trace; every full schedule then has its
-        // exact prefix explored and a representative of its suffix class
-        // explored from that exact state, which preserves the verdict.
-        let n = scripts.len();
-        explore_split(
-            tm,
-            pool,
-            scripts,
-            config,
-            SplitMode {
-                dedup,
-                split_sleep_sets: false,
-            },
-            &meter,
-            move |walk, tm, remaining, _sleep| {
-                let mut dpor = Dpor::new(n);
-                walk_dpor(walk, &mut dpor, tm, remaining, 0, None);
-                walk.tally.dpor_races += dpor.races;
-                walk.tally.sleep_blocked += dpor.blocked;
             },
         )
     } else {
@@ -1386,24 +1091,14 @@ where
             pool,
             scripts,
             config,
-            SplitMode {
-                dedup,
-                split_sleep_sets: sleep_sets,
-            },
+            dedup,
             &meter,
-            move |walk, tm, remaining, sleep| {
-                walk_tree(
-                    walk,
-                    tm,
-                    remaining,
-                    sleep,
-                    sleep_sets,
-                    &mut |walk, tm, _sleep| {
-                        certify_leaf(walk.space, walk.out);
-                        walk.meter.note_schedule();
-                        Some(tm)
-                    },
-                );
+            |walk, tm, remaining| {
+                walk_tree(walk, tm, remaining, &mut |walk, tm| {
+                    certify_leaf(walk.space, walk.out);
+                    walk.meter.note_schedule();
+                    Some(tm)
+                });
             },
         )
     };
@@ -1430,7 +1125,6 @@ where
     telemetry.add(Counter::MemoHits, out.dedup_hits as u64);
     telemetry.add(Counter::ExactFallbacks, out.exact_fallbacks as u64);
     telemetry.add(Counter::ViolationsFound, out.violations.len() as u64);
-    telemetry.add(Counter::SleepSetBlocks, out.pruned_subtrees as u64);
     if telemetry.streams() {
         // One `fault_injected` event per distinct fault transition the
         // search exercised — a compact, deterministic digest of the
@@ -1500,14 +1194,7 @@ where
                 ("schedules", Json::Int(out.schedules as i64)),
             ],
         );
-        // Optimal mode pins its headline zero: `sleep_blocked_executions`
-        // must appear in the snapshot event even though zero-valued
-        // counters are normally elided — the zero is the claim.
-        if config.optimal_dpor && !fault_mode {
-            telemetry.emit_counters_pinned(tm_name, &[Counter::SleepBlockedExecutions]);
-        } else {
-            telemetry.emit_counters(tm_name);
-        }
+        telemetry.emit_counters(tm_name);
         // Partial runs carry no boolean headline: an exhausted search
         // proved nothing about the schedules it never reached, so the
         // verdict says `partial` + `reason` instead of `all_opaque`
@@ -1545,40 +1232,25 @@ where
     out
 }
 
-/// Walker-variant switches threaded from [`explore_with`] into the
-/// split driver: digest dedup (already resolved against the TM's
-/// fingerprint support) and whether the split walk itself prunes with
-/// sleep sets (sound only for the exhaustive walker — a reduced prefix
-/// tree could owe race reversals across the split boundary).
-#[derive(Clone, Copy)]
-struct SplitMode {
-    dedup: bool,
-    split_sleep_sets: bool,
-}
-
-/// The shared driver behind both explorers: runs `walk_root` once from
+/// The shared driver behind both walkers: runs `walk_root` once from
 /// the initial configuration (sequential / zero split), or splits the
-/// tree at the parallel frontier — the split walk (with
-/// `split_sleep_sets` pruning) collects subtree roots, `walk_root` runs
-/// per root on the rayon pool, and the reports merge in lexicographic
-/// root order, keeping the result deterministic regardless of thread
-/// count.
+/// tree at the parallel frontier — the exhaustive split walk collects
+/// subtree roots, `walk_root` runs per root on the rayon pool, and the
+/// reports merge in lexicographic root order, keeping the result
+/// deterministic regardless of thread count. `dedup` is already
+/// resolved against the TM's fingerprint support.
 fn explore_split<R>(
     tm: BoxedTm,
     mut pool: TmPool,
     scripts: &[ClientScript],
     config: &ExploreConfig,
-    mode: SplitMode,
+    dedup: bool,
     meter: &BudgetMeter,
     walk_root: R,
 ) -> Exploration
 where
-    R: Fn(&mut Walk<'_>, BoxedTm, usize, u64) + Sync,
+    R: Fn(&mut Walk<'_>, BoxedTm, usize) + Sync,
 {
-    let SplitMode {
-        dedup,
-        split_sleep_sets,
-    } = mode;
     let n = scripts.len();
     let recycle = pool.recycles();
     let telemetry = config.telemetry.clone();
@@ -1619,7 +1291,7 @@ where
                 meter,
             };
             let _span = telemetry.phase("explore", "walk");
-            walk_root(&mut walk, tm, config.depth, 0);
+            walk_root(&mut walk, tm, config.depth);
             walk.tally
         };
         tally.flush(&telemetry);
@@ -1643,35 +1315,24 @@ where
             faults,
             meter,
         };
-        walk_tree(
-            &mut walk,
-            tm,
-            split,
-            0,
-            split_sleep_sets,
-            &mut |walk, tm, sleep| {
-                roots.push(SubtreeRoot {
-                    tm,
-                    space: walk.space.subtree_root(),
-                    sleep,
-                });
-                None
-            },
-        );
+        walk_tree(&mut walk, tm, split, &mut |walk, tm| {
+            roots.push(SubtreeRoot {
+                tm,
+                space: walk.space.subtree_root(),
+            });
+            None
+        });
     }
     telemetry.add(Counter::WorkerSteps, space.steps);
     telemetry.add(Counter::FrontierSplits, 1);
     telemetry.add(Counter::FrontierItems, roots.len() as u64);
-    // Per-worker seen sets by default: sound (digests are
-    // thread-agnostic), deterministic, and lock-free; only cross-subtree
-    // hits are forgone relative to the sequential walk. The opt-in
-    // sharded shared table recovers those hits at stripe-lock cost.
-    let shared = (dedup && config.shared_dedup).then(|| Arc::new(StripedTable::new()));
+    // Per-worker seen sets: sound (digests are thread-agnostic),
+    // deterministic, and lock-free; only cross-subtree hits are forgone
+    // relative to the sequential walk.
     let remaining = config.depth - split;
     let results = {
         let telemetry = &telemetry;
         let walk_root = &walk_root;
-        let shared = &shared;
         let _span = telemetry.phase("explore", "walk");
         // Panic isolation: a worker that panics loses its subtree's
         // results but not the run — its slot comes back `None`, the
@@ -1679,10 +1340,7 @@ where
         frontier::distribute_isolated(roots, move |mut root| {
             let mut sub = Exploration::default();
             let mut pool = TmPool::new(recycle).instrument(telemetry);
-            let mut memo = match &shared {
-                Some(table) => Memo::shared(Arc::clone(table)),
-                None => Memo::new(dedup),
-            };
+            let mut memo = Memo::new(dedup);
             let tally = {
                 let mut walk = Walk {
                     space: &mut root.space,
@@ -1693,7 +1351,7 @@ where
                     faults,
                     meter,
                 };
-                walk_root(&mut walk, root.tm, remaining, root.sleep);
+                walk_root(&mut walk, root.tm, remaining);
                 walk.tally
             };
             tally.flush(telemetry);
@@ -1722,7 +1380,7 @@ where
 
 /// Explores every schedule of length `depth` over `scripts.len()`
 /// processes: the drop-in entry point (prefix-sharing DFS, parallel
-/// frontier, no pruning — reports are identical to the naive
+/// frontier, no reduction — reports are identical to the naive
 /// enumerator's).
 pub fn explore_schedules<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
 where
@@ -2064,59 +1722,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_sets_prune_but_preserve_verdicts() {
-        // Two processes on disjoint variables: almost everything commutes.
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::increment(TVarId(1)),
-        ];
-        let full = explore_with(
-            || Box::new(Tl2::new(2, 2)),
-            &scripts,
-            &ExploreConfig::new(8).sequential(),
-        );
-        let pruned = explore_with(
-            || Box::new(Tl2::new(2, 2)),
-            &scripts,
-            &ExploreConfig::new(8).sequential().with_sleep_sets(),
-        );
-        assert!(pruned.schedules < full.schedules);
-        assert!(pruned.pruned_subtrees > 0);
-        assert_eq!(full.all_opaque(), pruned.all_opaque());
-    }
-
-    #[test]
-    fn sleep_sets_disable_for_tms_without_the_commutation_contract() {
-        // The global-lock TM acquires the global lock on its first
-        // operation, and TinySTM's aborts roll back (and unlock) the
-        // transaction's whole write set across variables — in both
-        // cases disjoint-variable steps do NOT commute, so the explorer
-        // must ignore the pruning request and visit every schedule.
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::increment(TVarId(1)),
-        ];
-        let factories: Vec<(&str, Factory)> = vec![
-            (
-                "global-lock",
-                Box::new(|| Box::new(GlobalLock::new(2, 2)) as BoxedTm),
-            ),
-            ("tiny", Box::new(|| Box::new(TinyStm::new(2, 2)) as BoxedTm)),
-        ];
-        for (name, factory) in factories {
-            let pruned = explore_with(
-                &*factory,
-                &scripts,
-                &ExploreConfig::new(8).sequential().with_sleep_sets(),
-            );
-            assert_eq!(pruned.schedules, 1 << 8, "{name}");
-            assert_eq!(pruned.pruned_subtrees, 0, "{name}");
-            let full = explore_with(&*factory, &scripts, &ExploreConfig::new(8).sequential());
-            assert_eq!(full, pruned, "{name}");
-        }
-    }
-
-    #[test]
     fn dedup_replays_subtrees_but_reports_identically() {
         let scripts = two_increments();
         let full = explore_with(
@@ -2158,38 +1763,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_composes_with_sleep_sets_and_parallelism() {
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::increment(TVarId(1)),
-        ];
-        let base = explore_with(
-            || Box::new(Tl2::new(2, 2)),
-            &scripts,
-            &ExploreConfig::new(9).sequential().with_sleep_sets(),
-        );
-        let deduped = explore_with(
-            || Box::new(Tl2::new(2, 2)),
-            &scripts,
-            &ExploreConfig::new(9)
-                .sequential()
-                .with_sleep_sets()
-                .with_dedup(),
-        );
-        assert_eq!(base.report(), deduped.report());
-        assert_eq!(base.pruned_subtrees, deduped.pruned_subtrees);
-        let parallel = explore_with(
-            || Box::new(Tl2::new(2, 2)),
-            &scripts,
-            &ExploreConfig::new(9)
-                .with_split_depth(3)
-                .with_sleep_sets()
-                .with_dedup(),
-        );
-        assert_eq!(base.report(), parallel.report());
-    }
-
-    #[test]
     fn dpor_reduces_schedules_and_preserves_verdicts() {
         let scripts = two_increments();
         let full = explore_with(
@@ -2200,7 +1773,7 @@ mod tests {
         let dpor = explore_with(
             || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
             &scripts,
-            &ExploreConfig::new(9).sequential().with_dpor(),
+            &ExploreConfig::new(9).sequential().with_optimal_dpor(),
         );
         assert!(
             dpor.schedules < full.schedules,
@@ -2228,10 +1801,10 @@ mod tests {
         let dpor = explore_with(
             || tm_stm::literal_fgp(2, 1),
             &scripts,
-            &ExploreConfig::new(9).sequential().with_dpor(),
+            &ExploreConfig::new(9).sequential().with_optimal_dpor(),
         );
         assert!(!full.all_opaque() && !dpor.all_opaque());
-        // Every DPOR violation is a real schedule the unreduced explorer
+        // Every DPOR violation is a real schedule the exhaustive explorer
         // also reports, verbatim.
         for v in &dpor.violations {
             assert!(full.violations.contains(v), "unknown violation {v:?}");
@@ -2251,80 +1824,64 @@ mod tests {
         let dpor = explore_with(
             || Box::new(GlobalLock::new(2, 1)),
             &scripts,
-            &ExploreConfig::new(8).sequential().with_dpor(),
+            &ExploreConfig::new(8).sequential().with_optimal_dpor(),
         );
         assert_eq!(full, dpor);
     }
 
     #[test]
     fn dpor_composes_with_parallel_split_and_dedup() {
-        let scripts = two_increments();
-        let base = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &ExploreConfig::new(9).sequential().with_dpor(),
-        );
-        let deduped = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &ExploreConfig::new(9).sequential().with_dpor().with_dedup(),
-        );
-        // Dedup must not change the verdict; executed-schedule counts may
-        // legitimately differ only through replayed summaries, which are
-        // themselves executed-schedule counts — so they must match too.
-        assert_eq!(base.report(), deduped.report());
-        for split in [1, 3, 5] {
-            let par = explore_with(
-                || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-                &scripts,
-                &ExploreConfig::new(9).with_split_depth(split).with_dpor(),
-            );
-            // The parallel frontier enumerates prefixes exhaustively, so
-            // its executed-schedule count sits between the sequential
-            // DPOR count and the full tree; the verdict is preserved.
-            assert_eq!(par.all_opaque(), base.all_opaque(), "split {split}");
-            assert!(par.schedules >= base.schedules, "split {split}");
-            assert!(par.schedules <= 1 << 9, "split {split}");
-        }
-    }
-
-    #[test]
-    fn shared_dedup_reports_match_per_worker_dedup() {
-        let scripts = two_increments();
-        let per_worker = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &ExploreConfig::new(10).with_split_depth(3).with_dedup(),
-        );
-        let shared = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &ExploreConfig::new(10)
-                .with_split_depth(3)
-                .with_dedup()
-                .with_shared_dedup(),
-        );
-        assert_eq!(per_worker.report(), shared.report());
-        assert_eq!(shared.schedules, 1 << 10);
-    }
-
-    #[test]
-    fn sleep_sets_still_catch_the_buggy_tm() {
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::new(vec![
-                crate::workload::PlannedOp::Read(X),
-                crate::workload::PlannedOp::Write(X, 5),
-            ]),
+        // Same-variable increments on Fgp, and disjoint-variable
+        // increments on TL2, where almost every op step commutes.
+        let shapes: Vec<(Factory, Vec<ClientScript>)> = vec![
+            (
+                Box::new(|| Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm),
+                two_increments(),
+            ),
+            (
+                Box::new(|| Box::new(Tl2::new(2, 2)) as BoxedTm),
+                vec![
+                    ClientScript::increment(X),
+                    ClientScript::increment(TVarId(1)),
+                ],
+            ),
         ];
-        let pruned = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(10).with_sleep_sets(),
-        );
-        assert!(
-            !pruned.all_opaque(),
-            "pruning must preserve the violation verdict"
-        );
+        for (factory, scripts) in shapes {
+            let base = explore_with(
+                &*factory,
+                &scripts,
+                &ExploreConfig::new(9).sequential().with_optimal_dpor(),
+            );
+            let deduped = explore_with(
+                &*factory,
+                &scripts,
+                &ExploreConfig::new(9)
+                    .sequential()
+                    .with_optimal_dpor()
+                    .with_dedup(),
+            );
+            // Dedup must not change the verdict; executed-schedule counts
+            // may legitimately differ only through replayed summaries,
+            // which are themselves executed-schedule counts — so they
+            // must match too.
+            assert_eq!(base.report(), deduped.report());
+            for split in [1, 3, 5] {
+                let par = explore_with(
+                    &*factory,
+                    &scripts,
+                    &ExploreConfig::new(9)
+                        .with_split_depth(split)
+                        .with_optimal_dpor()
+                        .with_dedup(),
+                );
+                // The parallel frontier enumerates prefixes exhaustively,
+                // so its executed-schedule count sits between the
+                // sequential DPOR count and the full tree; the verdict is
+                // preserved.
+                assert_eq!(par.all_opaque(), base.all_opaque(), "split {split}");
+                assert!(par.schedules >= base.schedules, "split {split}");
+                assert!(par.schedules <= 1 << 9, "split {split}");
+            }
+        }
     }
 }

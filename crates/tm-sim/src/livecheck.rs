@@ -82,7 +82,7 @@
 //!
 //! # Equivalence-class reduction
 //!
-//! The safety explorer's source-set DPOR ([`crate::explore`]) prunes
+//! The safety explorer's optimal DPOR ([`crate::explore`]) prunes
 //! whole interleaving classes because a *verdict* is class-invariant.
 //! Liveness certification cannot prune schedules that way: for two
 //! independent steps `a | b`, the interleavings `ab` and `ba` pass
@@ -108,10 +108,9 @@
 //! `steps(plain) = steps(reduced) + replayed_steps(reduced)`.
 //!
 //! The safety explorer's wakeup trees
-//! ([`crate::explore`](crate::explore#optimal-dpor-wakeup-trees))
-//! sharpen its reduction further — never *starting* a schedule later
-//! abandoned as redundant. Transition memoization is this checker's
-//! analogue of that optimality: where wakeup trees guarantee at most
+//! ([`crate::explore`](crate::explore#optimal-dpor-one-schedule-per-equivalence-class))
+//! never *start* a schedule later abandoned as redundant. Transition
+//! memoization is this checker's analogue of that optimality: where wakeup trees guarantee at most
 //! one executed schedule per interleaving class, `reduce` guarantees
 //! exactly one executed step per state-graph edge — the quantified
 //! object each checker certifies over. A wakeup-tree mode for liveness

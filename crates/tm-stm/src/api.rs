@@ -24,7 +24,7 @@ use tm_telemetry::{Counter, Telemetry, Timer};
 /// equivalence), the same responses, and — because the begin/end flags
 /// pin transaction real-time order — the same safety verdict for every
 /// extension. This is the independence relation behind the model
-/// checker's source-set dynamic partial-order reduction.
+/// checker's optimal dynamic partial-order reduction.
 ///
 /// # Fields and the over-approximation contract
 ///
@@ -280,18 +280,10 @@ pub trait SteppedTm {
     /// **different t-variables** always commute: executing them in
     /// either order yields the same TM state and the same responses.
     ///
-    /// This is the independence contract behind the model checker's
-    /// sleep-set pruning; it is strictly opt-in, audited per algorithm:
-    ///
-    /// * holds when per-operation effects are confined to process-local
-    ///   bookkeeping and state indexed by the operation's t-variable,
-    ///   and any *global* state read at transaction begin (version
-    ///   clocks, sequence numbers) is only ever advanced by `tryC`;
-    /// * does **not** hold when an operation mutates global state — the
-    ///   blocking global-lock TM acquires the lock on its first
-    ///   operation, and SwissTM draws a fresh global begin-timestamp —
-    ///   so those keep the conservative default `false`, and pruning
-    ///   is disabled for them automatically.
+    /// No checker reads this: the model checker's reduction uses the
+    /// finer conflict oracle [`SteppedTm::step_footprint`]. The default
+    /// `false` is always sound; the method stays declared only because
+    /// `tmbench`'s timing wrapper still forwards it.
     fn disjoint_var_ops_commute(&self) -> bool {
         false
     }
@@ -509,10 +501,6 @@ impl SteppedTm for BoxedTm {
 
     fn state_digest(&self) -> Option<u64> {
         (**self).state_digest()
-    }
-
-    fn disjoint_var_ops_commute(&self) -> bool {
-        (**self).disjoint_var_ops_commute()
     }
 
     fn step_footprint(&self, process: ProcessId, invocation: Invocation) -> StepFootprint {

@@ -14,23 +14,17 @@
 //! (one seeded lost update) — it exists so the checking pipeline below
 //! has a defect it must provably catch.
 //!
-//! # Recording layers: from one mutex to streaming certification
+//! # Recording: from thread interleavings to streaming certification
 //!
-//! Two recorders turn real thread interleavings into formal histories
-//! the `tm-safety` checkers can verify — the bridge between the
-//! atomics-based code and the paper's model:
-//!
-//! * [`RecordingTm`] — a global `Mutex<History>`; simple and exactly
-//!   ordered, but every event append serializes on the lock, so
-//!   recording itself caps throughput at one core. The right tool for
-//!   bounded differential tests.
-//! * [`ShardedRecorder`] — the production path. Per-thread shards
-//!   append to private buffers; a global `AtomicU64` stamps every
-//!   event with a dense sequence number; exact-size batches travel to
-//!   the consumer once per transaction attempt over a lock-free
-//!   channel, and the consumer merges them shard by shard — stamps
-//!   increase within a shard, so the next stamp, once it has arrived,
-//!   is at the head of its shard's FIFO.
+//! [`ShardedRecorder`] turns real thread interleavings into formal
+//! histories the `tm-safety` checkers can verify — the bridge between
+//! the atomics-based code and the paper's model. Per-thread shards
+//! append to private buffers; a global `AtomicU64` stamps every event
+//! with a dense sequence number; exact-size batches travel to the
+//! consumer once per transaction attempt over a lock-free channel, and
+//! the consumer merges them shard by shard — stamps increase within a
+//! shard, so the next stamp, once it has arrived, is at the head of its
+//! shard's FIFO.
 //!
 //! On top of the sharded stream, `tm_sim::online` runs the streaming
 //! certification pipeline:
@@ -54,14 +48,14 @@
 //!
 //! **Why the merge is sound.** Each event's stamp is taken inside its
 //! invocation/response window (invocation stamped before the inner
-//! operation starts, response after it returns), so stamp order is a
-//! legitimate linearization of real time: if operation A completed
-//! before B began, every stamp of A precedes every stamp of B. Sorting
-//! by stamp therefore yields a faithful history — at worst *stricter*
-//! about real-time order than physical time was, which only narrows
-//! what the opacity check may reorder (the same argument as
-//! [`RecordingTm`], with the atomic RMW's linearization point standing
-//! in for the mutex).
+//! operation starts, response after it returns), and the stamp's atomic
+//! RMW is a single linearization point, so stamp order is a legitimate
+//! linearization of real time: if operation A completed before B began,
+//! every stamp of A precedes every stamp of B. Sorting by stamp
+//! therefore yields a faithful history — its real-time order is a
+//! sub-order of physical real time, so it is at worst *stricter* than
+//! physical time was, which only narrows what the opacity check may
+//! reorder.
 //!
 //! One event needs a sharper rule: the **commit response** is stamped
 //! at the TM's *serialization point* (via [`Transaction::commit_at`]),
@@ -79,9 +73,7 @@
 //! monotonicity (TL2) / value equality under a stable sequence (NOrec)
 //! prove retroactively that a passing validation extends back to the
 //! stamp, and a commit that fails after stamping charges its stamp to
-//! the abort response, which constrains nothing. Both recorders apply
-//! the same discipline ([`RecordingTm`] amends an optimistically
-//! logged commit back to an abort in place).
+//! the abort response, which constrains nothing.
 //!
 //! **Why the cuts are sound.** The chunker slices the merged history
 //! twice, and neither slice can mask a violation:
@@ -115,7 +107,6 @@ pub mod api;
 pub mod buggy;
 pub mod global_lock;
 pub mod norec;
-pub mod recording;
 pub mod sharded;
 pub mod tl2;
 
@@ -123,7 +114,6 @@ pub use api::{atomically, atomically_telemetered, ConcurrentTm, Transaction, TxA
 pub use buggy::ConcurrentBuggy;
 pub use global_lock::ConcurrentGlobalLock;
 pub use norec::ConcurrentNOrec;
-pub use recording::{atomically_recorded, RecordingTm, RecordingTx};
 pub use sharded::{
     atomically_sharded, EventStream, ShardWriter, ShardedRecorder, ShardedTx, StampedEvent,
     StreamStatus,

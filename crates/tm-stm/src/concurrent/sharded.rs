@@ -1,8 +1,8 @@
 //! Sharded, sequence-stamped recording for production traffic.
 //!
-//! [`RecordingTm`](super::RecordingTm) serializes every event append
-//! through one global mutex — correct, but a hard single-core ceiling on
-//! recording throughput. [`ShardedRecorder`] removes the mutex from the
+//! A recorder that appended every event to one shared history under a
+//! global mutex would be correct, but a hard single-core ceiling on
+//! recording throughput. [`ShardedRecorder`] keeps shared state off the
 //! hot path entirely:
 //!
 //! * **per-thread shards** — each worker thread owns a [`ShardWriter`]
@@ -13,9 +13,10 @@
 //!   global sequence number. The stamp for an invocation is taken
 //!   *before* the underlying operation starts and the stamp for its
 //!   response *after* it returns, so sorting by stamp yields a faithful
-//!   real-time-consistent history — the same argument as the mutexed
-//!   recorder, with the stamp's RMW linearization point standing in for
-//!   the mutex acquisition. Commit responses are stamped more
+//!   real-time-consistent history, because the stamp's atomic RMW is a
+//!   single linearization point inside the operation's window (the
+//!   argument is spelled out in the [`super`] module docs). Commit
+//!   responses are stamped more
 //!   precisely: *at the TM's serialization point*, from inside
 //!   [`Transaction::commit_at`] (possibly optimistically, before the
 //!   TM's final validation — a failed commit's stamp is charged to its
@@ -185,8 +186,7 @@ impl<T: ConcurrentTm> ShardedRecorder<T> {
 /// One thread's private recording shard.
 ///
 /// Not `Sync` by design — exactly one worker thread appends to it, so
-/// the buffer needs no synchronization. Mirrors
-/// [`RecordingTx`](super::RecordingTx)'s event discipline: invocation
+/// the buffer needs no synchronization. Event discipline: invocation
 /// stamped before the underlying operation, response after, abort
 /// events on failure, and [`ShardedTx::abandon`] completing live
 /// transactions with `tryC · A` so recorded histories stay complete.

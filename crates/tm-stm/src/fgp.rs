@@ -103,14 +103,6 @@ impl SteppedTm for FgpTm {
         Box::new(self.clone())
     }
 
-    fn disjoint_var_ops_commute(&self) -> bool {
-        // Audited: an operation inserts into `CP` (a commutative
-        // set-insert), checks/updates only the process's own `Status`
-        // bit and `Val` row, and reads its own row; global view syncing
-        // and dooming happen only at `tryC`.
-        true
-    }
-
     fn step_footprint(&self, process: ProcessId, invocation: Invocation) -> StepFootprint {
         // Audited conflict oracle, for all three variants. An operation
         // step touches only the process's own `Val` row and `Status`

@@ -240,13 +240,6 @@ impl SteppedTm for NOrec {
         Some(std::hash::Hasher::finish(&h))
     }
 
-    fn disjoint_var_ops_commute(&self) -> bool {
-        // Audited: begin snapshots the global sequence number (only
-        // commit advances it); value re-validation reads committed
-        // values, which also change only at commit.
-        true
-    }
-
     fn step_footprint(&self, process: ProcessId, invocation: Invocation) -> StepFootprint {
         // Audited conflict oracle. Shared state: the committed value
         // array and the single global sequence number. Every read

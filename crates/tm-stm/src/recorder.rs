@@ -95,10 +95,6 @@ impl<T: SteppedTm> SteppedTm for Recorded<T> {
             history: self.history.clone(),
         })
     }
-
-    fn disjoint_var_ops_commute(&self) -> bool {
-        self.inner.disjoint_var_ops_commute()
-    }
 }
 
 #[cfg(test)]

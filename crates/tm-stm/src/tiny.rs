@@ -287,18 +287,6 @@ impl SteppedTm for TinyStm {
         Some(std::hash::Hasher::finish(&h))
     }
 
-    // NOTE: TinySTM must NOT opt into `disjoint_var_ops_commute`:
-    // although encounter-time locks are per-variable, an abort rolls
-    // back the transaction's *entire* undo log — releasing locks and
-    // restoring values on every variable it wrote. Two steps on
-    // disjoint variables can therefore decide *which* transaction
-    // aborts (and which locks get released) depending on order, so the
-    // conservative default `false` stands and sleep-set pruning stays
-    // disabled for this TM. The DPOR conflict oracle below *can* express
-    // the rollback precisely — a possibly-aborting step declares its
-    // whole undo log's variables written — so partial-order reduction
-    // works where the coarse per-variable contract could not.
-
     fn step_footprint(&self, process: ProcessId, invocation: Invocation) -> StepFootprint {
         // Audited conflict oracle. Shared state: per-variable slots
         // `(value, version, owner)` — write-through, so values *and*

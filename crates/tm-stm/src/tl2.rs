@@ -257,13 +257,6 @@ impl SteppedTm for Tl2 {
         Some(std::hash::Hasher::finish(&h))
     }
 
-    fn disjoint_var_ops_commute(&self) -> bool {
-        // Audited: begin *samples* the global clock (only commit
-        // advances it), reads touch the variable's own slot, writes are
-        // buffered in the transaction's local write set.
-        true
-    }
-
     fn step_footprint(&self, process: ProcessId, invocation: Invocation) -> StepFootprint {
         // Audited conflict oracle. Shared state: per-variable slots
         // `(value, version)` and the global clock. Reads sample a slot

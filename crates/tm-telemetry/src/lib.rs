@@ -7,7 +7,7 @@
 //! were the final report and the bench JSON. This crate is the
 //! observability layer threaded through the whole stack —
 //! `tm_sim::engine` (frontier splits, worker steps, memo hits/misses,
-//! DPOR races, sleep-set blocks), both checkers (phase spans, schedule
+//! DPOR races, wakeup-tree inserts), both checkers (phase spans, schedule
 //! and state counters, lasso/violation/verdict events) and `tm_stm`
 //! (TmPool fork/refork tallies and timing histograms) — and the wire
 //! format the ROADMAP's portfolio checking service consumes: racing
@@ -63,7 +63,7 @@
 //! * **pruned** counts search the engine proved redundant and skipped
 //!   entirely: [`Counter::SchedulesPruned`] (leaves of the full
 //!   `n^depth` tree minus executed leaves, saturating) and
-//!   [`Counter::SleepSetBlocks`] (subtrees sleep sets skipped).
+//!   [`Counter::WakeupRedundant`] (race reversals proved covered).
 //!
 //! **Exception — the online-pipeline counters.** The streaming
 //! certifier (`tm_sim::online`) runs real OS threads against real
@@ -185,10 +185,8 @@ pub enum Counter {
     MemoHits,
     /// Seen-set lookups that missed (explorer dedup only).
     MemoMisses,
-    /// Reversible races the source-set DPOR analysis detected.
+    /// Reversible races the optimal-DPOR analysis detected.
     DporRaces,
-    /// Subtrees skipped by sleep-set pruning.
-    SleepSetBlocks,
     /// Complete schedules the safety explorer accounted for (equals the
     /// report's `schedules`; includes memoized replays).
     SchedulesExecuted,
@@ -227,13 +225,6 @@ pub enum Counter {
     /// weak-initial sleep guard or subsumed by an existing wakeup-tree
     /// branch (optimal DPOR).
     WakeupRedundant,
-    /// Executions the sleep discipline blocked: in source-set mode,
-    /// race-inserted backtrack branches suppressed because their process
-    /// was already asleep (each is a walk the classic SDPOR formulation
-    /// starts and abandons); in optimal mode, wakeup-tree branches whose
-    /// head was asleep when scheduled — provably none, so the counter
-    /// must read 0 there.
-    SleepBlockedExecutions,
     /// Fault transitions (`crash(p)` / `parasite(p)`) the fault-aware
     /// search executed as scheduler-level branches.
     FaultsInjected,
@@ -260,7 +251,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the snapshot array length).
-    pub const COUNT: usize = 30;
+    pub const COUNT: usize = 28;
 
     /// Every counter, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -270,7 +261,6 @@ impl Counter {
         Counter::MemoHits,
         Counter::MemoMisses,
         Counter::DporRaces,
-        Counter::SleepSetBlocks,
         Counter::SchedulesExecuted,
         Counter::SchedulesPruned,
         Counter::ExactFallbacks,
@@ -286,7 +276,6 @@ impl Counter {
         Counter::TmReforks,
         Counter::WakeupInserts,
         Counter::WakeupRedundant,
-        Counter::SleepBlockedExecutions,
         Counter::FaultsInjected,
         Counter::TxCommits,
         Counter::TxAborts,
@@ -306,7 +295,6 @@ impl Counter {
             Counter::MemoHits => "memo_hits",
             Counter::MemoMisses => "memo_misses",
             Counter::DporRaces => "dpor_races",
-            Counter::SleepSetBlocks => "sleep_set_blocks",
             Counter::SchedulesExecuted => "schedules_executed",
             Counter::SchedulesPruned => "schedules_pruned",
             Counter::ExactFallbacks => "exact_fallbacks",
@@ -322,7 +310,6 @@ impl Counter {
             Counter::TmReforks => "tm_reforks",
             Counter::WakeupInserts => "wakeup_inserts",
             Counter::WakeupRedundant => "wakeup_redundant",
-            Counter::SleepBlockedExecutions => "sleep_blocked_executions",
             Counter::FaultsInjected => "faults_injected",
             Counter::TxCommits => "tx_commits",
             Counter::TxAborts => "tx_aborts",
@@ -746,15 +733,6 @@ impl Telemetry {
     /// Emits a `counter_snapshot` event of every non-zero counter (plus
     /// the timing histograms when enabled); a no-op without a sink.
     pub fn emit_counters(&self, label: &str) {
-        self.emit_counters_pinned(label, &[]);
-    }
-
-    /// [`Self::emit_counters`], with `pinned` counters included even at
-    /// zero. Zero is normally elided as noise, but some zeros *are* the
-    /// datum — the explorer's optimal-DPOR mode pins
-    /// [`Counter::SleepBlockedExecutions`] so its guaranteed-zero value
-    /// is visible (and assertable) in the event stream.
-    pub fn emit_counters_pinned(&self, label: &str, pinned: &[Counter]) {
         let Some(inner) = &self.inner else { return };
         if inner.sink.is_none() {
             return;
@@ -763,7 +741,7 @@ impl Telemetry {
         let counters = Json::Obj(
             Counter::ALL
                 .iter()
-                .filter(|&&c| snapshot.get(c) != 0 || pinned.contains(&c))
+                .filter(|&&c| snapshot.get(c) != 0)
                 .map(|&c| {
                     (
                         c.name().to_string(),

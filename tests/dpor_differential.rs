@@ -1,12 +1,12 @@
-//! Differential suite for source-set DPOR: the equivalence-class-pruned
-//! explorer must agree with sleep-sets-only pruning and with the plain
-//! prefix-sharing DFS on every **verdict** across the catalogue —
-//! including the seeded-buggy literal `Fgp`, where each DPOR-reported
-//! violation must be a schedule the unreduced explorer reports verbatim
-//! — while executing strictly fewer schedules wherever a TM's conflict
-//! oracle admits any independence. The liveness checker's reduction is
-//! held to the stronger bar: byte-identical graphs, lassos and
-//! starvation verdicts.
+//! Differential suite for optimal DPOR: the wakeup-tree explorer must
+//! agree with the exhaustive prefix-sharing DFS on every **verdict**
+//! across the whole catalogue, at two and three processes — including
+//! the seeded-buggy literal `Fgp`, where each reported violation must be
+//! a schedule the exhaustive explorer reports verbatim — while executing
+//! strictly fewer schedules wherever a TM's conflict oracle admits any
+//! independence, and at most one schedule per Mazurkiewicz class. The
+//! liveness checker's reduction is held to the stronger bar:
+//! byte-identical graphs, lassos and starvation verdicts.
 
 use tm_core::{ProcessId, TVarId};
 use tm_sim::{explore_with, livecheck, ClientScript, ExploreConfig, LivecheckConfig, PlannedOp};
@@ -29,6 +29,10 @@ fn factories(processes: usize, tvars: usize) -> Vec<(&'static str, Factory)> {
             "fgp",
             Box::new(move || Box::new(FgpTm::new(processes, tvars, FgpVariant::CpOnly)) as BoxedTm)
                 as Factory,
+        ),
+        (
+            "fgp-strict",
+            Box::new(move || Box::new(FgpTm::new(processes, tvars, FgpVariant::Strict)) as BoxedTm),
         ),
         (
             "tl2",
@@ -73,60 +77,9 @@ fn contended_scripts() -> Vec<ClientScript> {
 }
 
 #[test]
-fn dpor_verdicts_match_plain_and_sleep_sets_across_the_catalogue() {
-    let scripts = contended_scripts();
-    let mut buggy_caught = false;
-    for (name, factory) in factories(2, 1) {
-        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(8).sequential());
-        let sleep = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(8).sequential().with_sleep_sets(),
-        );
-        let dpor = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(8).sequential().with_dpor(),
-        );
-        assert_eq!(plain.schedules, 1 << 8, "{name}");
-        assert_eq!(
-            plain.all_opaque(),
-            sleep.all_opaque(),
-            "{name}: sleep sets changed the verdict"
-        );
-        assert_eq!(
-            plain.all_opaque(),
-            dpor.all_opaque(),
-            "{name}: DPOR changed the verdict"
-        );
-        // DPOR explores a subset of real schedules: every violation it
-        // reports must appear in the plain explorer's list verbatim
-        // (schedule, history, detail and shortest failing prefix).
-        for violation in &dpor.violations {
-            assert!(
-                plain.violations.contains(violation),
-                "{name}: DPOR reported a violation the full exploration lacks: {violation:?}"
-            );
-        }
-        assert!(
-            dpor.schedules <= plain.schedules,
-            "{name}: DPOR may never execute more schedules than the full tree"
-        );
-        if name == "fgp-literal" {
-            assert!(
-                !dpor.all_opaque() && !dpor.violations.is_empty(),
-                "DPOR must still catch the literal-Fgp leak"
-            );
-            buggy_caught = true;
-        }
-    }
-    assert!(buggy_caught);
-}
-
-#[test]
 fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
     // The headline reduction claim: at 3 processes the class structure is
-    // rich enough that DPOR must beat both plain DFS and sleep sets
+    // rich enough that optimal DPOR must beat the exhaustive walk
     // strictly, for every TM whose oracle admits any independence.
     let scripts = vec![
         ClientScript::increment(X),
@@ -137,24 +90,20 @@ fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
         if name == "global-lock" {
             continue; // audited all-conflicting oracle: no reduction, by design
         }
-        let sleep = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(7).sequential().with_sleep_sets(),
-        );
+        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(7).sequential());
         let dpor = explore_with(
             &*factory,
             &scripts,
-            &ExploreConfig::new(7).sequential().with_dpor(),
+            &ExploreConfig::new(7).sequential().with_optimal_dpor(),
         );
         assert!(
-            dpor.schedules < sleep.schedules,
-            "{name}: DPOR ({}) must beat sleep sets ({})",
+            dpor.schedules < plain.schedules,
+            "{name}: DPOR ({}) must beat the exhaustive walk ({})",
             dpor.schedules,
-            sleep.schedules
+            plain.schedules
         );
         assert_eq!(
-            sleep.all_opaque(),
+            plain.all_opaque(),
             dpor.all_opaque(),
             "{name}: verdicts diverged"
         );
@@ -165,55 +114,82 @@ fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
 fn conservative_oracles_degenerate_to_report_identical_full_exploration() {
     // The global-lock TM's audited oracle conflicts on every pair of
     // steps, so the DPOR walk must visit every schedule and reproduce
-    // the plain DFS report byte for byte.
-    let scripts = contended_scripts();
-    let plain = explore_with(
-        || Box::new(GlobalLock::new(2, 1)) as BoxedTm,
-        &scripts,
-        &ExploreConfig::new(8).sequential(),
-    );
+    // the exhaustive report byte for byte — at three processes, and
+    // through the parallel frontier.
+    let scripts = vec![
+        ClientScript::increment(X),
+        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
+        ClientScript::read_both(X, Y),
+    ];
+    let factory = || Box::new(GlobalLock::new(3, 2)) as BoxedTm;
+    let plain = explore_with(factory, &scripts, &ExploreConfig::new(6).sequential());
+    assert_eq!(plain.schedules, 729);
     let dpor = explore_with(
-        || Box::new(GlobalLock::new(2, 1)) as BoxedTm,
+        factory,
         &scripts,
-        &ExploreConfig::new(8).sequential().with_dpor(),
+        &ExploreConfig::new(6).sequential().with_optimal_dpor(),
     );
     assert_eq!(plain, dpor);
+    let parallel = explore_with(
+        factory,
+        &scripts,
+        &ExploreConfig::new(6)
+            .with_split_depth(2)
+            .with_optimal_dpor(),
+    );
+    assert_eq!(plain, parallel);
 }
 
 #[test]
 fn dpor_composes_with_dedup_and_the_parallel_frontier() {
     let scripts = contended_scripts();
+    let depth = 9;
     for (name, factory) in factories(2, 1) {
+        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(depth).sequential());
         let base = explore_with(
             &*factory,
             &scripts,
-            &ExploreConfig::new(9).sequential().with_dpor(),
+            &ExploreConfig::new(depth).sequential().with_optimal_dpor(),
         );
         let deduped = explore_with(
             &*factory,
             &scripts,
-            &ExploreConfig::new(9).sequential().with_dpor().with_dedup(),
+            &ExploreConfig::new(depth)
+                .sequential()
+                .with_optimal_dpor()
+                .with_dedup(),
         );
         assert_eq!(
             base.report(),
             deduped.report(),
             "{name}: dedup changed the DPOR report"
         );
-        for split in [2, 4] {
-            let par = explore_with(
-                &*factory,
-                &scripts,
-                &ExploreConfig::new(9).with_split_depth(split).with_dpor(),
-            );
-            assert_eq!(
-                base.all_opaque(),
-                par.all_opaque(),
-                "{name}: parallel DPOR changed the verdict at split {split}"
-            );
-            for violation in &par.violations {
+        for split in 1..=depth {
+            for dedup in [false, true] {
+                let config = ExploreConfig::new(depth)
+                    .with_split_depth(split)
+                    .with_optimal_dpor();
+                let config = if dedup { config.with_dedup() } else { config };
+                let par = explore_with(&*factory, &scripts, &config);
+                assert_eq!(
+                    plain.all_opaque(),
+                    par.all_opaque(),
+                    "{name}: parallel DPOR changed the verdict at split {split}"
+                );
+                for violation in &par.violations {
+                    assert!(
+                        plain.violations.contains(violation),
+                        "{name}: parallel DPOR invented a violation at split {split}: \
+                         {violation:?}"
+                    );
+                }
+                // The prefix tree is enumerated exhaustively, so the
+                // executed count sits between the sequential DPOR count
+                // and the full tree.
                 assert!(
-                    !base.all_opaque(),
-                    "{name}: parallel DPOR invented a violation at split {split}: {violation:?}"
+                    base.schedules <= par.schedules && par.schedules <= plain.schedules,
+                    "{name}: split {split} executed {}",
+                    par.schedules
                 );
             }
         }
@@ -222,73 +198,97 @@ fn dpor_composes_with_dedup_and_the_parallel_frontier() {
 
 #[test]
 fn dpor_catches_the_leak_on_disjoint_variables_too() {
-    // The non-vacuous cross-variable case from the sleep-set suite: Fgp
-    // conflicts are CP-membership-based, not variable-based, so the
-    // literal leak must survive aggressive same-and-cross-variable
-    // reduction.
+    // The non-vacuous cross-variable case: Fgp conflicts are
+    // CP-membership-based, not variable-based (p1's commit dooms p2,
+    // p2's doomed write to Y leaks into its next transaction's read), so
+    // the literal leak must survive a reduction that genuinely fires on
+    // the disjoint-variable op steps.
     let scripts = vec![
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(Y), PlannedOp::Write(Y, 5)]),
     ];
+    let plain = explore_with(
+        || tm_stm::literal_fgp(2, 2),
+        &scripts,
+        &ExploreConfig::new(9).sequential(),
+    );
     let dpor = explore_with(
         || tm_stm::literal_fgp(2, 2),
         &scripts,
-        &ExploreConfig::new(9).sequential().with_dpor(),
+        &ExploreConfig::new(9).sequential().with_optimal_dpor(),
+    );
+    assert!(
+        dpor.schedules < plain.schedules,
+        "independence must fire on disjoint variables"
+    );
+    assert!(
+        !plain.all_opaque(),
+        "the leak exists in the full exploration"
     );
     assert!(
         !dpor.all_opaque(),
         "DPOR must preserve the cross-variable violation verdict"
     );
+    for violation in &dpor.violations {
+        assert!(plain.violations.contains(violation), "{violation:?}");
+    }
 }
 
 #[test]
 fn optimal_dpor_verdicts_and_violation_subset_across_the_catalogue() {
-    // The wakeup-tree walk is held to the same differential bar as
-    // source sets — verdict parity with plain DFS on all nine TMs and a
-    // verbatim violation subset on the seeded-buggy literal Fgp — plus
-    // the optimality ordering: never more executed schedules than the
-    // source-set walk.
-    let scripts = contended_scripts();
-    let mut buggy_caught = false;
-    for (name, factory) in factories(2, 1) {
-        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(8).sequential());
-        let dpor = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(8).sequential().with_dpor(),
-        );
-        let optimal = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(8).sequential().with_optimal_dpor(),
-        );
-        assert_eq!(
-            plain.all_opaque(),
-            optimal.all_opaque(),
-            "{name}: optimal DPOR changed the verdict"
-        );
-        for violation in &optimal.violations {
-            assert!(
-                plain.violations.contains(violation),
-                "{name}: optimal DPOR reported a violation the full exploration lacks: \
-                 {violation:?}"
+    // Verdict parity with the exhaustive walk on the whole catalogue
+    // plus the seeded-buggy literal Fgp, at two and three processes,
+    // and a verbatim violation subset: every schedule optimal DPOR
+    // reports, the exhaustive explorer reports too.
+    let shapes = [
+        (2, 1, 8, contended_scripts()),
+        (
+            3,
+            2,
+            6,
+            vec![
+                ClientScript::increment(X),
+                ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
+                ClientScript::read_both(X, Y),
+            ],
+        ),
+    ];
+    for (procs, tvars, depth, scripts) in shapes {
+        let mut buggy_caught = false;
+        for (name, factory) in factories(procs, tvars) {
+            let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(depth).sequential());
+            let optimal = explore_with(
+                &*factory,
+                &scripts,
+                &ExploreConfig::new(depth).sequential().with_optimal_dpor(),
             );
-        }
-        assert!(
-            optimal.schedules <= dpor.schedules,
-            "{name}: optimal DPOR ({}) may never execute more than source sets ({})",
-            optimal.schedules,
-            dpor.schedules
-        );
-        if name == "fgp-literal" {
-            assert!(
-                !optimal.all_opaque() && !optimal.violations.is_empty(),
-                "optimal DPOR must still catch the literal-Fgp leak"
+            assert_eq!(plain.schedules, procs.pow(depth as u32), "{name}");
+            assert_eq!(
+                plain.all_opaque(),
+                optimal.all_opaque(),
+                "{name} at {procs}p: optimal DPOR changed the verdict"
             );
-            buggy_caught = true;
+            for violation in &optimal.violations {
+                assert!(
+                    plain.violations.contains(violation),
+                    "{name} at {procs}p: optimal DPOR reported a violation the full \
+                     exploration lacks: {violation:?}"
+                );
+            }
+            assert!(
+                optimal.schedules <= plain.schedules,
+                "{name} at {procs}p: DPOR may never execute more schedules than the full tree"
+            );
+            if name == "fgp-literal" {
+                assert!(
+                    !optimal.all_opaque(),
+                    "optimal DPOR must still catch the literal-Fgp leak at {procs}p"
+                );
+                buggy_caught = true;
+            }
         }
+        assert!(buggy_caught);
     }
-    assert!(buggy_caught);
 }
 
 #[test]
@@ -297,9 +297,9 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
     // executed and reduce it to its class's canonical normal form — the
     // images must be pairwise distinct (at most one execution per
     // Mazurkiewicz class), bounded by the brute-force class count, and
-    // no larger than the source-set walk's executed count. The absolute
-    // counts are pinned so a regression in either direction (lost
-    // coverage or lost reduction) fails loudly.
+    // no larger than the exhaustive walk's count. The absolute counts
+    // are pinned so a regression in either direction (lost coverage or
+    // lost reduction) fails loudly.
     use std::collections::HashSet;
     use tm_sim::{mazurkiewicz_classes, schedule_normal_form};
     let table: &[(usize, usize, usize)] = &[(2, 8, 33), (3, 6, 37)];
@@ -346,72 +346,18 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
             optimal.schedules,
             classes
         );
-        let dpor = explore_with(
-            factory,
-            &scripts,
-            &ExploreConfig::new(depth).sequential().with_dpor(),
-        );
+        let plain = explore_with(factory, &scripts, &ExploreConfig::new(depth).sequential());
         assert!(
-            optimal.schedules <= dpor.schedules,
-            "{procs}p depth {depth}: optimal ({}) exceeded source sets ({})",
+            optimal.schedules <= plain.schedules,
+            "{procs}p depth {depth}: optimal ({}) exceeded the exhaustive walk ({})",
             optimal.schedules,
-            dpor.schedules
+            plain.schedules
         );
         assert_eq!(
             optimal.schedules, expected,
             "{procs}p depth {depth}: pinned executed-schedule count moved"
         );
     }
-}
-
-#[test]
-fn optimal_dpor_never_starts_a_sleep_blocked_execution() {
-    // The headline optimality property, as telemetry: in optimal mode
-    // `SleepBlockedExecutions` — wakeup-tree edges popped with their
-    // head asleep — is exactly zero on every TM and shape, while the
-    // source-set walk's analogue (backtrack branches its sleep set
-    // suppressed) is demonstrably nonzero on the same 3-process
-    // workload. Together: the redundancy source sets schedule-and-drop
-    // is real, and wakeup trees never schedule it.
-    use tm_telemetry::{Counter, Telemetry};
-    let scripts = vec![
-        ClientScript::increment(X),
-        ClientScript::increment(X),
-        ClientScript::read_both(X, Y),
-    ];
-    for (name, factory) in factories(3, 2) {
-        let telemetry = Telemetry::counters();
-        explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(6)
-                .sequential()
-                .with_optimal_dpor()
-                .with_telemetry(&telemetry),
-        );
-        assert_eq!(
-            telemetry.snapshot().get(Counter::SleepBlockedExecutions),
-            0,
-            "{name}: optimal DPOR started a redundant execution"
-        );
-    }
-    let source_telemetry = Telemetry::counters();
-    explore_with(
-        || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
-        &scripts,
-        &ExploreConfig::new(6)
-            .sequential()
-            .with_dpor()
-            .with_telemetry(&source_telemetry),
-    );
-    assert!(
-        source_telemetry
-            .snapshot()
-            .get(Counter::SleepBlockedExecutions)
-            > 0,
-        "the source-set walk must suppress some backtrack branches here \
-         (otherwise the comparison is vacuous)"
-    );
 }
 
 #[test]
@@ -448,9 +394,8 @@ fn optimal_dpor_is_deterministic_across_rayon_thread_counts() {
 
 #[test]
 fn optimal_dpor_degenerates_to_full_exploration_for_conservative_oracles() {
-    // Same bar as the source-set walk: the global-lock TM's audited
-    // oracle conflicts on every pair, so wakeup trees must reproduce the
-    // plain DFS report byte for byte.
+    // The global-lock TM's audited oracle conflicts on every pair, so
+    // wakeup trees must reproduce the exhaustive report byte for byte.
     let scripts = contended_scripts();
     let plain = explore_with(
         || Box::new(GlobalLock::new(2, 1)) as BoxedTm,
@@ -521,16 +466,21 @@ fn livecheck_reduction_is_byte_identical_across_the_catalogue() {
 
 #[test]
 fn parasitic_starvation_analysis_survives_both_reductions() {
-    // Figure 12's parasitic-reader shape, end to end: the DPOR safety
-    // sweep stays opaque and the reduced livecheck still certifies the
-    // parasitic cycle.
+    // Figure 12's parasitic-reader shape, end to end: the optimal-DPOR
+    // safety sweep stays opaque and the reduced livecheck still
+    // certifies the parasitic cycle.
     let scripts = vec![
         ClientScript::new(vec![PlannedOp::Read(X)]),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 2)]),
     ];
     let factory = || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm;
-    let sweep = explore_with(factory, &scripts, &ExploreConfig::new(10).with_dpor());
+    let sweep = explore_with(
+        factory,
+        &scripts,
+        &ExploreConfig::new(10).with_optimal_dpor(),
+    );
     assert!(sweep.all_opaque());
+    assert!(explore_with(factory, &scripts, &ExploreConfig::new(10)).all_opaque());
     let report = livecheck(
         factory,
         &scripts,

@@ -243,43 +243,6 @@ fn violations_carry_their_shortest_failing_prefix() {
 }
 
 #[test]
-fn sleep_sets_prune_and_still_catch_violations_on_disjoint_variables() {
-    // Non-vacuous verdict preservation: on a disjoint-variable workload
-    // the processes' operation steps ARE independent (literal Fgp opts
-    // into the commutation contract), so pruning genuinely fires — and
-    // the literal-Fgp leak still surfaces, because Fgp conflicts are
-    // CP-membership-based, not variable-based: p1's commit dooms p2,
-    // p2's doomed write to Y leaks into its next transaction's read.
-    let scripts = vec![
-        ClientScript::increment(X),
-        ClientScript::new(vec![PlannedOp::Read(Y), PlannedOp::Write(Y, 5)]),
-    ];
-    let full = explore_with(
-        || tm_stm::literal_fgp(2, 2),
-        &scripts,
-        &ExploreConfig::new(9).sequential(),
-    );
-    let pruned = explore_with(
-        || tm_stm::literal_fgp(2, 2),
-        &scripts,
-        &ExploreConfig::new(9).sequential().with_sleep_sets(),
-    );
-    assert!(
-        pruned.pruned_subtrees > 0,
-        "independence must fire on disjoint variables"
-    );
-    assert!(pruned.schedules < full.schedules);
-    assert!(
-        !full.all_opaque(),
-        "the leak exists in the full exploration"
-    );
-    assert!(
-        !pruned.all_opaque(),
-        "pruning must preserve the violation verdict"
-    );
-}
-
-#[test]
 fn digest_dedup_reports_are_byte_identical_across_the_catalogue() {
     // The digest seen set merges subtrees by canonical state fingerprint;
     // a hash collision or an unsound canonicalization (a fingerprint
@@ -320,28 +283,6 @@ fn digest_dedup_reports_are_byte_identical_across_the_catalogue() {
         );
     }
     assert!(merged_somewhere, "dedup never fired on the catalogue");
-}
-
-#[test]
-fn sleep_sets_preserve_every_catalogue_verdict() {
-    // Pruning changes schedule counts by design; verdicts must survive.
-    let scripts = vec![
-        ClientScript::increment(X),
-        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
-    ];
-    for (name, factory) in factories(2, 1) {
-        let full = explore_with(&*factory, &scripts, &ExploreConfig::new(8).sequential());
-        let pruned = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(8).sequential().with_sleep_sets(),
-        );
-        assert_eq!(
-            full.all_opaque(),
-            pruned.all_opaque(),
-            "{name}: sleep sets changed the verdict"
-        );
-    }
 }
 
 #[test]
@@ -400,8 +341,7 @@ fn executed_schedule_counter_matches_the_report_across_the_catalogue() {
     for (name, factory) in full_catalogue_factories(2, 1) {
         for config in [
             ExploreConfig::new(8).sequential(),
-            ExploreConfig::new(8).sequential().with_sleep_sets(),
-            ExploreConfig::new(8).sequential().with_dpor(),
+            ExploreConfig::new(8).sequential().with_optimal_dpor(),
             ExploreConfig::new(8),
         ] {
             let telemetry = Telemetry::counters();
@@ -416,11 +356,6 @@ fn executed_schedule_counter_matches_the_report_across_the_catalogue() {
                 snap.get(Counter::ViolationsFound),
                 report.violations.len() as u64,
                 "{name}: violation counter diverged from the report"
-            );
-            assert_eq!(
-                snap.get(Counter::SleepSetBlocks),
-                report.pruned_subtrees as u64,
-                "{name}: sleep-set counter diverged from the report"
             );
         }
     }

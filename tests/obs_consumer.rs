@@ -190,8 +190,18 @@ fn diff_gates_the_checked_in_bench_artifacts() {
             "{name}: no _ms regression reported: {report:?}"
         );
 
-        // Cross-machine comparisons are refused unless overridden.
-        let other_cores = text.replacen("\"cores\":1", "\"cores\":64", 1);
+        // Cross-machine comparisons are refused unless overridden. The
+        // foreign copy claims a core count the artifact does not have.
+        let cores = Json::parse(&text)
+            .expect("artifact parses")
+            .get("cores")
+            .and_then(Json::as_int)
+            .expect("artifact records cores");
+        let other_cores = text.replacen(
+            &format!("\"cores\":{cores}"),
+            &format!("\"cores\":{}", cores + 64),
+            1,
+        );
         let foreign = diff::DiffInput::load(&other_cores).expect("load foreign");
         assert!(
             diff::diff(&baseline, &foreign, &thresholds).is_err(),

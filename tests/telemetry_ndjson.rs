@@ -266,51 +266,3 @@ fn explorer_stream_is_schema_valid() {
         assert_trace_steps_well_formed(trace);
     }
 }
-
-#[test]
-fn optimal_dpor_stream_pins_zero_sleep_blocked_executions() {
-    let path = std::env::temp_dir().join(format!(
-        "tm_telemetry_optimal_{}.ndjson",
-        std::process::id()
-    ));
-    {
-        let telemetry = Telemetry::to_path(&path).expect("open stream");
-        let scripts = vec![ClientScript::increment(X), ClientScript::increment(X)];
-        let report = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
-            &scripts,
-            &ExploreConfig::new(10)
-                .with_optimal_dpor()
-                .with_telemetry(&telemetry),
-        );
-        assert!(report.all_opaque());
-    }
-    let raw = std::fs::read_to_string(&path).expect("read stream");
-    std::fs::remove_file(&path).ok();
-    let events = parse_stream(&raw);
-
-    // The optimality claim must be *visible* in the stream: zero-valued
-    // counters are normally elided from counter_snapshot, but optimal
-    // mode pins `sleep_blocked_executions` so consumers can distinguish
-    // "zero" from "not measured".
-    let snapshot = &events
-        .iter()
-        .find(|(t, _)| t == "counter_snapshot")
-        .expect("optimal run must emit a counter_snapshot")
-        .1;
-    let counters = snapshot
-        .get("counters")
-        .unwrap_or_else(|| panic!("counter_snapshot missing counters object: {snapshot}"));
-    assert_eq!(
-        counters
-            .get("sleep_blocked_executions")
-            .and_then(Json::as_int),
-        Some(0),
-        "optimal mode must pin sleep_blocked_executions at zero: {snapshot}"
-    );
-    // The wakeup-tree machinery actually ran on this workload.
-    assert!(
-        counters.get("wakeup_inserts").and_then(Json::as_int) > Some(0),
-        "expected wakeup-tree insertions on the contended workload: {snapshot}"
-    );
-}
