@@ -15,6 +15,13 @@ use rayon::prelude::*;
 /// guarantee is what makes every parallel path report-identical to its
 /// sequential counterpart — workers may finish in any order, but the
 /// merge is lexicographic.
+///
+/// The workspace's rayon shim keeps no persistent pool, so each call
+/// spawns `rayon::current_num_threads()` scoped threads; that start-up
+/// cost is why the online pipeline runs its own long-lived certifiers
+/// instead. The remaining callers are this module's unit test and the
+/// `tmbench` traced layer that measures this fan-out; the checkers use
+/// [`distribute_isolated`].
 pub fn distribute<I, O, F>(items: Vec<I>, worker: F) -> Vec<O>
 where
     I: Send,

@@ -3,29 +3,32 @@
 //! This module is the consumer side of the sharded recorder
 //! ([`tm_stm::concurrent::ShardedRecorder`]): a pipeline that certifies
 //! a live multi-threaded execution *while it runs*, instead of
-//! collecting a history and checking it afterwards. Three stages, each
-//! on its own thread (plus the rayon pool):
+//! collecting a history and checking it afterwards. Three stages:
 //!
-//! 1. **sealer** — polls the recorder's [`EventStream`] for the merged
-//!    seq-contiguous prefix, feeds it to the [`Chunker`] (temporal cuts
-//!    at quiescent points + conflict-component splits, both argued
-//!    sound in the `tm_stm::concurrent` module docs), and groups sealed
-//!    chunks into *epochs* of roughly [`OnlineConfig::epoch_events`]
-//!    events;
-//! 2. **certifier** — receives epochs in order and certifies each
-//!    epoch's chunks in parallel via [`crate::engine::frontier::distribute`]:
-//!    one [`IncrementalChecker`] per chunk, seeded with the chunk's
-//!    frontier committed-state;
-//! 3. **verdict fold** — per-chunk verdicts merge deterministically by
-//!    taking the violation with the smallest global sequence number, so
-//!    the reported first violation is independent of thread count and
-//!    scheduling.
+//! 1. **sealer** (one thread) — polls the recorder's [`EventStream`]
+//!    for the merged seq-contiguous prefix, feeds it to the [`Chunker`]
+//!    (temporal cuts at quiescent points + conflict-component splits,
+//!    both argued sound in the `tm_stm::concurrent` module docs), and
+//!    groups sealed chunks into *epochs* of roughly
+//!    [`OnlineConfig::epoch_events`] events;
+//! 2. **certifiers** (`rayon::current_num_threads()` threads, started
+//!    once per pipeline) — each takes whole epochs from the shared epoch
+//!    channel and certifies their chunks in merged order: one
+//!    [`IncrementalChecker`] per chunk, seeded with the chunk's frontier
+//!    committed-state;
+//! 3. **verdict fold** — every chunk carries its own frontier, so each
+//!    chunk's verdict is independent of the others; each certifier keeps
+//!    the violation with the smallest global sequence number and
+//!    [`OnlinePipeline::join`] folds the certifiers the same way, so the
+//!    reported first violation is independent of the certifier count and
+//!    of which certifier took which epoch.
 //!
 //! The distance between the stages is observable: *checker lag* is the
-//! number of epochs sealed but not yet certified, tallied as a
-//! high-water mark in [`Counter::CheckerLagEpochs`] and streamed in the
-//! NDJSON heartbeats, so `tm-obs tail` doubles as a live dashboard for
-//! how far certification trails recording.
+//! number of epochs sealed but not yet certified — queued or in flight
+//! on a certifier — tallied as a high-water mark in
+//! [`Counter::CheckerLagEpochs`] and streamed in the NDJSON heartbeats,
+//! so `tm-obs tail` doubles as a live dashboard for how far
+//! certification trails recording.
 //!
 //! The pipeline is sound but (like the incremental checker it feeds)
 //! not complete: a reported violation means the committed transactions
@@ -43,7 +46,7 @@ pub mod chunk;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,8 +54,6 @@ use tm_core::{EventKind, History, ProcessId, Response};
 use tm_safety::{IncrementalChecker, Mode};
 use tm_stm::concurrent::{atomically_sharded, EventStream, StampedEvent, StreamStatus};
 use tm_telemetry::{Counter, Json, Telemetry};
-
-use crate::engine::frontier::distribute;
 
 pub use chunk::{Chunk, Chunker};
 
@@ -115,7 +116,9 @@ pub struct OnlineReport {
     pub epochs_sealed: u64,
     /// Chunks certified (across all epochs).
     pub chunks_certified: u64,
-    /// High-water mark of epochs sealed but not yet certified.
+    /// High-water mark of epochs sealed but not yet certified (queued
+    /// or in flight on a certifier), sampled as each epoch reaches a
+    /// certifier.
     pub max_lag_epochs: u64,
     /// Stamps the recorder drew that never reached the pipeline (see
     /// [`EventStream::undelivered_stamps`]); nonzero makes the report
@@ -180,6 +183,7 @@ struct SealerOut {
     history: Option<History>,
 }
 
+#[derive(Default)]
 struct CertifierOut {
     violation: Option<OnlineViolation>,
     chunks: u64,
@@ -187,49 +191,61 @@ struct CertifierOut {
 }
 
 /// The running pipeline: a sealer thread chunking the merged stream and
-/// a certifier thread checking epochs on the rayon pool. Close the
-/// recorder (dropping all shard writers first), then [`join`] for the
-/// verdict.
+/// a fixed set of certifier threads, each checking whole epochs. Close
+/// the recorder (dropping all shard writers first), then [`join`] for
+/// the verdict.
 ///
 /// [`join`]: OnlinePipeline::join
 #[derive(Debug)]
 pub struct OnlinePipeline {
     sealer: JoinHandle<SealerOut>,
-    certifier: JoinHandle<CertifierOut>,
+    certifiers: Vec<JoinHandle<CertifierOut>>,
 }
 
 impl OnlinePipeline {
-    /// Spawns the sealer and certifier threads over `stream`.
+    /// Spawns the sealer and `rayon::current_num_threads()` certifier
+    /// threads over `stream` (so [`rayon::ThreadPool::install`] sets the
+    /// certifier count).
     pub fn spawn(stream: EventStream, config: OnlineConfig) -> OnlinePipeline {
         let sealed = Arc::new(AtomicU64::new(0));
         let certified = Arc::new(AtomicU64::new(0));
         let (epoch_tx, epoch_rx) = channel::<Vec<Chunk>>();
+        let epoch_rx = Arc::new(Mutex::new(epoch_rx));
 
-        let sealer = {
-            let config = config.clone();
-            let sealed = Arc::clone(&sealed);
-            let certified = Arc::clone(&certified);
-            std::thread::spawn(move || run_sealer(stream, &config, &sealed, &certified, &epoch_tx))
-        };
-        let certifier =
-            { std::thread::spawn(move || run_certifier(&epoch_rx, &config, &sealed, &certified)) };
-        OnlinePipeline { sealer, certifier }
+        let certifiers = (0..rayon::current_num_threads())
+            .map(|_| {
+                let epoch_rx = Arc::clone(&epoch_rx);
+                let config = config.clone();
+                let sealed = Arc::clone(&sealed);
+                let certified = Arc::clone(&certified);
+                std::thread::spawn(move || run_certifier(epoch_rx, &config, &sealed, &certified))
+            })
+            .collect();
+        let sealer =
+            std::thread::spawn(move || run_sealer(stream, &config, &sealed, &certified, &epoch_tx));
+        OnlinePipeline { sealer, certifiers }
     }
 
-    /// Waits for both stages to drain and folds their outputs into the
+    /// Waits for every stage to drain and folds their outputs into the
     /// final report. Returns once the recorder has been closed and
     /// every sealed epoch is certified.
     pub fn join(self) -> OnlineReport {
         let sealer = self.sealer.join().expect("sealer thread panicked");
-        let certifier = self.certifier.join().expect("certifier thread panicked");
+        let mut certified = CertifierOut::default();
+        for certifier in self.certifiers {
+            let out = certifier.join().expect("certifier thread panicked");
+            certified.violation = earlier(certified.violation, out.violation);
+            certified.chunks += out.chunks;
+            certified.max_lag = certified.max_lag.max(out.max_lag);
+        }
         OnlineReport {
-            violation: certifier.violation,
+            violation: certified.violation,
             events: sealer.events,
             commits: sealer.commits,
             aborts: sealer.aborts,
             epochs_sealed: sealer.epochs,
-            chunks_certified: certifier.chunks,
-            max_lag_epochs: certifier.max_lag,
+            chunks_certified: certified.chunks,
+            max_lag_epochs: certified.max_lag,
             undelivered_stamps: sealer.undelivered_stamps,
             history: sealer.history,
         }
@@ -328,37 +344,36 @@ fn run_sealer(
 }
 
 fn run_certifier(
-    epoch_rx: &Receiver<Vec<Chunk>>,
+    epoch_rx: Arc<Mutex<Receiver<Vec<Chunk>>>>,
     config: &OnlineConfig,
     sealed: &AtomicU64,
     certified: &AtomicU64,
 ) -> CertifierOut {
-    let mut out = CertifierOut {
-        violation: None,
-        chunks: 0,
-        max_lag: 0,
-    };
-    let mut done = 0u64;
-    while let Ok(epoch) = epoch_rx.recv() {
-        let lag = sealed.load(Ordering::Acquire).saturating_sub(done);
+    let mut out = CertifierOut::default();
+    loop {
+        // The lock is held only while waiting for the next epoch, so the
+        // other certifiers check theirs meanwhile.
+        let Ok(epoch) = epoch_rx
+            .lock()
+            .expect("epoch receiver lock poisoned")
+            .recv()
+        else {
+            return out;
+        };
+        let lag = sealed
+            .load(Ordering::Acquire)
+            .saturating_sub(certified.load(Ordering::Acquire));
         out.max_lag = out.max_lag.max(lag);
         config.telemetry.record_max(Counter::CheckerLagEpochs, lag);
         out.chunks += epoch.len() as u64;
         config
             .telemetry
             .add(Counter::ChunksCertified, epoch.len() as u64);
-        let verdicts = distribute(epoch, |chunk| certify_chunk(config.mode, &chunk));
-        // Epochs arrive in merged order and every event of epoch k
-        // precedes every event of epoch k+1, so folding within the
-        // epoch and keeping the first across epochs is the global
-        // first-by-seq violation.
-        if out.violation.is_none() {
-            out.violation = verdicts.into_iter().fold(None, earlier);
+        for chunk in &epoch {
+            out.violation = earlier(out.violation, certify_chunk(config.mode, chunk));
         }
-        done += 1;
-        certified.store(done, Ordering::Release);
+        certified.fetch_add(1, Ordering::Release);
     }
-    out
 }
 
 /// A bank-style contended workload for the online pipeline: `threads`

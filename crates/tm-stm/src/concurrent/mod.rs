@@ -33,14 +33,14 @@
 //!  worker threads                    consumer side (tm_sim::online)
 //!  ──────────────                    ──────────────────────────────
 //!  shard 0 ─ events ─┐
-//!  shard 1 ─ events ─┼─► EventStream ─► sealer ──► chunker ─► rayon pool
-//!  shard 2 ─ events ─┘   (per-shard     (epoch =    (cut at     (one
-//!        │                FIFO merge     merged      quiescent    IncrementalChecker
-//!   AtomicU64 seq         by seq stamp;  prefix      points +     per chunk, seeded
-//!   fetch_add per         contiguous     slices)     conflict     with its frontier
-//!   event                 prefix =                   components)  state)
-//!                         complete                        │
-//!                         history)                        │
+//!  shard 1 ─ events ─┼─► EventStream ─► sealer ──► chunker ─► certifiers
+//!  shard 2 ─ events ─┘   (per-shard     (epoch =    (cut at     (one thread per
+//!        │                FIFO merge     merged      quiescent    rayon thread, started
+//!   AtomicU64 seq         by seq stamp;  prefix      points +     once; each takes whole
+//!   fetch_add per         contiguous     slices)     conflict     epochs: one
+//!   event                 prefix =                   components)  IncrementalChecker per
+//!                         complete                        │       chunk, seeded with its
+//!                         history)                        │       frontier state)
 //!                                                         ▼
 //!                                              deterministic verdict fold
 //!                                              (first violation by seq)

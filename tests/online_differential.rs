@@ -1,7 +1,7 @@
 //! Differential and decomposition suites for the online certification
 //! pipeline (sharded recorder → chunker → parallel certifier).
 //!
-//! Two equalities are pinned:
+//! Three equalities are pinned:
 //!
 //! 1. **online == offline** — on real multi-threaded executions across
 //!    the concurrent catalogue (TL2, NOrec, global-lock) plus the
@@ -13,13 +13,21 @@
 //!    corrupted), cutting at quiescent points with conflict-component
 //!    splits and frontier seeding must not change the verdict, for any
 //!    chunking granularity.
+//! 3. **verdict independent of the certifier count** — on one
+//!    deterministic history with several failing chunks, the pipeline
+//!    reports the same first violation and the same tallies whether one
+//!    certifier or several take the epochs.
 
 use tm_core::{Event, ProcessId, TVarId, INITIAL_VALUE};
 use tm_safety::{IncrementalChecker, Mode};
 use tm_sim::{
-    certify_chunk, certify_workload, Chunker, OnlineConfig, OnlineViolation, OnlineWorkload,
+    certify_chunk, certify_workload, Chunk, Chunker, OnlineConfig, OnlinePipeline, OnlineReport,
+    OnlineViolation, OnlineWorkload,
 };
-use tm_stm::concurrent::{ConcurrentBuggy, ConcurrentGlobalLock, ConcurrentNOrec, ConcurrentTl2};
+use tm_stm::concurrent::{
+    atomically_sharded, ConcurrentBuggy, ConcurrentGlobalLock, ConcurrentNOrec, ConcurrentTl2,
+    ShardedRecorder,
+};
 
 fn online_config(seed: u64) -> OnlineConfig {
     // Vary the chunking shape with the seed so the suite exercises
@@ -48,6 +56,18 @@ fn offline_violation(history: &[Event]) -> Option<usize> {
         .push_all(history.iter().copied())
         .err()
         .map(|v| v.position)
+}
+
+/// Pushes every event of `history` through the chunker at the given
+/// granularity, stamping each with its position.
+fn chunks_of(history: &[Event], min_segment: usize) -> Vec<Chunk> {
+    let mut chunker = Chunker::new(min_segment);
+    let mut chunks = Vec::new();
+    for (i, &event) in history.iter().enumerate() {
+        chunker.push(i as u64, event, &mut chunks);
+    }
+    chunker.finish(&mut chunks);
+    chunks
 }
 
 #[test]
@@ -128,6 +148,90 @@ fn drop_at_zero_buggy_tm_is_certified_opaque() {
     let wl = workload(0xc0de, 2);
     let report = certify_workload(ConcurrentBuggy::new(6, 0), &wl, online_config(1));
     assert!(report.certified_opaque(), "{:?}", report.violation);
+}
+
+/// One writer thread over [`ConcurrentBuggy`]: three increments of
+/// `x0` (the third commit's write is lost), then 200 transactions that
+/// each read `x0` and write `x1`. Every transaction after the lost
+/// update reads the stale `x0`, so every later chunk fails on its own
+/// frontier.
+fn lost_update_stream(config: OnlineConfig) -> OnlineReport {
+    let (recorder, stream) = ShardedRecorder::new(ConcurrentBuggy::new(2, 3));
+    let pipeline = OnlinePipeline::spawn(stream, config);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut writer = recorder.shard(ProcessId(0));
+            for _ in 0..3 {
+                atomically_sharded(&mut writer, |tx| {
+                    let v = tx.read(TVarId(0))?;
+                    tx.write(TVarId(0), v + 1)
+                });
+            }
+            for _ in 0..200 {
+                atomically_sharded(&mut writer, |tx| {
+                    let v = tx.read(TVarId(0))?;
+                    tx.write(TVarId(1), v)
+                });
+            }
+        });
+    });
+    recorder.close();
+    pipeline.join()
+}
+
+#[test]
+fn verdict_fold_does_not_depend_on_the_certifier_count() {
+    let config = OnlineConfig {
+        epoch_events: 16,
+        min_chunk_events: 1,
+        keep_history: true,
+        ..OnlineConfig::default()
+    };
+    let run = |certifiers: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(certifiers)
+            .build()
+            .expect("pool")
+            .install(|| lost_update_stream(config.clone()))
+    };
+
+    let reference = run(1);
+    let history = reference.history.as_ref().expect("keep_history");
+    let failing = chunks_of(history.events(), config.min_chunk_events)
+        .iter()
+        .filter(|chunk| certify_chunk(Mode::Opacity, chunk).is_some())
+        .count();
+    assert!(
+        failing > 1,
+        "only {failing} chunk fails: the fold has no choice"
+    );
+
+    let first = reference.violation.clone().expect("lost update flagged");
+    assert_eq!(
+        Some(first.seq),
+        offline_violation(history.events()).map(|p| p as u64),
+        "the folded violation must be the offline checker's first"
+    );
+    // Which certifier takes which epoch varies from run to run, so each
+    // count runs a few times.
+    for certifiers in [2usize, 4, 2, 4, 2, 4] {
+        let report = run(certifiers);
+        let violation = report.violation.expect("lost update flagged");
+        assert_eq!(
+            (violation.seq, violation.process),
+            (first.seq, first.process),
+            "{certifiers} certifiers: different first violation"
+        );
+        assert_eq!(report.events, reference.events, "{certifiers} certifiers");
+        assert_eq!(
+            report.epochs_sealed, reference.epochs_sealed,
+            "{certifiers} certifiers"
+        );
+        assert_eq!(
+            report.chunks_certified, reference.chunks_certified,
+            "{certifiers} certifiers"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -250,17 +354,10 @@ fn random_history(seed: u64, corrupt: bool) -> Vec<Event> {
     events
 }
 
-/// Chunked verdict over a synthetic history: push every event through
-/// the chunker at the given granularity, certify each chunk, fold by
-/// smallest sequence stamp.
+/// Chunked verdict over a synthetic history: certify each chunk, fold
+/// by smallest sequence stamp.
 fn chunked_violation(history: &[Event], min_segment: usize) -> Option<OnlineViolation> {
-    let mut chunker = Chunker::new(min_segment);
-    let mut chunks = Vec::new();
-    for (i, &event) in history.iter().enumerate() {
-        chunker.push(i as u64, event, &mut chunks);
-    }
-    chunker.finish(&mut chunks);
-    chunks
+    chunks_of(history, min_segment)
         .iter()
         .filter_map(|chunk| certify_chunk(Mode::Opacity, chunk))
         .min_by_key(|v| v.seq)
