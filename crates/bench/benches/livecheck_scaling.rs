@@ -1,6 +1,6 @@
 //! PERF4 — the liveness subsystem's scaling story.
 //!
-//! Four measurements, emitted as `BENCH_livecheck.json` at the
+//! Three measurements, emitted as `BENCH_livecheck.json` at the
 //! workspace root so the perf trajectory is tracked across PRs:
 //!
 //! 1. **Digest dedup** — the safety explorer with the cross-schedule
@@ -14,18 +14,8 @@
 //! 3. **Livecheck scaling** — the liveness checker's cost as the bound
 //!    grows: states/edges/steps stay flat once the canonical graph is
 //!    saturated, while the equivalent schedule tree grows as `2^depth` —
-//!    with and without the transition-level reduction, whose
-//!    states/lassos/starvation verdicts must match byte for byte, and on
-//!    the engine-backed parallel path (`LivecheckConfig::parallel`),
-//!    whose reports must match the reduced sequential search byte for
-//!    byte regardless of thread count.
-//! 4. **SCC certification** — the per-process cycle certificates,
-//!    sequential vs the embarrassingly parallel rayon fan-out
-//!    (`tm_liveness::scc`), on a synthetic labelled graph.
-//!
-//! Parallel-speedup caveat: this container is single-core, so the
-//! `*_parallel_ms` columns cannot demonstrate multi-core wins here —
-//! re-measure on 4+ cores (see ROADMAP).
+//!    on the reduced production walk and on the plain oracle walk, whose
+//!    states/lassos/starvation verdicts must match byte for byte.
 //!
 //! Run: `cargo bench -p bench --bench livecheck_scaling`
 
@@ -255,15 +245,11 @@ fn emit_json(_c: &mut Criterion) {
         let scripts = bounded();
         let config = LivecheckConfig::new(depth);
         let reduced_config = LivecheckConfig::new(depth).with_reduction();
-        let parallel_config = LivecheckConfig::new(depth).with_parallel();
         let secs = best_secs(runs.min(3), || {
             criterion::black_box(livecheck(&*factory, &scripts, &config));
         });
         let reduced_secs = best_secs(runs.min(3), || {
             criterion::black_box(livecheck(&*factory, &scripts, &reduced_config));
-        });
-        let parallel_secs = best_secs(runs.min(3), || {
-            criterion::black_box(livecheck(&*factory, &scripts, &parallel_config));
         });
         let report = livecheck(&*factory, &scripts, &config);
         // The reduced sample run carries counter-mode telemetry so the
@@ -287,7 +273,6 @@ fn emit_json(_c: &mut Criterion) {
             &reduced_config.clone().with_telemetry(&reduced_telemetry),
         );
         let reduced_snap = reduced_telemetry.snapshot();
-        let parallel = livecheck(&*factory, &scripts, &parallel_config);
         assert_eq!(report.rejected_cycles, 0, "{name}: canonicalization bug");
         // The reduction's contract: identical graph, lassos and
         // verdicts — only TM executions drop. Computed (not assumed) so
@@ -300,21 +285,6 @@ fn emit_json(_c: &mut Criterion) {
         assert!(
             reduce_parity,
             "{name}: reduction diverged from the plain search"
-        );
-        // The parallel search's contract: byte-identical to the reduced
-        // sequential search (it shares the execution discipline — every
-        // TM transition executed exactly once).
-        let parallel_parity = parallel.states == reduced.states
-            && parallel.edges == reduced.edges
-            && parallel.steps == reduced.steps
-            && parallel.replayed_steps == reduced.replayed_steps
-            && parallel.dedup_hits == reduced.dedup_hits
-            && parallel.cycles_detected == reduced.cycles_detected
-            && parallel.lassos.len() == reduced.lassos.len()
-            && parallel.verdicts == reduced.verdicts;
-        assert!(
-            parallel_parity,
-            "{name}: parallel search diverged from the reduced sequential search"
         );
         live_rows.push(Json::Obj(vec![
             ("tm".into(), Json::str(name)),
@@ -347,82 +317,14 @@ fn emit_json(_c: &mut Criterion) {
                 Json::Bool(report.lasso_starvation_free()),
             ),
             ("reduce_parity".into(), Json::Bool(reduce_parity)),
-            ("parallel_parity".into(), Json::Bool(parallel_parity)),
             ("ms".into(), Json::Num(secs * 1e3)),
             ("reduced_ms".into(), Json::Num(reduced_secs * 1e3)),
-            (
-                "livecheck_parallel_ms".into(),
-                Json::Num(parallel_secs * 1e3),
-            ),
             (
                 "speedup_reduced_vs_plain".into(),
                 Json::Num(secs / reduced_secs),
             ),
-            (
-                "speedup_parallel_vs_plain".into(),
-                Json::Num(secs / parallel_secs),
-            ),
         ]));
     }
-
-    // 4. SCC certification: the per-process pass is embarrassingly
-    // parallel; measure the sequential vs rayon entry points of
-    // tm_liveness::scc on a synthetic labelled graph large enough to
-    // dwarf the fan-out overhead (determinism asserted: the parallel
-    // pass merges in process-id order).
-    let scc_rows = {
-        use tm_liveness::{certify_cycles, certify_cycles_parallel, CycleEdge};
-        let (nodes, processes) = if test_mode { (500, 4) } else { (20_000, 8) };
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let graph: Vec<Vec<CycleEdge>> = (0..nodes)
-            .map(|i| {
-                (0..processes)
-                    .map(|k| {
-                        let r = next();
-                        CycleEdge {
-                            // A ring backbone with pseudo-random chords:
-                            // plenty of overlapping SCC structure.
-                            target: if r % 8 == 0 {
-                                (r % nodes as u64) as u32
-                            } else {
-                                ((i + 1) % nodes) as u32
-                            },
-                            process: k as u8,
-                            events: if r % 16 == 0 { 0 } else { 2 },
-                            committed: r % 3 == 0,
-                            aborted: r % 3 == 1,
-                            tryc: r % 3 != 2,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let seq = best_secs(runs.min(3), || {
-            criterion::black_box(certify_cycles(&graph, processes));
-        });
-        let par = best_secs(runs.min(3), || {
-            criterion::black_box(certify_cycles_parallel(&graph, processes));
-        });
-        assert_eq!(
-            certify_cycles(&graph, processes),
-            certify_cycles_parallel(&graph, processes),
-            "parallel SCC certificates diverged"
-        );
-        vec![Json::Obj(vec![
-            ("nodes".into(), Json::Int(nodes as i64)),
-            ("edges".into(), Json::Int((nodes * processes) as i64)),
-            ("processes".into(), Json::Int(processes as i64)),
-            ("scc_seq_ms".into(), Json::Num(seq * 1e3)),
-            ("scc_parallel_ms".into(), Json::Num(par * 1e3)),
-            ("speedup_scc_parallel_vs_seq".into(), Json::Num(seq / par)),
-        ])]
-    };
 
     // Report parity: dedup must not change what the explorer reports.
     let parity = {
@@ -444,7 +346,6 @@ fn emit_json(_c: &mut Criterion) {
             ("dedup_deep_bounds".into(), Json::Arr(deep)),
             ("refork".into(), Json::Arr(refork_rows)),
             ("livecheck".into(), Json::Arr(live_rows)),
-            ("scc_certification".into(), Json::Arr(scc_rows)),
             (
                 "headline_speedup_dedup_vs_dfs_bounded_depth12".into(),
                 Json::Num(headline_speedup),

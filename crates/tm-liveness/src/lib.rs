@@ -17,10 +17,10 @@
 //!   search;
 //! * [`scc`] — certified cycle-existence verdicts (starving / parasitic /
 //!   blocked / progressing) over explored state graphs, by per-process
-//!   Tarjan SCC passes with an embarrassingly parallel rayon entry point,
-//!   plus fairness-filtered variants ([`certify_fair_cycles`]) that keep
-//!   only cycles scheduling every live process infinitely often and
-//!   separate crash-induced from TM-induced starvation;
+//!   Tarjan SCC passes ([`certify_cycles`]), plus fairness-filtered
+//!   variants ([`certify_fair_cycles`]) that keep only cycles scheduling
+//!   every live process infinitely often and separate crash-induced from
+//!   TM-induced starvation;
 //! * [`figures`] — the paper's infinite-history figures (5, 6, 7, 9, 10,
 //!   12, 13, 14) as ready-made lassos.
 //!
@@ -54,6 +54,5 @@ pub use properties::{
     GlobalProgress, LocalProgress, PriorityProgress, SoloProgress, TmLivenessProperty,
 };
 pub use scc::{
-    certify_cycles, certify_cycles_parallel, certify_fair_cycles, CycleEdge, FairProcessVerdicts,
-    ProcessCycleVerdicts,
+    certify_cycles, certify_fair_cycles, CycleEdge, FairProcessVerdicts, ProcessCycleVerdicts,
 };

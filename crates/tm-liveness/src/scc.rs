@@ -10,12 +10,11 @@
 //! an SCC.
 //!
 //! Per-process queries are independent — each runs its own four Tarjan
-//! passes over read-only edges — so the pass is embarrassingly parallel:
-//! [`certify_cycles_parallel`] fans the processes over the rayon pool
-//! and merges verdicts in process-id order, making it verdict-identical
-//! to the sequential [`certify_cycles`] regardless of thread count.
+//! passes over read-only edges, sharing one full-graph SCC labelling —
+//! and [`certify_cycles`] runs them in process-id order. A rayon
+//! fan-out over the processes measured no faster than this sequential
+//! pass, so there is none.
 
-use rayon::prelude::*;
 use tm_core::ProcessId;
 
 /// One labelled edge of an explored configuration graph, in the compact
@@ -315,9 +314,6 @@ fn fair_verdicts_for(
 /// processes are exempt from the fairness obligation of the components
 /// they crashed in.
 ///
-/// Runs sequentially in both checker paths: the per-process passes cost
-/// the same as [`certify_cycles`] and determinism is free.
-///
 /// # Panics
 ///
 /// If `crashed` is not one mask per graph node.
@@ -333,27 +329,10 @@ pub fn certify_fair_cycles(
 }
 
 /// Certifies starving/parasitic/blocked/progressing cycle existence for
-/// every process over the explored graph, sequentially.
+/// every process over the explored graph.
 pub fn certify_cycles(graph: &[Vec<CycleEdge>], processes: usize) -> Vec<ProcessCycleVerdicts> {
     let full = sccs(graph, |_| true);
     (0..processes)
-        .map(|k| verdicts_for(graph, &full, k))
-        .collect()
-}
-
-/// [`certify_cycles`] with the per-process passes fanned over the rayon
-/// pool. Per-process certificates read the graph immutably and share
-/// only the full-graph SCC labelling, so the fan-out is embarrassingly
-/// parallel; verdicts merge in process-id order and are identical to
-/// the sequential pass regardless of thread count.
-pub fn certify_cycles_parallel(
-    graph: &[Vec<CycleEdge>],
-    processes: usize,
-) -> Vec<ProcessCycleVerdicts> {
-    let full = sccs(graph, |_| true);
-    (0..processes)
-        .collect::<Vec<_>>()
-        .into_par_iter()
         .map(|k| verdicts_for(graph, &full, k))
         .collect()
 }
@@ -411,17 +390,6 @@ mod tests {
         let verdicts = certify_cycles(&graph, 2);
         assert!(verdicts[1].blocked);
         assert!(!verdicts[0].blocked);
-    }
-
-    #[test]
-    fn parallel_certification_is_identical() {
-        let graph = starving_graph();
-        for processes in [1, 2] {
-            assert_eq!(
-                certify_cycles(&graph, processes),
-                certify_cycles_parallel(&graph, processes)
-            );
-        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub enum EventBody {
     PhaseStart {
         /// The producing engine.
         engine: String,
-        /// The phase name (e.g. `graph_build`, `lasso_scan`).
+        /// The phase name (e.g. `search`, `scc_certify`).
         phase: String,
     },
     /// A phase span closed.

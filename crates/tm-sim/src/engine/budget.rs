@@ -9,8 +9,8 @@
 //! conclusive verdict (the `budget_exhausted` NDJSON event and the
 //! report's `exhausted` field).
 //!
-//! The meter is a bundle of atomics so the parallel frontier shares it
-//! without locks; the first cap to trip wins the reason
+//! The meter is a bundle of atomics so the explorer's parallel frontier
+//! shares it without locks; the first cap to trip wins the reason
 //! (compare-exchange), and wall-clock checks are amortized to one
 //! `Instant::now()` per `WALL_CHECK_MASK`+1 state notes. Exhausted
 //! runs are inherently timing- or scheduling-dependent, so the
@@ -147,8 +147,10 @@ impl BudgetMeter {
         self.tripped.load(Ordering::Relaxed) == TRIP_NONE
     }
 
-    /// Marks the run exhausted for a reason outside the metered caps
-    /// (a panicked frontier worker). Does not override an earlier trip.
+    /// Marks the run exhausted for a reason outside the metered caps: a
+    /// panicked explorer frontier worker, or a TM step that panicked
+    /// inside livecheck's walk. Both report "frontier worker panicked".
+    /// Does not override an earlier trip.
     pub fn trip_external(&self) {
         self.trip(TRIP_PANIC);
     }

@@ -1,12 +1,13 @@
 //! The parallel frontier of the exploration kernel.
 //!
-//! Both checkers parallelize the same way: carve the search into
-//! independent work items at a frontier (subtree roots at a split depth
-//! for the schedule tree; whole BFS levels of configurations for the
-//! state graph), run the items on the rayon pool, and merge the results
+//! The safety explorer parallelizes by carving the schedule tree into
+//! independent work items at a frontier (subtree roots at a split
+//! depth), running the items on the rayon pool, and merging the results
 //! **in item order** — so reports are deterministic regardless of thread
 //! count or scheduling. Dynamic dealing (idle workers claim the next
-//! item) balances skewed items without giving up the ordered merge.
+//! item) balances skewed items without giving up the ordered merge. The
+//! liveness checker walks its state graph sequentially and does not use
+//! this module.
 
 use rayon::prelude::*;
 
@@ -20,7 +21,7 @@ use rayon::prelude::*;
 /// spawns `rayon::current_num_threads()` scoped threads; that start-up
 /// cost is why the online pipeline runs its own long-lived certifiers
 /// instead. The remaining callers are this module's unit test and the
-/// `tmbench` traced layer that measures this fan-out; the checkers use
+/// `tmbench` traced layer that measures this fan-out; the explorer uses
 /// [`distribute_isolated`].
 pub fn distribute<I, O, F>(items: Vec<I>, worker: F) -> Vec<O>
 where

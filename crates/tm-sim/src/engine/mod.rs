@@ -22,9 +22,10 @@
 //!      │        into a partial report with an explicit `exhausted` verdict
 //!      ▲                ▲                            ▲
 //!   frontier    [`frontier::distribute`] — deterministic order-preserving
-//!      │        parallel map (subtree roots / BFS levels), lexicographic
-//!      │        merge; [`frontier::distribute_isolated`] adds per-item
-//!      │        panic isolation; [`frontier::auto_split_depth`] splits
+//!      │        parallel map over subtree roots (explorer only; the graph
+//!      │        walk is sequential), lexicographic merge;
+//!      │        [`frontier::distribute_isolated`] adds per-item panic
+//!      │        isolation; [`frontier::auto_split_depth`] splits
 //!      ▲                ▲                            ▲
 //!   faults      [`crate::faults::FaultConfig`] widens the branch space with
 //!      │        `crash(p)` / `parasite(p)` scheduler transitions; the
@@ -52,17 +53,17 @@
 //!   schedule tree, exhaustively or under optimal-DPOR reduction, with
 //!   the split-depth parallel frontier;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
-//!   schedule + history, no certifier) through the interned state graph,
-//!   with transition-level reduction (execute each graph edge once,
-//!   replay re-walks) and — with `LivecheckConfig::parallel` — a
-//!   level-synchronous rayon frontier over the interned-node table that
-//!   executes every TM transition exactly once across all workers.
+//!   schedule + history, no certifier) through the interned state graph
+//!   on one thread, with transition-level reduction (execute each graph
+//!   edge once, replay re-walks) and the unreduced walk kept as its
+//!   differential oracle; a panicking TM step ends the walk in a partial
+//!   report.
 //!
-//! Determinism is the kernel's invariant: every parallel path merges
-//! worker results in a canonical order (lexicographic subtree roots for
-//! the tree search; breadth-first discovery order for the graph search),
-//! so reports are byte-identical to the sequential search regardless of
-//! thread count — the property all differential suites pin.
+//! Determinism is the kernel's invariant: the explorer's parallel
+//! frontier merges worker results in lexicographic subtree-root order,
+//! and the graph walk is sequential, so reports are byte-identical
+//! regardless of thread count — the property all differential suites
+//! pin.
 
 pub mod budget;
 pub mod frontier;

@@ -19,8 +19,8 @@
 //! * [`livecheck`](livecheck()) — bounded *liveness* model checking: lasso detection
 //!   over the canonical state graph, classifying which processes a TM
 //!   can starve, block, or keep progressing (the paper's Figure 2
-//!   taxonomy, decided mechanically), with a deterministic parallel
-//!   search (`LivecheckConfig::parallel`);
+//!   taxonomy, decided mechanically), with transition-level reduction
+//!   (`LivecheckConfig::reduce`) as the production walk;
 //! * [`FaultConfig`] — fault-*prone* model checking: crash and
 //!   parasitic-turn transitions quantified exhaustively inside both
 //!   checkers (every fault placement the budget admits, not one scripted

@@ -67,10 +67,9 @@
 //! edges, so the certificate is "no such cycle within the bound", the
 //! standard bounded-model-checking guarantee.
 //! [`LivecheckReport::lasso_starvation_free`] is the resulting per-TM
-//! certificate. The per-process certificates are independent Tarjan
-//! passes over a read-only graph — embarrassingly parallel — and run on
-//! the rayon pool ([`tm_liveness::certify_cycles_parallel`], verdicts
-//! merged in process-id order) when [`LivecheckConfig::parallel`] is on.
+//! certificate. The per-process certificates are Tarjan passes over the
+//! read-only recorded graph ([`tm_liveness::certify_cycles`]), run once
+//! after the search.
 //!
 //! # Parasitic processes
 //!
@@ -118,38 +117,14 @@
 //! interleavings pass through unexplored intermediate configurations,
 //! and the SCC certificates must quantify over all of them.
 //!
-//! # Parallel lasso search
+//! # Panic containment
 //!
-//! With [`LivecheckConfig::parallel`] the expensive part of the search —
-//! executing TM transitions and digesting the results — runs on the
-//! rayon pool, in two phases that keep the report **byte-identical to
-//! the sequential reduced search** regardless of thread count:
-//!
-//! 1. **Graph construction** is a level-synchronous frontier over the
-//!    interned-node table: all configurations at BFS distance `d` are
-//!    expanded concurrently ([`crate::engine::frontier::distribute`],
-//!    which preserves item order), then their successors are interned in
-//!    one deterministic merge — parent order, then process order — so
-//!    node ids equal the canonical breadth-first discovery order on
-//!    every run. Each node is expanded exactly once, so every TM
-//!    transition is executed exactly once (the reduction's execution
-//!    discipline, now also spread across cores). The graph this phase
-//!    produces is *the* canonical bounded graph — nodes at distance
-//!    ≤ depth, edges of nodes at distance ≤ depth−1 — which is exactly
-//!    the graph the sequential budget-DFS explores, because a budget-DFS
-//!    eventually expands every node at its maximal remaining budget
-//!    `depth − distance`.
-//! 2. **Lasso detection** replays the sequential DFS over the recorded
-//!    graph — no TM work, just edge replays (the reduction's re-walk
-//!    machinery with every edge recorded) — so cycles are discovered in
-//!    the sequential order, and lassos, cycle counters, dedup hits and
-//!    verdicts come out byte-identical to the sequential search.
-//!
-//! Because phase 1 executes each transition once, the parallel report's
-//! [`LivecheckReport::steps`]/[`LivecheckReport::replayed_steps`] match
-//! the *reduced* sequential search's (`parallel` implies the reduction's
-//! execution discipline); states, edges, lassos and verdicts match every
-//! sequential mode.
+//! A TM that panics mid-step does not take the checker down: the walk
+//! runs under one `catch_unwind`, and a panic ends it with a partial
+//! report — [`LivecheckReport::exhausted`] set to `"frontier worker
+//! panicked"` ([`BudgetMeter::trip_external`]) — built from the graph
+//! interned so far. The walk is a single thread, so containment costs
+//! nothing per step.
 //!
 //! # The exploration kernel
 //!
@@ -158,18 +133,19 @@
 //! its `GraphSpace` implements the kernel's [`SearchSpace`] contract
 //! over the shared stepper, TM branching runs through the shared
 //! [`tm_stm::TmPool`], configurations are interned through
-//! [`crate::engine::memo::Interner`], and the parallel frontier is the
-//! kernel's deterministic [`crate::engine::frontier::distribute`].
+//! [`crate::engine::memo::Interner`], and resource caps go through the
+//! kernel's [`BudgetMeter`]. The walk runs on one thread: it beat a
+//! level-parallel frontier on every measured row, and a per-process SCC
+//! fan-out gained nothing.
 
 use std::collections::{HashMap, HashSet};
 
-use tm_core::{digest_of, Event, Invocation, ProcessId, Value};
+use tm_core::{digest_of, Event, Invocation, ProcessId};
 use tm_liveness::{classify, detect::lasso_from_cycle, CycleEdge, InfiniteHistory, ProcessClass};
 use tm_stm::{BoxedTm, SteppedTm, TmPool};
 use tm_telemetry::{Counter, Json, Telemetry, Timer};
 
 use crate::engine::budget::{Budget, BudgetMeter};
-use crate::engine::frontier;
 use crate::engine::memo::Interner;
 use crate::engine::space::{emit_trace, step_process, SearchSpace, StepRecord, TraceWitness};
 use crate::faults::{Fault, FaultConfig, FaultPlan, FaultState};
@@ -188,20 +164,13 @@ pub struct LivecheckConfig {
     pub max_lassos: usize,
     /// Transition-level reduction: execute every TM transition **once**
     /// and replay recorded edges on re-walks (see the module docs'
-    /// "Equivalence-class reduction" section). The explored graph,
-    /// lassos and verdicts are identical; only
+    /// "Equivalence-class reduction" section). This is the production
+    /// walk; leaving it off selects the plain walk, which re-executes
+    /// every re-walked edge and is kept only as the differential oracle.
+    /// The explored graph, lassos and verdicts are identical; only
     /// [`LivecheckReport::steps`] (TM executions) drops — re-walked
     /// edges count in [`LivecheckReport::replayed_steps`] instead.
     pub reduce: bool,
-    /// Parallel lasso search (see the module docs): graph construction
-    /// runs level-synchronously on the rayon pool with every TM
-    /// transition executed exactly once, then lasso detection replays
-    /// the sequential DFS over the recorded graph and the SCC
-    /// certificates fan out per process. Reports are byte-identical to
-    /// the sequential `reduce` search regardless of thread count
-    /// (`parallel` implies the reduction's execution discipline; states,
-    /// edges, lassos and verdicts also match the unreduced search).
-    pub parallel: bool,
     /// Bitmask of processes that never invoke `tryC` (loop their
     /// operations forever): the paper's parasitic processes.
     parasitic: u64,
@@ -232,7 +201,6 @@ impl LivecheckConfig {
             depth,
             max_lassos: 32,
             reduce: false,
-            parallel: false,
             parasitic: 0,
             faults: FaultConfig::none(),
             budget: Budget::unlimited(),
@@ -257,13 +225,6 @@ impl LivecheckConfig {
     /// transition once; replay recorded edges on re-walks).
     pub fn with_reduction(mut self) -> Self {
         self.reduce = true;
-        self
-    }
-
-    /// Enables the parallel lasso search (rayon graph construction +
-    /// parallel SCC certification, byte-identical reports).
-    pub fn with_parallel(mut self) -> Self {
-        self.parallel = true;
         self
     }
 
@@ -345,13 +306,12 @@ pub struct LivecheckReport {
     /// Edges of the explored graph.
     pub edges: usize,
     /// Scheduler steps executed against a TM (edges walked fresh; with
-    /// [`LivecheckConfig::reduce`] or [`LivecheckConfig::parallel`] each
-    /// graph transition is executed exactly once, so this equals the
-    /// edge count of the expanded subgraph).
+    /// [`LivecheckConfig::reduce`] each graph transition is executed
+    /// exactly once, so this equals the edge count of the expanded
+    /// subgraph).
     pub steps: usize,
     /// Edge re-walks served by replaying recorded events instead of
-    /// executing the TM (0 unless [`LivecheckConfig::reduce`] or
-    /// [`LivecheckConfig::parallel`]).
+    /// executing the TM (0 unless [`LivecheckConfig::reduce`]).
     pub replayed_steps: usize,
     /// Subtree re-expansions avoided by the seen set.
     pub dedup_hits: usize,
@@ -663,7 +623,7 @@ struct Search<'a> {
     reduce: bool,
     /// The run's fault quantification, crash budget pre-clamped to n−1.
     faults: FaultConfig,
-    /// The run's budget meter (shared with the parallel frontier).
+    /// The run's budget meter.
     meter: &'a BudgetMeter,
     steps: usize,
     replayed: usize,
@@ -764,9 +724,8 @@ impl Search<'_> {
             let tm = tm.expect("fresh expansion requires the configuration's TM");
             let n = self.space.width();
             // Live process steps first (ascending), then fault edges —
-            // the canonical child order both the sequential and the
-            // level-parallel search produce. The last child overall
-            // consumes the parent's box instead of forking.
+            // the canonical child order. The last child overall consumes
+            // the parent's box instead of forking.
             let alive: Vec<usize> = (0..n)
                 .filter(|&k| !self.space.fstate.is_crashed(k))
                 .collect();
@@ -1103,8 +1062,8 @@ impl Search<'_> {
     }
 
     /// Assembles the report: counters, findings, and the SCC-certified
-    /// verdicts (fanned over the rayon pool when `parallel`).
-    fn into_report(mut self, tm: String, depth: usize, parallel: bool) -> LivecheckReport {
+    /// verdicts.
+    fn into_report(mut self, tm: String, depth: usize) -> LivecheckReport {
         // The pool normally flushes its fork tallies at drop, which is
         // after the counter_snapshot below — flush now so the emitted
         // snapshot carries the complete run.
@@ -1137,11 +1096,7 @@ impl Search<'_> {
         let telemetry = self.config.telemetry.clone();
         let (verdicts, fair_verdicts) = {
             let _span = telemetry.phase("livecheck", "scc_certify");
-            let verdicts = if parallel {
-                tm_liveness::certify_cycles_parallel(&graph, processes)
-            } else {
-                tm_liveness::certify_cycles(&graph, processes)
-            };
+            let verdicts = tm_liveness::certify_cycles(&graph, processes);
             let crashed: Vec<u64> = self.nodes.iter().map(|n| n.crashed).collect();
             let fair = tm_liveness::certify_fair_cycles(&graph, &crashed, processes);
             (verdicts, fair)
@@ -1264,324 +1219,6 @@ impl Search<'_> {
     }
 }
 
-fn fresh_search<'a>(
-    config: &'a LivecheckConfig,
-    scripts: &[ClientScript],
-    pool: TmPool,
-    reduce: bool,
-    faults: FaultConfig,
-    meter: &'a BudgetMeter,
-) -> Search<'a> {
-    Search {
-        config,
-        space: GraphSpace::new(scripts, config.parasitic, config.telemetry.clone()),
-        frames: Vec::new(),
-        on_path: HashMap::new(),
-        ids: Interner::new(),
-        nodes: Vec::new(),
-        pool,
-        reduce,
-        faults,
-        meter,
-        steps: 0,
-        replayed: 0,
-        dedup_hits: 0,
-        cycles_detected: 0,
-        eventless_cycles: 0,
-        rejected_cycles: 0,
-        crash_injected: 0,
-        parasite_injected: 0,
-        faults_injected: 0,
-        seen_cycles: HashSet::new(),
-        lassos: Vec::new(),
-        truncated: false,
-        trace_seed: None,
-    }
-}
-
-/// What one parallel frontier expansion reports for one successor: the
-/// configuration key (for the deterministic merge's interning), the edge
-/// label and events, the client cursors a worker needs to expand the
-/// child next level, the fault state the successor lives in, and the
-/// stepped TM box (kept only when the child is new).
-struct ChildRecord {
-    key: (u64, u64, u64),
-    process: u8,
-    kind: EdgeKind,
-    facts: StepFacts,
-    events: [Option<Event>; 2],
-    cursors: Vec<(usize, Option<Value>)>,
-    fstate: FaultState,
-    tm: BoxedTm,
-}
-
-/// A configuration on the parallel frontier: its interned id, its TM
-/// box, the client cursors and fault state that complete the
-/// configuration, and spare boxes recycled from the previous level's
-/// duplicate children (so frontier forks go through the allocation-free
-/// refork fast path).
-struct LevelNode {
-    id: u32,
-    tm: BoxedTm,
-    cursors: Vec<(usize, Option<Value>)>,
-    fstate: FaultState,
-    spares: Vec<BoxedTm>,
-}
-
-/// Expands one frontier configuration: executes all live successor
-/// steps (the only TM work in the parallel search — each graph
-/// transition is executed exactly once, here) and appends the available
-/// fault transitions, returning the records in the canonical
-/// process-steps-then-faults order for the deterministic merge.
-fn expand_level_node(
-    scripts: &[ClientScript],
-    parasitic: u64,
-    faults: FaultConfig,
-    recycle: bool,
-    telemetry: &Telemetry,
-    node: LevelNode,
-) -> Vec<ChildRecord> {
-    let mut space = GraphSpace::new(scripts, parasitic, telemetry.clone());
-    for (client, cursor) in space.clients.iter_mut().zip(&node.cursors) {
-        client.set_cursor(*cursor);
-    }
-    space.fstate = node.fstate;
-    let n = space.width();
-    let mut pool = TmPool::new(recycle).instrument(telemetry);
-    for spare in node.spares {
-        pool.put_back(spare);
-    }
-    let tm = node.tm;
-    let digest = |space: &mut GraphSpace, tm: &BoxedTm| {
-        let (d, c) = space
-            .config_key(tm)
-            .expect("livecheck requires a fingerprinting TM (SteppedTm::state_digest)");
-        (d, c)
-    };
-    // Same transition order the sequential search produces: live process
-    // steps ascending, then crashes ascending, then parasitic turns
-    // ascending.
-    let alive: Vec<usize> = (0..n).filter(|&k| !space.fstate.is_crashed(k)).collect();
-    let mut fault_kinds: Vec<(usize, EdgeKind)> = Vec::new();
-    if faults.enabled() {
-        for k in 0..n {
-            if space.fstate.can_crash(&faults, k) {
-                fault_kinds.push((k, EdgeKind::Crash));
-            }
-        }
-        for k in 0..n {
-            if space.fstate.can_parasite(&faults, k) && parasitic & (1 << k) == 0 {
-                fault_kinds.push((k, EdgeKind::Parasite));
-            }
-        }
-    }
-    let total = alive.len() + fault_kinds.len();
-    let mut out = Vec::with_capacity(total);
-    let mut slot = Some(tm);
-    let step_child = |space: &mut GraphSpace, mut tm: BoxedTm, k: usize| {
-        let mark = space.mark(k);
-        let rec = space.step(&mut tm, k);
-        let (d, c) = digest(space, &tm);
-        let cursors = space.clients.iter().map(Client::cursor).collect();
-        let fstate = space.fstate;
-        space.rewind(k, mark);
-        ChildRecord {
-            key: (d, c, fstate.key()),
-            process: u8::try_from(k).expect("≤ 64 processes"),
-            kind: EdgeKind::Step,
-            facts: StepFacts::of(&rec),
-            events: rec.events(ProcessId(k)),
-            cursors,
-            fstate,
-            tm,
-        }
-    };
-    for (i, &k) in alive.iter().enumerate() {
-        let child = if i + 1 == total {
-            // The last child consumes the frontier node's TM: no fork.
-            slot.take().expect("the last child consumes the box")
-        } else {
-            pool.fork_child(slot.as_ref().expect("box still owned"))
-        };
-        out.push(step_child(&mut space, child, k));
-    }
-    for (j, (k, kind)) in fault_kinds.into_iter().enumerate() {
-        let child = if alive.len() + j + 1 == total {
-            slot.take().expect("the last child consumes the box")
-        } else {
-            pool.fork_child(slot.as_ref().expect("box still owned"))
-        };
-        // A fault transition leaves TM and clients untouched: fork the
-        // box, move only the fault masks.
-        let saved = space.fstate;
-        match kind {
-            EdgeKind::Crash => space.fstate.crash(k),
-            _ => space.fstate.parasite(k),
-        }
-        let (d, c) = digest(&mut space, &child);
-        let cursors = space.clients.iter().map(Client::cursor).collect();
-        let fstate = space.fstate;
-        space.fstate = saved;
-        out.push(ChildRecord {
-            key: (d, c, fstate.key()),
-            process: u8::try_from(k).expect("≤ 64 processes"),
-            kind,
-            facts: StepFacts::default(),
-            events: [None, None],
-            cursors,
-            fstate,
-            tm: child,
-        });
-    }
-    out
-}
-
-/// The parallel lasso search (see the module docs): level-synchronous
-/// parallel graph construction with a deterministic breadth-first merge,
-/// then a sequential replay DFS over the recorded graph for lassos, and
-/// the parallel SCC certificates.
-fn livecheck_parallel(
-    tm: BoxedTm,
-    scripts: &[ClientScript],
-    config: &LivecheckConfig,
-    faults: FaultConfig,
-    meter: &BudgetMeter,
-    name: String,
-) -> LivecheckReport {
-    // Phase 1: build the canonical bounded graph — nodes at BFS distance
-    // ≤ depth, edges of nodes at distance ≤ depth−1 (exactly the
-    // subgraph the sequential budget-DFS explores). Workers expand whole
-    // levels concurrently; the merge interns successors in parent-then-
-    // transition order, so ids are the canonical BFS discovery order.
-    let mut search = fresh_search(config, scripts, TmPool::disabled(), true, faults, meter);
-    if config.telemetry.streams() {
-        search.trace_seed = Some((tm.fork(), scripts.to_vec()));
-    }
-    let recycle = TmPool::for_tm(&tm).recycles();
-    let root_key = search.key_of(&tm);
-    let root = search.intern(root_key);
-    let root_cursors = search.space.clients.iter().map(Client::cursor).collect();
-    let n = scripts.len();
-    let telemetry = config.telemetry.clone();
-    let mut steps = 0usize;
-    let mut level = vec![LevelNode {
-        id: root,
-        tm,
-        cursors: root_cursors,
-        fstate: FaultState::none(),
-        spares: Vec::new(),
-    }];
-    // Boxes of already-interned duplicate children, recycled into the
-    // next level's expansions (each needs up to n−1 forks) instead of
-    // being dropped — the frontier's analogue of the DFS spare pool.
-    let mut spare_pool: Vec<BoxedTm> = Vec::new();
-    let parasitic = config.parasitic;
-    {
-        let _span = telemetry.phase("livecheck", "graph_build");
-        for _dist in 0..config.depth {
-            // A tripped budget stops the level loop between levels: the
-            // graph built so far stays canonical (whole levels only) and
-            // the run degrades to a partial report.
-            if level.is_empty() || !meter.within() {
-                break;
-            }
-            telemetry.add(Counter::FrontierSplits, 1);
-            telemetry.add(Counter::FrontierItems, level.len() as u64);
-            let parents: Vec<u32> = level.iter().map(|node| node.id).collect();
-            let expansions = frontier::distribute_isolated(level, |node| {
-                expand_level_node(scripts, parasitic, faults, recycle, &telemetry, node)
-            });
-            level = Vec::new();
-            for (parent, children) in parents.into_iter().zip(expansions) {
-                let Some(children) = children else {
-                    // The worker expanding this parent panicked: keep
-                    // every other expansion, mark the run partial.
-                    meter.trip_external();
-                    continue;
-                };
-                for child in children {
-                    steps += 1;
-                    match child.kind {
-                        EdgeKind::Step => {}
-                        EdgeKind::Crash => {
-                            search.crash_injected |= 1 << child.process;
-                            search.faults_injected += 1;
-                        }
-                        EdgeKind::Parasite => {
-                            search.parasite_injected |= 1 << child.process;
-                            search.faults_injected += 1;
-                        }
-                    }
-                    let (cid, new) = search.ids.intern(child.key);
-                    if new {
-                        meter.note_state();
-                        search.nodes.push(Node {
-                            crashed: child.fstate.crashed,
-                            ..Node::default()
-                        });
-                        let take = spare_pool.len().min(n.saturating_sub(1));
-                        level.push(LevelNode {
-                            id: cid,
-                            tm: child.tm,
-                            cursors: child.cursors,
-                            fstate: child.fstate,
-                            spares: spare_pool.split_off(spare_pool.len() - take),
-                        });
-                    } else if recycle {
-                        spare_pool.push(child.tm);
-                    }
-                    search.nodes[parent as usize].edges.push(Edge {
-                        target: cid,
-                        process: child.process,
-                        kind: child.kind,
-                        facts: child.facts,
-                        events: child.events,
-                    });
-                }
-            }
-            telemetry.heartbeat("livecheck", || {
-                let states = search.nodes.len();
-                let mut fields = vec![
-                    ("states", Json::Int(states as i64)),
-                    ("frontier", Json::Int(level.len() as i64)),
-                    ("steps", Json::Int(steps as i64)),
-                    (
-                        "states_per_sec",
-                        Json::Num(states as f64 / telemetry.elapsed_secs().max(1e-9)),
-                    ),
-                ];
-                if search.crash_injected != 0 {
-                    fields.push((
-                        "crashed",
-                        Json::Int(i64::from(search.crash_injected.count_ones())),
-                    ));
-                }
-                fields
-            });
-        }
-    }
-    // Phase 2: replay the sequential DFS over the recorded graph (every
-    // edge walk is a replay — no TM work), discovering cycles in the
-    // sequential order. Counter bookkeeping: `steps` is phase 1's
-    // executed transitions (= the reduced sequential search's `steps`);
-    // the replay count minus those once-executed edges is what the
-    // reduced sequential search reports as `replayed_steps`.
-    {
-        let _span = telemetry.phase("livecheck", "lasso_scan");
-        search.expand(None, root, config.depth);
-    }
-    debug_assert!(
-        search.replayed >= steps || meter.exhausted().is_some(),
-        "replay walks every recorded edge"
-    );
-    // Under a tripped budget the replay may cover only part of the
-    // recorded graph; the subtraction saturates and the report carries
-    // the explicit `exhausted` reason instead of exact accounting.
-    search.replayed = search.replayed.saturating_sub(steps);
-    search.steps = steps;
-    search.into_report(name, config.depth, true)
-}
-
 /// Runs the bounded liveness check of the TM built by `factory` under
 /// the given client scripts.
 ///
@@ -1591,7 +1228,9 @@ fn livecheck_parallel(
 /// process count does not match, if `config.depth` is zero, or if the TM
 /// does not implement [`tm_stm::SteppedTm::state_digest`] (liveness
 /// checking is built on state recurrence; there is no meaningful
-/// degraded mode without a fingerprint).
+/// degraded mode without a fingerprint). A TM that panics once the walk
+/// is under way does not panic the caller: the run ends in a partial
+/// report (see the module docs' "Panic containment" section).
 pub fn livecheck<F>(
     factory: F,
     scripts: &[ClientScript],
@@ -1623,21 +1262,48 @@ where
         ..config.faults
     };
     let meter = BudgetMeter::new(config.budget);
-    if config.parallel {
-        return livecheck_parallel(tm, scripts, config, faults, &meter, name);
-    }
-    let pool = TmPool::for_tm(&tm).instrument(&config.telemetry);
-    let mut search = fresh_search(config, scripts, pool, config.reduce, faults, &meter);
-    if config.telemetry.streams() {
-        search.trace_seed = Some((tm.fork(), scripts.to_vec()));
-    }
+    let mut search = Search {
+        config,
+        space: GraphSpace::new(scripts, config.parasitic, config.telemetry.clone()),
+        frames: Vec::new(),
+        on_path: HashMap::new(),
+        ids: Interner::new(),
+        nodes: Vec::new(),
+        pool: TmPool::for_tm(&tm).instrument(&config.telemetry),
+        reduce: config.reduce,
+        faults,
+        meter: &meter,
+        steps: 0,
+        replayed: 0,
+        dedup_hits: 0,
+        cycles_detected: 0,
+        eventless_cycles: 0,
+        rejected_cycles: 0,
+        crash_injected: 0,
+        parasite_injected: 0,
+        faults_injected: 0,
+        seen_cycles: HashSet::new(),
+        lassos: Vec::new(),
+        truncated: false,
+        trace_seed: config
+            .telemetry
+            .streams()
+            .then(|| (tm.fork(), scripts.to_vec())),
+    };
     let root_key = search.key_of(&tm);
     let root = search.intern(root_key);
     {
         let _span = config.telemetry.phase("livecheck", "search");
-        search.expand(Some(tm), root, config.depth);
+        // A panicking TM step unwinds out of the walk; the graph interned
+        // so far still yields a sound partial report.
+        let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            search.expand(Some(tm), root, config.depth);
+        }));
+        if walk.is_err() {
+            meter.trip_external();
+        }
     }
-    search.into_report(name, config.depth, false)
+    search.into_report(name, config.depth)
 }
 
 #[cfg(test)]
@@ -1803,52 +1469,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_report_is_byte_identical_to_the_reduced_sequential_one() {
-        for (name, factory) in [
-            (
-                "fgp",
-                Box::new(|| Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm)
-                    as Box<dyn Fn() -> BoxedTm>,
-            ),
-            ("tl2", Box::new(|| Box::new(Tl2::new(2, 1)) as BoxedTm)),
-            (
-                "global-lock",
-                Box::new(|| Box::new(GlobalLock::new(2, 1)) as BoxedTm),
-            ),
-        ] {
-            let reduced = livecheck(
-                &*factory,
-                &contended(),
-                &LivecheckConfig::new(12).with_reduction(),
-            );
-            let parallel = livecheck(
-                &*factory,
-                &contended(),
-                &LivecheckConfig::new(12).with_parallel(),
-            );
-            assert_eq!(reduced.states, parallel.states, "{name}");
-            assert_eq!(reduced.edges, parallel.edges, "{name}");
-            assert_eq!(reduced.steps, parallel.steps, "{name}");
-            assert_eq!(reduced.replayed_steps, parallel.replayed_steps, "{name}");
-            assert_eq!(reduced.dedup_hits, parallel.dedup_hits, "{name}");
-            assert_eq!(reduced.cycles_detected, parallel.cycles_detected, "{name}");
-            assert_eq!(
-                reduced.eventless_cycles, parallel.eventless_cycles,
-                "{name}"
-            );
-            assert_eq!(reduced.rejected_cycles, parallel.rejected_cycles, "{name}");
-            assert_eq!(reduced.lassos.len(), parallel.lassos.len(), "{name}");
-            for (a, b) in reduced.lassos.iter().zip(&parallel.lassos) {
-                assert_eq!(a.schedule_prefix, b.schedule_prefix, "{name}");
-                assert_eq!(a.schedule_cycle, b.schedule_cycle, "{name}");
-                assert_eq!(a.classes, b.classes, "{name}");
-            }
-            assert_eq!(reduced.truncated, parallel.truncated, "{name}");
-            assert_eq!(reduced.verdicts, parallel.verdicts, "{name}");
-        }
-    }
-
-    #[test]
     fn reduction_with_parasitic_processes_is_identical_too() {
         let scripts = vec![
             ClientScript::new(vec![PlannedOp::Read(X)]),
@@ -1873,16 +1493,6 @@ mod tests {
             .lassos
             .iter()
             .any(|l| l.parasitic().contains(&ProcessId(0))));
-        // And the parallel search agrees with both.
-        let parallel = livecheck(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &config.clone().with_parallel(),
-        );
-        assert_eq!(parallel.states, plain.states);
-        assert_eq!(parallel.edges, plain.edges);
-        assert_eq!(parallel.lassos.len(), plain.lassos.len());
-        assert_eq!(parallel.verdicts, plain.verdicts);
     }
 
     #[test]
@@ -1895,14 +1505,14 @@ mod tests {
         assert_eq!(report.steps, 2);
         assert_eq!(report.cycles_detected, 0);
         assert!(report.lasso_starvation_free());
-        // The parallel search executes the same two transitions.
-        let parallel = livecheck(
+        // The reduced walk executes the same two transitions.
+        let reduced = livecheck(
             || Box::new(Tl2::new(2, 1)),
             &contended(),
-            &LivecheckConfig::new(1).with_parallel(),
+            &LivecheckConfig::new(1).with_reduction(),
         );
-        assert_eq!(parallel.steps, 2);
-        assert_eq!(parallel.replayed_steps, 0);
-        assert_eq!(parallel.states, report.states);
+        assert_eq!(reduced.steps, 2);
+        assert_eq!(reduced.replayed_steps, 0);
+        assert_eq!(reduced.states, report.states);
     }
 }

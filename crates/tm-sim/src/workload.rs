@@ -236,16 +236,6 @@ impl Client {
         (self.position, self.last_read)
     }
 
-    /// Restores a cursor snapshot taken by [`Client::cursor`], leaving
-    /// the commit/abort tallies at zero. The parallel liveness frontier
-    /// uses this to rehydrate a configuration's clients on a worker —
-    /// sound because the tallies are observation counters excluded from
-    /// every configuration digest and read by nothing the checkers emit.
-    pub(crate) fn set_cursor(&mut self, (position, last_read): (usize, Option<Value>)) {
-        self.position = position;
-        self.last_read = last_read;
-    }
-
     /// Restarts the current transaction attempt without touching the
     /// commit/abort tallies. The liveness checker uses this to model
     /// *parasitic* processes (paper §2.3): instead of reaching the

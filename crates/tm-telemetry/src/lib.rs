@@ -174,11 +174,10 @@ pub enum Counter {
     /// Schedule-tree walk steps (`SearchSpace::step` executions in the
     /// safety explorer, interior nodes included).
     WorkerSteps,
-    /// Parallel frontier splits performed (one per explorer split, one
-    /// per livecheck BFS level distributed).
+    /// Parallel frontier splits performed (one per explorer split).
     FrontierSplits,
-    /// Work items distributed over the parallel frontier (subtree
-    /// roots; level configurations).
+    /// Work items distributed over the explorer's parallel frontier
+    /// (subtree roots).
     FrontierItems,
     /// Seen-set hits: memoized subtree summaries replayed (explorer
     /// dedup) or re-expansions skipped (livecheck budget dedup).
@@ -203,7 +202,7 @@ pub enum Counter {
     /// Edges of the explored liveness state graph.
     GraphEdges,
     /// TM transitions the liveness checker executed (each graph edge
-    /// exactly once under reduction or parallel search).
+    /// exactly once under reduction).
     StepsExecuted,
     /// Liveness edge re-walks served by replaying recorded events.
     StepsReplayed,

@@ -20,8 +20,7 @@
 //! Fault-prone mode: `--crashes <k>` lets the checker crash up to `k`
 //! processes at every reachable configuration, `--parasitic` lets it
 //! turn processes parasitic — both quantified exhaustively, streaming
-//! `fault_injected` events and (in the parallel search) heartbeats that
-//! carry the crashed-process count. With faults on, the audit reports
+//! `fault_injected` events. With faults on, the audit reports
 //! the fairness-filtered verdicts: which starvation survives fair
 //! scheduling, and which of it is crash-induced (Theorem 1's corollary:
 //! with one crash allowed, *no* TM in the catalogue stays
@@ -153,6 +152,7 @@ fn main() {
         Telemetry::from_env()
     };
     let config = LivecheckConfig::new(depth)
+        .with_reduction()
         .with_telemetry(&telemetry)
         .with_faults(faults);
 

@@ -2,7 +2,7 @@
 //! injection inside both checkers, the Theorem-1 corollary across the
 //! catalogue, fault-free byte-identity of the NDJSON stream, thread-count
 //! determinism of the fault-space search, and budgeted graceful
-//! degradation (budget trips and panicking frontier workers both produce
+//! degradation (budget trips and TMs that panic mid-search both produce
 //! an explicit partial verdict that round-trips through `tm-obs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -229,10 +229,10 @@ fn fault_config_none_is_byte_identical_across_the_catalogue() {
 // Thread-count determinism of the fault space.
 // ---------------------------------------------------------------------
 
-/// The fault-prone graph search and the fault-prone explorer produce
-/// identical results at 1, 2 and 4 rayon threads: fault edges intern
-/// into the same canonical ids and the deterministic merge is
-/// insensitive to worker scheduling.
+/// The fault-prone reduced graph walk and the fault-prone explorer
+/// produce identical results at 1, 2 and 4 rayon threads: fault edges
+/// intern into the same canonical ids and the explorer's deterministic
+/// merge is insensitive to worker scheduling.
 #[test]
 fn fault_space_exploration_is_deterministic_across_thread_counts() {
     let faults = FaultConfig::with_crashes(1).and_parasitic();
@@ -245,7 +245,7 @@ fn fault_space_exploration_is_deterministic_across_thread_counts() {
             let live = livecheck(
                 || Box::new(Tl2::new(2, 1)) as BoxedTm,
                 &contended(),
-                &LivecheckConfig::new(8).with_faults(faults).with_parallel(),
+                &LivecheckConfig::new(8).with_faults(faults).with_reduction(),
             );
             let explored = explore_with(
                 || Box::new(Tl2::new(2, 1)) as BoxedTm,
@@ -261,32 +261,31 @@ fn fault_space_exploration_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The sequential and parallel fault-prone searches agree: same graph,
-/// same masks, same lassos, same fair verdicts. Only the execution
-/// accounting differs by design (the parallel search executes every
-/// edge exactly once and replays re-walks; the plain walker re-executes
-/// shared prefixes), so those counters are normalized out.
+/// The reduced and plain fault-prone walks agree: same graph, same
+/// masks, same lassos, same fair verdicts. Only the execution
+/// accounting differs by design (the reduced walk executes every edge
+/// exactly once and replays re-walks; the plain walk re-executes them),
+/// so each plain execution is either executed or replayed by the
+/// reduced walk.
 #[test]
-fn parallel_fault_search_matches_sequential() {
+fn reduced_fault_search_matches_plain() {
     let faults = FaultConfig::with_crashes(1).and_parasitic();
     let factory = || Box::new(NOrec::new(2, 1)) as BoxedTm;
-    let normalized = |mut r: tm_sim::LivecheckReport| {
-        r.steps = 0;
-        r.replayed_steps = 0;
-        r.dedup_hits = 0;
-        format!("{r:?}")
-    };
-    let seq = livecheck(
+    let plain = livecheck(
         factory,
         &contended(),
         &LivecheckConfig::new(8).with_faults(faults),
     );
-    let par = livecheck(
+    let mut reduced = livecheck(
         factory,
         &contended(),
-        &LivecheckConfig::new(8).with_faults(faults).with_parallel(),
+        &LivecheckConfig::new(8).with_faults(faults).with_reduction(),
     );
-    assert_eq!(normalized(seq), normalized(par));
+    assert!(plain.crash_injected != 0 && plain.parasite_injected != 0);
+    assert_eq!(plain.steps, reduced.steps + reduced.replayed_steps);
+    reduced.steps = plain.steps;
+    reduced.replayed_steps = 0;
+    assert_eq!(format!("{plain:?}"), format!("{reduced:?}"));
 }
 
 // ---------------------------------------------------------------------
@@ -372,12 +371,11 @@ fn unlimited_budget_never_trips() {
 }
 
 // ---------------------------------------------------------------------
-// Panic isolation in the parallel frontier.
+// Panic containment.
 // ---------------------------------------------------------------------
 
 /// A TM wrapper that panics on the Nth invocation across all forks — a
-/// deterministic stand-in for a crashing TM implementation bug inside a
-/// parallel frontier worker.
+/// deterministic stand-in for a crashing TM implementation bug.
 struct PanicTm {
     inner: BoxedTm,
     fuse: Arc<AtomicUsize>,
@@ -424,37 +422,41 @@ impl SteppedTm for PanicTm {
     }
 }
 
-/// A panicking frontier worker is contained: the other expansions
-/// survive, the run closes with a partial verdict (reason "frontier
-/// worker panicked"), and the stream round-trips through `tm-obs`.
+/// A TM that panics mid-search is contained on both livecheck walks: the
+/// run closes with a partial verdict (reason "frontier worker
+/// panicked") over the graph interned so far, and the stream
+/// round-trips through `tm-obs`.
 #[test]
 fn panicking_frontier_worker_degrades_to_a_partial_verdict() {
-    let path = temp("panic_live");
-    {
-        let telemetry = Telemetry::to_path(&path).expect("open stream");
-        let fuse = Arc::new(AtomicUsize::new(0));
-        let report = livecheck(
-            || {
-                Box::new(PanicTm::new(
-                    Box::new(Tl2::new(2, 1)),
-                    Arc::clone(&fuse),
-                    40,
-                )) as BoxedTm
-            },
-            &contended(),
-            &LivecheckConfig::new(12)
-                .with_telemetry(&telemetry)
-                .with_parallel(),
-        );
-        assert_eq!(
-            report.exhausted.as_deref(),
-            Some("frontier worker panicked"),
-            "{report:?}"
-        );
-        // The surviving expansions still produced a usable prefix.
-        assert!(report.states > 1, "{report:?}");
+    for (walk, config) in [
+        ("reduced", LivecheckConfig::new(12).with_reduction()),
+        ("plain", LivecheckConfig::new(12)),
+    ] {
+        let path = temp(&format!("panic_live_{walk}"));
+        {
+            let telemetry = Telemetry::to_path(&path).expect("open stream");
+            let fuse = Arc::new(AtomicUsize::new(0));
+            let report = livecheck(
+                || {
+                    Box::new(PanicTm::new(
+                        Box::new(Tl2::new(2, 1)),
+                        Arc::clone(&fuse),
+                        40,
+                    )) as BoxedTm
+                },
+                &contended(),
+                &config.with_telemetry(&telemetry),
+            );
+            assert_eq!(
+                report.exhausted.as_deref(),
+                Some("frontier worker panicked"),
+                "{walk}: {report:?}"
+            );
+            // The walk before the panic still produced a usable prefix.
+            assert!(report.states > 1, "{walk}: {report:?}");
+        }
+        let raw = std::fs::read_to_string(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        assert_partial_stream(&raw, "livecheck");
     }
-    let raw = std::fs::read_to_string(&path).expect("read");
-    std::fs::remove_file(&path).ok();
-    assert_partial_stream(&raw, "livecheck");
 }
