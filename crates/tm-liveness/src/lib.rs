@@ -16,11 +16,12 @@
 //!   Theorem 2, as per-history conditions plus corpus-level counterexample
 //!   search;
 //! * [`scc`] — certified cycle-existence verdicts (starving / parasitic /
-//!   blocked / progressing) over explored state graphs, by per-process
-//!   Tarjan SCC passes ([`certify_cycles`]), plus fairness-filtered
-//!   variants ([`certify_fair_cycles`]) that keep only cycles scheduling
-//!   every live process infinitely often and separate crash-induced from
-//!   TM-induced starvation;
+//!   blocked / progressing) over explored state graphs, plus
+//!   fairness-filtered variants that keep only cycles scheduling every
+//!   live process infinitely often and separate crash-induced from
+//!   TM-induced starvation. One [`certify`] call decides both with
+//!   `1 + 3·processes` Tarjan passes: one over the whole [`CycleGraph`],
+//!   then one per process and filter over its intra-component edges;
 //! * [`figures`] — the paper's infinite-history figures (5, 6, 7, 9, 10,
 //!   12, 13, 14) as ready-made lassos.
 //!
@@ -53,6 +54,4 @@ pub use meta::{satisfies_biprogressing_condition, satisfies_nonblocking_conditio
 pub use properties::{
     GlobalProgress, LocalProgress, PriorityProgress, SoloProgress, TmLivenessProperty,
 };
-pub use scc::{
-    certify_cycles, certify_fair_cycles, CycleEdge, FairProcessVerdicts, ProcessCycleVerdicts,
-};
+pub use scc::{certify, CycleEdge, CycleGraph, FairProcessVerdicts, ProcessCycleVerdicts};

@@ -4,11 +4,13 @@
 //! digests: the safety explorer memoizes subtree summaries in a
 //! [`SeenSet`], the liveness checker interns graph nodes in an
 //! [`Interner`]. Both are worker-local hash maps — lock-free and
-//! run-to-run deterministic; the parallel frontier gives each worker
-//! its own.
+//! run-to-run deterministic; the explorer's parallel frontier gives each
+//! worker its own seen set.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
+
+use tm_core::StableHasher;
 
 /// The digest seen set of one search walk: a worker-local map that can
 /// be switched off, so the walkers call one `get`/`insert` surface
@@ -52,20 +54,23 @@ impl<K: Hash + Eq, V: Copy> SeenSet<K, V> {
 }
 
 /// Dense interning of configuration keys: the liveness checker's
-/// digest → node-id table. Ids are assigned in first-seen order, so a
-/// traversal with a canonical discovery order (sequential DFS, or the
-/// parallel frontier's deterministic level merge) yields identical ids
-/// regardless of thread count.
+/// digest → node-id table. Ids are assigned in first-seen order, so the
+/// checker's sequential DFS yields identical ids on every run.
+///
+/// The keys are already digests, so the table hashes them with the
+/// word-wise [`StableHasher`] instead of SipHash: one multiply per key
+/// word. Keys are machine-generated states, never input crafted to
+/// collide.
 #[derive(Debug, Default)]
 pub struct Interner<K> {
-    ids: HashMap<K, u32>,
+    ids: HashMap<K, u32, BuildHasherDefault<StableHasher>>,
 }
 
 impl<K: Hash + Eq> Interner<K> {
     /// An empty interner.
     pub fn new() -> Self {
         Interner {
-            ids: HashMap::new(),
+            ids: HashMap::default(),
         }
     }
 

@@ -67,9 +67,11 @@
 //! edges, so the certificate is "no such cycle within the bound", the
 //! standard bounded-model-checking guarantee.
 //! [`LivecheckReport::lasso_starvation_free`] is the resulting per-TM
-//! certificate. The per-process certificates are Tarjan passes over the
-//! read-only recorded graph ([`tm_liveness::certify_cycles`]), run once
-//! after the search.
+//! certificate. After the search the recorded graph is copied once into
+//! a [`tm_liveness::CycleGraph`], and one [`tm_liveness::certify`] call
+//! decides every process's plain and fair verdicts: a Tarjan pass over
+//! the whole graph, then one pass per process and verdict over the edges
+//! inside its strongly connected components.
 //!
 //! # Parasitic processes
 //!
@@ -138,10 +140,13 @@
 //! level-parallel frontier on every measured row, and a per-process SCC
 //! fan-out gained nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
-use tm_core::{digest_of, Event, Invocation, ProcessId};
-use tm_liveness::{classify, detect::lasso_from_cycle, CycleEdge, InfiniteHistory, ProcessClass};
+use tm_core::{digest_of, Event, Invocation, ProcessId, StableHasher};
+use tm_liveness::{
+    classify, detect::lasso_from_cycle, CycleEdge, CycleGraph, InfiniteHistory, ProcessClass,
+};
 use tm_stm::{BoxedTm, SteppedTm, TmPool};
 use tm_telemetry::{Counter, Json, Telemetry, Timer};
 
@@ -328,9 +333,10 @@ pub struct LivecheckReport {
     pub lassos: Vec<LassoFinding>,
     /// Whether findings were dropped by the cap.
     pub truncated: bool,
-    /// Certified per-process cycle-existence verdicts.
+    /// Certified per-process cycle-existence verdicts
+    /// ([`tm_liveness::certify`]).
     pub verdicts: Vec<ProcessCycleVerdicts>,
-    /// Fairness-filtered verdicts ([`tm_liveness::certify_fair_cycles`]):
+    /// Fairness-filtered verdicts (the same [`tm_liveness::certify`] call):
     /// cycle existence restricted to cycles scheduling every live
     /// process infinitely often, separating scheduler-abandoned shapes
     /// (unfair: the plain verdict holds, the fair one does not),
@@ -471,12 +477,17 @@ struct Edge {
     events: [Option<Event>; 2],
 }
 
+/// [`Node::frame`] of a node that is not on the DFS path.
+const OFF_PATH: u32 = u32::MAX;
+
 /// One interned configuration.
-#[derive(Default)]
 struct Node {
     /// Largest remaining budget this node has been expanded with
     /// (`None` = frontier: interned but never expanded).
     budget: Option<usize>,
+    /// Index of this node's frame in [`Search::frames`] while the DFS
+    /// path runs through it, [`OFF_PATH`] otherwise.
+    frame: u32,
     /// Outgoing edges, recorded on first expansion (stepping is
     /// deterministic, so re-expansions would record the same edges).
     edges: Vec<Edge>,
@@ -613,7 +624,6 @@ struct Search<'a> {
     config: &'a LivecheckConfig,
     space: GraphSpace,
     frames: Vec<Frame>,
-    on_path: HashMap<u32, usize>,
     /// Node identity: `(TM digest, clients digest, fault-state key)` —
     /// the same TM/client state under different crash/parasitic masks
     /// has different futures and must be a different node.
@@ -636,7 +646,7 @@ struct Search<'a> {
     crash_injected: u64,
     parasite_injected: u64,
     faults_injected: u64,
-    seen_cycles: HashSet<u64>,
+    seen_cycles: HashSet<u64, BuildHasherDefault<StableHasher>>,
     lassos: Vec<LassoFinding>,
     truncated: bool,
     /// A fork of the root TM plus the scripts, kept only when the
@@ -659,11 +669,20 @@ impl Search<'_> {
         let (id, new) = self.ids.intern(key);
         if new {
             self.nodes.push(Node {
+                budget: None,
+                frame: OFF_PATH,
+                edges: Vec::new(),
                 crashed: self.space.fstate.crashed,
-                ..Node::default()
+                parked_tm: None,
             });
         }
         id
+    }
+
+    /// The frame index of `id` if the DFS path runs through it.
+    fn on_path(&self, id: u32) -> Option<usize> {
+        let frame = self.nodes[id as usize].frame;
+        (frame != OFF_PATH).then_some(frame as usize)
     }
 
     /// The fault transitions available from the current configuration,
@@ -709,7 +728,8 @@ impl Search<'_> {
         let replay = self.reduce && !self.nodes[id as usize].edges.is_empty();
         let record = self.nodes[id as usize].edges.is_empty();
         self.nodes[id as usize].budget = Some(remaining);
-        self.on_path.insert(id, self.frames.len());
+        self.nodes[id as usize].frame =
+            u32::try_from(self.frames.len()).expect("DFS path exceeds u32 frames");
         self.frames.push(Frame {
             history_len: self.space.history.len(),
             sched_len: self.space.sched.len(),
@@ -771,7 +791,7 @@ impl Search<'_> {
             kept
         };
         self.frames.pop();
-        self.on_path.remove(&id);
+        self.nodes[id as usize].frame = OFF_PATH;
         tm
     }
 
@@ -804,7 +824,7 @@ impl Search<'_> {
         }
         let mut tm = Some(tm);
         let mut expanded = false;
-        if let Some(&frame) = self.on_path.get(&child) {
+        if let Some(frame) = self.on_path(child) {
             self.record_cycle(frame);
         } else if remaining > 1 {
             let explored = self.nodes[child as usize]
@@ -825,10 +845,7 @@ impl Search<'_> {
         // graph without re-executing the path to it.
         if self.reduce && !expanded {
             let node = &mut self.nodes[child as usize];
-            if node.edges.is_empty()
-                && node.parked_tm.is_none()
-                && !self.on_path.contains_key(&child)
-            {
+            if node.edges.is_empty() && node.parked_tm.is_none() && node.frame == OFF_PATH {
                 node.parked_tm = tm.take();
             }
         }
@@ -877,7 +894,7 @@ impl Search<'_> {
             });
         }
         debug_assert!(
-            !self.on_path.contains_key(&child),
+            self.on_path(child).is_none(),
             "fault masks grow strictly along edges — a fault edge cannot close a cycle"
         );
         let mut tm = Some(tm);
@@ -897,10 +914,7 @@ impl Search<'_> {
         self.space.fstate = saved;
         if self.reduce && !expanded {
             let node = &mut self.nodes[child as usize];
-            if node.edges.is_empty()
-                && node.parked_tm.is_none()
-                && !self.on_path.contains_key(&child)
-            {
+            if node.edges.is_empty() && node.parked_tm.is_none() && node.frame == OFF_PATH {
                 node.parked_tm = tm.take();
             }
         }
@@ -919,7 +933,7 @@ impl Search<'_> {
                 let mark = self.space.mark(k);
                 self.space.replay(k, &edge.events);
                 self.replayed += 1;
-                if let Some(&frame) = self.on_path.get(&child) {
+                if let Some(frame) = self.on_path(child) {
                     self.record_cycle(frame);
                 } else if remaining > 1 {
                     self.replay_descend(child, remaining);
@@ -990,6 +1004,11 @@ impl Search<'_> {
             // Blocked shape: steps without events. Certified by the SCC
             // pass; there is no event cycle to classify.
             self.eventless_cycles += 1;
+            return;
+        }
+        // Once the cap has dropped a finding no further one can be
+        // stored, so there is no point hashing the cycle.
+        if self.truncated {
             return;
         }
         let sched_cycle = &self.space.sched[frame.sched_len..];
@@ -1075,10 +1094,10 @@ impl Search<'_> {
         // them, so a fault edge can never lie on a cycle — dropping them
         // here (node count preserved) changes no certificate and keeps
         // every SCC at a constant fault state.
-        let graph: Vec<Vec<CycleEdge>> = self
-            .nodes
-            .iter()
-            .map(|node| {
+        let mut graph = CycleGraph::with_capacity(self.nodes.len(), edge_count);
+        for node in &self.nodes {
+            graph.push_node(
+                node.crashed,
                 node.edges
                     .iter()
                     .filter(|e| e.kind == EdgeKind::Step)
@@ -1089,17 +1108,13 @@ impl Search<'_> {
                         committed: e.facts.committed,
                         aborted: e.facts.aborted,
                         tryc: e.facts.tryc,
-                    })
-                    .collect()
-            })
-            .collect();
+                    }),
+            );
+        }
         let telemetry = self.config.telemetry.clone();
         let (verdicts, fair_verdicts) = {
             let _span = telemetry.phase("livecheck", "scc_certify");
-            let verdicts = tm_liveness::certify_cycles(&graph, processes);
-            let crashed: Vec<u64> = self.nodes.iter().map(|n| n.crashed).collect();
-            let fair = tm_liveness::certify_fair_cycles(&graph, &crashed, processes);
-            (verdicts, fair)
+            tm_liveness::certify(&graph, processes)
         };
         let report = LivecheckReport {
             tm,
@@ -1266,7 +1281,6 @@ where
         config,
         space: GraphSpace::new(scripts, config.parasitic, config.telemetry.clone()),
         frames: Vec::new(),
-        on_path: HashMap::new(),
         ids: Interner::new(),
         nodes: Vec::new(),
         pool: TmPool::for_tm(&tm).instrument(&config.telemetry),
@@ -1282,7 +1296,7 @@ where
         crash_injected: 0,
         parasite_injected: 0,
         faults_injected: 0,
-        seen_cycles: HashSet::new(),
+        seen_cycles: HashSet::default(),
         lassos: Vec::new(),
         truncated: false,
         trace_seed: config
