@@ -19,9 +19,9 @@
 //!   from heartbeat gauges (steps/sec, frontier size, dedup hit rate);
 //! * [`explain`] — renders `violation` / `lasso_found` events and their
 //!   adjacent `trace` events as annotated per-step witness timelines;
-//! * [`diff`] — threshold-based regression comparison of two counter
-//!   snapshots or two `BENCH_*.json` artifacts (CI's perf gate; refuses
-//!   cross-`cores` comparisons).
+//! * [`diff`] — threshold-based drift check between two streams'
+//!   counter snapshots (counts only; timing regressions are
+//!   `tmbench compare`'s job).
 //!
 //! The `tm-obs` binary exposes each module as a subcommand (`summary`,
 //! `tail`, `explain`, `diff`). New consumers — the ROADMAP's portfolio

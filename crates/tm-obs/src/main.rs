@@ -6,9 +6,7 @@
 //! tm-obs tail    [FILE|-] [--follow]
 //! tm-obs explain [FILE|-]
 //! tm-obs diff    [--against] BASELINE CANDIDATE
-//!                [--time-threshold PCT] [--ratio-threshold PCT]
 //!                [--count-threshold PCT] [--threshold COL=PCT]
-//!                [--ignore-cores] [--ignore-threads]
 //! ```
 //!
 //! Exit codes: 0 success, 1 gate failure (regression detected or an
@@ -197,22 +195,12 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     let mut paths: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let pct_flag =
-            |it: &mut std::slice::Iter<String>| it.next().and_then(|v| v.parse::<f64>().ok());
         match arg.as_str() {
             "--against" => match it.next() {
                 Some(path) => paths.insert(0, path.clone()),
                 None => return fail("--against needs a baseline path"),
             },
-            "--time-threshold" => match pct_flag(&mut it) {
-                Some(pct) => th.time_pct = pct,
-                None => return fail("--time-threshold needs a percentage"),
-            },
-            "--ratio-threshold" => match pct_flag(&mut it) {
-                Some(pct) => th.ratio_pct = pct,
-                None => return fail("--ratio-threshold needs a percentage"),
-            },
-            "--count-threshold" => match pct_flag(&mut it) {
+            "--count-threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(pct) => th.count_pct = pct,
                 None => return fail("--count-threshold needs a percentage"),
             },
@@ -223,8 +211,6 @@ fn cmd_diff(args: &[String]) -> ExitCode {
                 Some(over) => th.per_column.push(over),
                 None => return fail("--threshold needs COLUMN=PCT"),
             },
-            "--ignore-cores" => th.ignore_cores = true,
-            "--ignore-threads" => th.ignore_threads = true,
             other => paths.push(other.to_string()),
         }
     }
@@ -238,18 +224,14 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => return fail(&e),
     };
-    match diff::diff(&baseline, &candidate, &th) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.is_clean() {
-                println!("OK: {candidate_path} within thresholds of {baseline_path}");
-                ExitCode::SUCCESS
-            } else {
-                println!("FAIL: {candidate_path} regressed against {baseline_path}");
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => fail(&e),
+    let report = diff::diff(&baseline, &candidate, &th);
+    print!("{}", report.render());
+    if report.is_clean() {
+        println!("OK: {candidate_path} within thresholds of {baseline_path}");
+        ExitCode::SUCCESS
+    } else {
+        println!("FAIL: {candidate_path} regressed against {baseline_path}");
+        ExitCode::from(1)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The stepped interface models the paper's asynchronous processes with an
 //! explicit scheduler; the concurrent interface runs real OS threads over
-//! shared atomics, which is what the throughput experiments (PERF1)
-//! measure. A [`ConcurrentTm`] hands out [`Transaction`] handles; aborted
+//! shared atomics, which is what the online certification pipeline (and
+//! tmbench's online workloads) drive. A [`ConcurrentTm`] hands out [`Transaction`] handles; aborted
 //! operations return [`TxAbort`] and the caller retries (usually via
 //! [`atomically`]).
 

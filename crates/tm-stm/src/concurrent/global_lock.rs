@@ -2,8 +2,7 @@
 //!
 //! The Amdahl's-law baseline of the paper's footnote 1: perfectly simple,
 //! never aborts, and serializes everything — its throughput is flat (or
-//! worse) as threads are added, which the PERF1 benchmark demonstrates
-//! against TL2 and NOrec.
+//! worse) as threads are added, unlike TL2's and NOrec's.
 
 use parking_lot::{Mutex, MutexGuard};
 use tm_core::{TVarId, Value, INITIAL_VALUE};

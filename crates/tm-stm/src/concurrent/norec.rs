@@ -4,7 +4,7 @@
 //! publishing) and value-based validation (Dalessandro, Spear, Scott;
 //! PPoPP 2010). No per-location metadata at all — the antithesis of TL2's
 //! per-variable versioned locks, which makes it the second point on the
-//! conflict-granularity axis in the PERF1 benchmark.
+//! conflict-granularity axis.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

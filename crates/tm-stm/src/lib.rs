@@ -22,7 +22,7 @@
 //! | [`Dstm`] | §3.2.3 \[14\] | obstruction-free, livelocks under contention |
 //!
 //! **Concurrent** ([`concurrent`]) — thread-driven forms of the global
-//! lock, TL2 and NOrec on real atomics, for the throughput benchmarks.
+//! lock, TL2 and NOrec on real atomics, for online certification.
 //!
 //! ```
 //! use tm_core::{Invocation, ProcessId, Response, TVarId};

@@ -1,15 +1,14 @@
 //! A minimal JSON value: serializer and parser, with no dependencies.
 //!
-//! This is the single serializer behind every machine-readable artifact
-//! the workspace emits — the telemetry NDJSON event stream and the
-//! `BENCH_*.json` benchmark artifacts (re-exported by the `bench`
-//! crate) — so their formats cannot drift apart. The parser exists for
-//! the consumers: the NDJSON validation tests and the future portfolio
-//! orchestrator, which must read verdict/heartbeat events back.
+//! This is the single serializer behind every machine-readable output
+//! of the workspace — the telemetry NDJSON event stream and tmbench's
+//! result lines — so their formats cannot drift apart. The parser
+//! exists for the consumers: `tm-obs`, the NDJSON validation tests and
+//! `tmbench compare`, which read those lines back.
 
-/// Minimal JSON value for machine-readable artifacts (`BENCH_*.json`,
-/// the telemetry NDJSON stream), so output plumbing and validation need
-/// no serialization dependency.
+/// Minimal JSON value for machine-readable output (the telemetry NDJSON
+/// stream, tmbench's result lines), so output plumbing and validation
+/// need no serialization dependency.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// The null value.

@@ -4,7 +4,7 @@
 //!
 //! The checkers prune aggressively (DPOR, dedup-DAG, parallel
 //! frontiers) but used to be opaque while running: the only outputs
-//! were the final report and the bench JSON. This crate is the
+//! was the final report. This crate is the
 //! observability layer threaded through the whole stack —
 //! `tm_sim::engine` (frontier splits, worker steps, memo hits/misses,
 //! DPOR races, wakeup-tree inserts), both checkers (phase spans, schedule
@@ -26,7 +26,7 @@
 //!
 //! * [`Telemetry::off`] — the no-op default (what `Default` returns);
 //! * [`Telemetry::counters`] — in-memory counters only, for
-//!   [`Telemetry::snapshot`] assertions in tests and benches;
+//!   [`Telemetry::snapshot`] assertions in tests and tmbench;
 //! * [`Telemetry::to_stderr`] / [`Telemetry::to_path`] — counters plus
 //!   the NDJSON event stream;
 //! * [`Telemetry::from_env`] — the CLI entry point: `TM_TELEMETRY=path`
@@ -121,8 +121,8 @@
 //! reports and a TM × config verdict matrix), `tm-obs tail` (live
 //! single-line progress rendered from heartbeats), `tm-obs explain`
 //! (annotated per-step witness timelines from `trace` events) and
-//! `tm-obs diff` (threshold-based regression comparison of counter
-//! snapshots and `BENCH_*.json` artifacts; CI's perf gate). New
+//! `tm-obs diff` (threshold-based drift check between two streams'
+//! counter snapshots). New
 //! consumers — the portfolio service above all — should build on
 //! `tm_obs::event` rather than re-parsing lines by hand.
 //!

@@ -1,7 +1,7 @@
 //! Round-trip property tests for `tm_telemetry::Json` — the single
 //! serializer behind both wire formats (the NDJSON event stream and
-//! the `BENCH_*.json` artifacts) and now also the substrate of the
-//! tm-obs consumer's parser.
+//! tmbench's result lines) and the substrate of the tm-obs consumer's
+//! parser.
 //!
 //! The property: for every document, `parse(display(doc))` equals
 //! `quantize(doc)`, where quantization is the one lossy step the

@@ -25,8 +25,8 @@
 //!   schema and the counter-semantics contract);
 //! * [`obs`] — the consumer side of that stream: a typed
 //!   forward-compatible parser plus run summaries, live progress,
-//!   witness timelines and the `BENCH_*.json` regression diff behind
-//!   the `tm-obs` binary.
+//!   witness timelines and the counter-snapshot diff behind the
+//!   `tm-obs` binary.
 //!
 //! ## Quickstart
 //!

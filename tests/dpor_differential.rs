@@ -111,6 +111,33 @@ fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
 }
 
 #[test]
+fn optimal_dpor_runs_ten_times_fewer_schedules_on_fgp_at_three_processes() {
+    // The reduction's headline floor on the paper's TM: at 3 processes,
+    // depth 8, the wakeup-tree walk executes at least 10× fewer
+    // schedules than the exhaustive walk (3^8 = 6561), same verdict.
+    let factory = || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm;
+    let scripts = vec![
+        ClientScript::increment(X),
+        ClientScript::increment(X),
+        ClientScript::read_both(X, Y),
+    ];
+    let plain = explore_with(factory, &scripts, &ExploreConfig::new(8).sequential());
+    let optimal = explore_with(
+        factory,
+        &scripts,
+        &ExploreConfig::new(8).sequential().with_optimal_dpor(),
+    );
+    assert_eq!(plain.schedules, 6561);
+    assert_eq!(plain.all_opaque(), optimal.all_opaque());
+    assert!(
+        optimal.schedules * 10 <= plain.schedules,
+        "optimal DPOR ran {} of {} schedules: less than a 10x reduction",
+        optimal.schedules,
+        plain.schedules
+    );
+}
+
+#[test]
 fn conservative_oracles_degenerate_to_report_identical_full_exploration() {
     // The global-lock TM's audited oracle conflicts on every pair of
     // steps, so the DPOR walk must visit every schedule and reproduce

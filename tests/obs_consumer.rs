@@ -7,15 +7,15 @@
 //!   emitted from the same snapshot, verbatim);
 //! * `explain` must render annotated witness timelines for a real
 //!   opacity violation and a real starving lasso;
-//! * `diff` must pass the checked-in `BENCH_*.json` artifacts against
-//!   themselves and fail a synthetically regressed copy.
+//! * `diff` must pass two identical live streams, flag the counter drift
+//!   of a deeper bound, and refuse a stream without a counter snapshot.
 
 use tm_automata::FgpVariant;
 use tm_core::TVarId;
 use tm_liveness_repro::obs::{diff, explain, summary};
 use tm_sim::{explore_with, livecheck, ClientScript, ExploreConfig, LivecheckConfig, PlannedOp};
 use tm_stm::{BoxedTm, FgpTm, GlobalLock, NOrec, Tl2};
-use tm_telemetry::{Json, Telemetry};
+use tm_telemetry::Telemetry;
 
 const X: TVarId = TVarId(0);
 
@@ -28,6 +28,30 @@ fn contended() -> Vec<ClientScript> {
 
 fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tm_obs_{name}_{}.ndjson", std::process::id()))
+}
+
+/// Runs `check` against a fresh file-backed handle (so the captured
+/// snapshot is exactly what the run's counter_snapshot event carried)
+/// and returns the run's stream, its nonzero counters and its headline.
+fn streamed(
+    name: &str,
+    check: impl FnOnce(&Telemetry) -> bool,
+) -> (String, Vec<(String, i64)>, bool) {
+    let path = temp(name);
+    let (counters, ok) = {
+        let telemetry = Telemetry::to_path(&path).expect("open stream");
+        let ok = check(&telemetry);
+        let counters = telemetry
+            .snapshot()
+            .nonzero()
+            .iter()
+            .map(|&(counter, v)| (counter.to_string(), i64::try_from(v).unwrap_or(i64::MAX)))
+            .collect();
+        (counters, ok)
+    };
+    let stream = std::fs::read_to_string(&path).expect("read stream");
+    std::fs::remove_file(&path).ok();
+    (stream, counters, ok)
 }
 
 #[test]
@@ -48,45 +72,46 @@ fn summary_counters_are_byte_identical_to_engine_snapshots() {
     let mut stream = String::new();
     let mut engine_truth = Vec::new();
     for (name, factory) in &catalog {
-        // One fresh handle (and file) per run: the captured Snapshot is
-        // then exactly what the run's counter_snapshot event carried.
-        let path = temp(&format!("summary_{name}"));
-        let report = {
-            let telemetry = Telemetry::to_path(&path).expect("open stream");
-            let config = LivecheckConfig::new(10).with_telemetry(&telemetry);
+        let (run, counters, starvation_free) = streamed(&format!("summary_{name}"), |telemetry| {
+            let config = LivecheckConfig::new(10).with_telemetry(telemetry);
             let report = livecheck(&**factory, &contended(), &config);
-            engine_truth.push((
-                telemetry.snapshot().nonzero(),
-                report.lasso_starvation_free(),
-            ));
-            report
-        };
-        assert_eq!(report.rejected_cycles, 0, "{name}");
-        stream.push_str(&std::fs::read_to_string(&path).expect("read stream"));
-        std::fs::remove_file(&path).ok();
+            assert_eq!(report.rejected_cycles, 0, "{name}");
+            report.lasso_starvation_free()
+        });
+        stream.push_str(&run);
+        engine_truth.push(("livecheck", *name, counters, starvation_free));
     }
+    // Explorer streams pass through the same consumer: one sequential
+    // optimal-DPOR run, the production reduced walker.
+    let (run, counters, all_opaque) = streamed("summary_explore", |telemetry| {
+        explore_with(
+            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
+            &contended(),
+            &ExploreConfig::new(8)
+                .sequential()
+                .with_optimal_dpor()
+                .with_telemetry(telemetry),
+        )
+        .all_opaque()
+    });
+    stream.push_str(&run);
+    engine_truth.push(("explore", "fgp", counters, all_opaque));
 
     let summary = summary::summarize(&stream).expect("summarize");
-    assert_eq!(summary.runs.len(), catalog.len());
+    assert_eq!(summary.runs.len(), engine_truth.len());
     assert_eq!(summary.unknown_events, 0);
     assert!(summary.all_runs_have_verdicts());
-    for (run, ((name, _), (snapshot, starvation_free))) in
-        summary.runs.iter().zip(catalog.iter().zip(&engine_truth))
-    {
-        assert_eq!(run.engine, "livecheck");
+    for (run, (engine, name, counters, ok)) in summary.runs.iter().zip(&engine_truth) {
+        assert_eq!(run.engine, *engine);
         assert_eq!(run.tm, *name);
         assert_eq!(run.counter_label.as_deref(), Some(*name));
         // Byte-identical: the summarized table is the engine snapshot —
         // same counters, same order, same values.
-        let expected: Vec<(String, i64)> = snapshot
-            .iter()
-            .map(|&(counter, v)| (counter.to_string(), i64::try_from(v).unwrap_or(i64::MAX)))
-            .collect();
-        assert_eq!(run.counters, expected, "{name}: summary diverged");
+        assert_eq!(&run.counters, counters, "{engine}/{name}: summary diverged");
         assert_eq!(
             run.verdict.as_ref().and_then(|v| v.ok),
-            Some(*starvation_free),
-            "{name}: verdict headline diverged"
+            Some(*ok),
+            "{engine}/{name}: verdict headline diverged"
         );
     }
 
@@ -147,71 +172,47 @@ fn explain_renders_live_witness_timelines() {
     assert!(report.contains("suffix repeats"), "{report}");
 }
 
-/// Scales every float under a key ending in `_ms` — a synthetic
-/// slowdown that the diff gate must catch.
-fn slow_down(value: &mut Json) {
-    match value {
-        Json::Obj(pairs) => {
-            for (key, v) in pairs {
-                if key.ends_with("_ms") {
-                    if let Json::Num(x) = v {
-                        *x *= 100.0;
-                    }
-                }
-                slow_down(v);
-            }
-        }
-        Json::Arr(items) => items.iter_mut().for_each(slow_down),
-        _ => {}
-    }
-}
-
 #[test]
-fn diff_gates_the_checked_in_bench_artifacts() {
+fn diff_flags_counter_drift_between_live_streams() {
+    let livecheck_stream = |name: &str, depth: usize| {
+        streamed(name, |telemetry| {
+            let config = LivecheckConfig::new(depth).with_telemetry(telemetry);
+            livecheck(
+                || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
+                &contended(),
+                &config,
+            )
+            .lasso_starvation_free()
+        })
+        .0
+    };
+    let load = |stream: &str| diff::DiffInput::load(stream).expect("stream has a snapshot");
     let thresholds = diff::Thresholds::default();
-    for name in ["BENCH_explorer.json", "BENCH_livecheck.json"] {
-        let text = std::fs::read_to_string(format!("{}/{name}", env!("CARGO_MANIFEST_DIR")))
-            .expect("checked-in artifact");
-        let baseline = diff::DiffInput::load(&text).expect("load artifact");
+    let baseline_stream = livecheck_stream("diff_a", 10);
+    let baseline = load(&baseline_stream);
 
-        // Self-diff is clean: the artifact passes its own gate.
-        let report = diff::diff(&baseline, &baseline, &thresholds).expect("diff");
-        assert!(report.is_clean(), "{name} self-diff regressed: {report:?}");
-        assert!(report.compared > 0, "{name}: nothing compared");
+    // Two runs of the same check count the same work.
+    let report = diff::diff(
+        &baseline,
+        &load(&livecheck_stream("diff_b", 10)),
+        &thresholds,
+    );
+    assert!(report.is_clean(), "identical runs drifted: {report:?}");
+    assert!(report.compared > 0, "nothing compared");
 
-        // A 100× slowdown in every *_ms column must trip the gate.
-        let mut regressed = Json::parse(&text).expect("artifact parses");
-        slow_down(&mut regressed);
-        let candidate = diff::DiffInput::load(&regressed.to_string()).expect("load regressed");
-        let report = diff::diff(&baseline, &candidate, &thresholds).expect("diff");
-        assert!(!report.is_clean(), "{name}: regression not detected");
-        assert!(
-            report.regressions.iter().any(|r| r.contains("_ms")),
-            "{name}: no _ms regression reported: {report:?}"
-        );
+    // A deeper bound explores more: the drift is reported.
+    let report = diff::diff(
+        &baseline,
+        &load(&livecheck_stream("diff_deep", 16)),
+        &thresholds,
+    );
+    assert!(!report.is_clean(), "deeper bound reported no drift");
 
-        // Cross-machine comparisons are refused unless overridden. The
-        // foreign copy claims a core count the artifact does not have.
-        let cores = Json::parse(&text)
-            .expect("artifact parses")
-            .get("cores")
-            .and_then(Json::as_int)
-            .expect("artifact records cores");
-        let other_cores = text.replacen(
-            &format!("\"cores\":{cores}"),
-            &format!("\"cores\":{}", cores + 64),
-            1,
-        );
-        let foreign = diff::DiffInput::load(&other_cores).expect("load foreign");
-        assert!(
-            diff::diff(&baseline, &foreign, &thresholds).is_err(),
-            "{name}: cross-cores diff must be refused"
-        );
-        let waived = diff::Thresholds {
-            ignore_cores: true,
-            ..Default::default()
-        };
-        let report = diff::diff(&baseline, &foreign, &waived).expect("waived diff");
-        assert!(report.is_clean(), "{name}: cores waiver should pass");
-    }
+    // A stream cut before its counter_snapshot (a producer that died
+    // mid-run) has nothing to compare: loading it is an error.
+    let cut = baseline_stream
+        .find("\"counter_snapshot\"")
+        .and_then(|at| baseline_stream[..at].rfind('\n'))
+        .expect("the stream carries a snapshot after its run_start");
+    assert!(diff::DiffInput::load(&baseline_stream[..=cut]).is_err());
 }
