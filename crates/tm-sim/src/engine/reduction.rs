@@ -55,6 +55,32 @@
 //! step executes* (counted redundant). The walk thus never starts a
 //! schedule it then abandons.
 //!
+//! # Bookkeeping cost
+//!
+//! The walk runs race detection at every node for every process, so the
+//! trace bookkeeping is kept proportional to the steps that can still
+//! race rather than to the depth:
+//!
+//! - **Causal floor.** [`HbTrace`] keeps, per process, the trace indices
+//!   of its steps. The clock of `k`'s last step counts, for each other
+//!   process `p`, how many of `p`'s steps are in `k`'s causal past; the
+//!   index of `p`'s next step after those, minimised over `p ≠ k`, is
+//!   `k`'s causal floor. Every step below it is `k`'s own or already
+//!   happens-before `k`'s next step, so [`OptimalDpor::detect_races`]
+//!   scans newest-first from the trace end down to the floor only (races
+//!   are still visited newest-first, so insertion order is unchanged),
+//!   and [`HbTrace::push`] starts its clock join at the floor of `k`'s
+//!   previous step.
+//! - **Dominance skip.** [`HbTrace::push`] scans newest-first and skips
+//!   every step whose own component the clock being built already
+//!   covers: that step happens-before one already joined.
+//! - **Allocation.** Each reversal sequence is built in one scratch
+//!   buffer owned by [`OptimalDpor`], the weak-initials guard reads it in
+//!   place, and [`WakeupTree::insert`] consumes steps by rotating them
+//!   out of a shrinking slice. A race allocates only when its sequence
+//!   is appended as a fresh chain. Next-step footprints are stored once
+//!   per path node, `n` wide, and read from there by the walk.
+//!
 //! The graph search's transition memoization (execute each state-graph
 //! edge once, replay re-walks) is the liveness checker's analogue; it
 //! lives with the graph structures in [`crate::livecheck`].
@@ -86,12 +112,15 @@ pub(crate) struct TraceStep {
     pub(crate) foot: StepFootprint,
     /// 1-based count of this process's steps up to and including this one.
     local_index: u32,
-    /// The process's previous step's trace index (restored on pop).
-    prev_of_proc: Option<u32>,
 }
 
 /// The executed trace riding along the depth-first walk, with vector
 /// clocks over the conflict relation (happens-before).
+///
+/// Besides the clocks it keeps, per process, the trace indices of that
+/// process's steps; with the clocks they give each process's causal
+/// floor ([`HbTrace::causal_floor`]), below which neither the clock join
+/// nor the race scan looks (module docs, "Bookkeeping cost").
 #[derive(Debug)]
 pub(crate) struct HbTrace {
     n: usize,
@@ -99,8 +128,9 @@ pub(crate) struct HbTrace {
     /// Flat vector-clock matrix: `clocks[i * n + q]` = how many of
     /// process `q`'s steps happen before (or are) step `i`.
     clocks: Vec<u32>,
-    /// Per-process trace index of the last executed step.
-    last_of: Vec<Option<u32>>,
+    /// Per-process trace indices of its executed steps, in order:
+    /// `of_proc[p][c]` is the index of `p`'s `(c + 1)`-th step.
+    of_proc: Vec<Vec<u32>>,
     /// Reversible races detected over this instance's lifetime
     /// (telemetry tally, flushed per worker as [`Counter::DporRaces`]).
     ///
@@ -114,14 +144,40 @@ impl HbTrace {
             n,
             steps: Vec::new(),
             clocks: Vec::new(),
-            last_of: vec![None; n],
+            of_proc: vec![Vec::new(); n],
             races: 0,
         }
+    }
+
+    /// The smallest trace index that may hold a step unordered with the
+    /// next step of `k` (see the type docs): every step below it is
+    /// `k`'s own or in the causal past of `k`'s last step. `0` when `k`
+    /// has not stepped yet; the trace length when nothing is unordered.
+    fn causal_floor(&self, k: usize) -> usize {
+        let Some(&last) = self.of_proc[k].last() else {
+            return 0;
+        };
+        let row = &self.clocks[last as usize * self.n..][..self.n];
+        let mut floor = self.steps.len();
+        for (p, (&seen, idx)) in row.iter().zip(&self.of_proc).enumerate() {
+            if p != k {
+                if let Some(&next) = idx.get(seen as usize) {
+                    floor = floor.min(next as usize);
+                }
+            }
+        }
+        floor
     }
 
     /// Records the execution of one step by `k` with footprint `foot`:
     /// its clock is the join of the process's previous clock and the
     /// clocks of every earlier conflicting step, plus itself.
+    ///
+    /// The join scans newest-first from the causal floor of `k`'s
+    /// previous step (older steps are already folded into that step's
+    /// clock) and skips every step whose own component the clock being
+    /// built already covers: such a step happens-before one already
+    /// joined, so its row cannot raise the clock.
     ///
     /// Kept out of line: inlined into the recursive `walk_optimal`, it
     /// enlarges every frame of the walk, which measurably slows it.
@@ -130,40 +186,36 @@ impl HbTrace {
         let n = self.n;
         let i = self.steps.len();
         let base = self.clocks.len();
-        match self.last_of[k] {
-            Some(p) => {
-                let row = p as usize * n;
-                for q in 0..n {
-                    let c = self.clocks[row + q];
-                    self.clocks.push(c);
-                }
+        let floor = self.causal_floor(k);
+        match self.of_proc[k].last() {
+            Some(&prev) => {
+                let row = prev as usize * n;
+                self.clocks.extend_from_within(row..row + n);
             }
             None => self.clocks.resize(base + n, 0),
         }
-        for j in 0..i {
-            if self.steps[j].foot.conflicts(&foot) {
-                let row = j * n;
-                for q in 0..n {
-                    if self.clocks[row + q] > self.clocks[base + q] {
-                        self.clocks[base + q] = self.clocks[row + q];
-                    }
-                }
+        let (past, clock) = self.clocks.split_at_mut(base);
+        for (j, step) in self.steps.iter().enumerate().skip(floor).rev() {
+            if clock[step.proc as usize] >= step.local_index || !step.foot.conflicts(&foot) {
+                continue;
+            }
+            for (c, &r) in clock.iter_mut().zip(&past[j * n..(j + 1) * n]) {
+                *c = (*c).max(r);
             }
         }
-        let local_index = self.last_of[k].map_or(0, |p| self.steps[p as usize].local_index) + 1;
-        self.clocks[base + k] = local_index;
+        let local_index = u32::try_from(self.of_proc[k].len() + 1).expect("trace fits u32");
+        clock[k] = local_index;
         self.steps.push(TraceStep {
             proc: u8::try_from(k).expect("≤ 64 processes"),
             foot,
             local_index,
-            prev_of_proc: self.last_of[k],
         });
-        self.last_of[k] = Some(u32::try_from(i).expect("trace fits u32"));
+        self.of_proc[k].push(u32::try_from(i).expect("trace fits u32"));
     }
 
     pub(crate) fn pop(&mut self) {
         let step = self.steps.pop().expect("pop matches push");
-        self.last_of[step.proc as usize] = step.prev_of_proc;
+        self.of_proc[step.proc as usize].pop();
         self.clocks.truncate(self.steps.len() * self.n);
     }
 
@@ -178,9 +230,9 @@ impl HbTrace {
         if self.steps[i].proc as usize == q {
             return true;
         }
-        match self.last_of[q] {
+        match self.of_proc[q].last() {
             None => false,
-            Some(l) => {
+            Some(&l) => {
                 self.clocks[l as usize * self.n + self.steps[i].proc as usize]
                     >= self.steps[i].local_index
             }
@@ -258,14 +310,18 @@ impl WakeupTree {
     /// remainder as a fresh chain when no child accepts; report
     /// subsumption (`false`) when an existing branch ends first or the
     /// sequence is consumed entirely.
-    pub(crate) fn insert(&mut self, v: Vec<WakeupStep>) -> bool {
+    ///
+    /// `v` is scratch: a consumed occurrence is rotated past the end of
+    /// the slice the descent goes on with, so only an appended chain
+    /// allocates.
+    pub(crate) fn insert(&mut self, v: &mut [WakeupStep]) -> bool {
         self.insert_from(v, false)
     }
 
-    fn insert_from(&mut self, v: Vec<WakeupStep>, interior: bool) -> bool {
-        if v.is_empty() {
+    fn insert_from(&mut self, v: &mut [WakeupStep], interior: bool) -> bool {
+        let Some((head, tail)) = v.split_first() else {
             return false; // consumed: an existing branch covers it
-        }
+        };
         if interior && self.edges.is_empty() {
             // End of an existing branch with steps left over: the
             // branch's own exploration (free seeding plus its own race
@@ -275,10 +331,10 @@ impl WakeupTree {
         for i in 0..self.edges.len() {
             let edge = &self.edges[i];
             if let Some(pos) = v.iter().position(|s| s.proc == edge.proc) {
-                if is_initial(&v, pos) {
-                    let mut rest = v;
-                    rest.remove(pos);
-                    return self.edges[i].sub.insert_from(rest, true);
+                if is_initial(v, pos) {
+                    v[pos..].rotate_left(1);
+                    let rest = v.len() - 1;
+                    return self.edges[i].sub.insert_from(&mut v[..rest], true);
                 }
                 // The label's process occurs in v but is not an initial:
                 // this branch cannot host the reversal; try the next.
@@ -290,16 +346,20 @@ impl WakeupTree {
         // is distinct from every sibling label (a matching label would
         // have consumed it as an initial above), keeping labels unique.
         let mut sub = WakeupTree::default();
-        for s in v.into_iter().rev() {
-            let mut wrap = WakeupTree::default();
-            wrap.edges.push(WakeupEdge {
-                proc: s.proc,
-                foot: s.foot,
-                sub,
-            });
-            sub = wrap;
+        for s in tail.iter().rev() {
+            sub = WakeupTree {
+                edges: vec![WakeupEdge {
+                    proc: s.proc,
+                    foot: s.foot,
+                    sub,
+                }],
+            };
         }
-        self.edges.append(&mut sub.edges);
+        self.edges.push(WakeupEdge {
+            proc: head.proc,
+            foot: head.foot,
+            sub,
+        });
         true
     }
 
@@ -351,8 +411,14 @@ pub(crate) struct OptimalDpor {
     /// branches only; the edge being explored is popped).
     wuts: Vec<WakeupTree>,
     /// Flat per-node footprints: `feet[node * n + q]` is process `q`'s
-    /// next-step footprint at that node.
+    /// next-step footprint at that node. A node's footprints are pushed
+    /// before its race detection, so they run one node ahead of
+    /// `sleeps` and `wuts` while the node is being entered.
     feet: Vec<StepFootprint>,
+    /// The reversal sequence under construction: one buffer reused by
+    /// every race, so a race allocates only when its sequence is
+    /// appended to a wakeup tree as a fresh chain.
+    reversal: Vec<WakeupStep>,
     /// Reversal sequences inserted into wakeup trees (telemetry tally).
     pub(crate) inserts: u64,
     /// Reversals proved covered: rejected by the weak-initial sleep
@@ -360,6 +426,10 @@ pub(crate) struct OptimalDpor {
     /// head — state-dependent footprints make the insertion-time guard
     /// conservative, so coverage can surface late (telemetry tally).
     pub(crate) redundant: u64,
+    /// Every race handled, in order: the racing trace index and whether
+    /// its reversal was inserted (the oracle tests' view of the scan).
+    #[cfg(test)]
+    log: Vec<(usize, bool)>,
 }
 
 impl OptimalDpor {
@@ -370,24 +440,44 @@ impl OptimalDpor {
             sleeps: Vec::new(),
             wuts: Vec::new(),
             feet: Vec::new(),
+            reversal: Vec::new(),
             inserts: 0,
             redundant: 0,
+            #[cfg(test)]
+            log: Vec::new(),
         }
     }
 
-    /// Enters a node at depth `sleeps.len()`: records its sleep set,
-    /// pending wakeup tree, and next-step footprints.
-    pub(crate) fn push_node(&mut self, sleep: u64, wut: WakeupTree, feet: &[StepFootprint]) {
-        debug_assert_eq!(feet.len(), self.n);
+    /// Records the next-step footprints of the node being entered (at
+    /// depth `core.steps.len()`), one per process.
+    pub(crate) fn push_feet(&mut self, feet: impl IntoIterator<Item = StepFootprint>) {
+        self.feet.extend(feet);
+        debug_assert_eq!(self.feet.len(), (self.core.steps.len() + 1) * self.n);
+    }
+
+    /// Drops the footprints of a node left before [`Self::push_node`].
+    pub(crate) fn pop_feet(&mut self) {
+        self.feet.truncate(self.feet.len() - self.n);
+    }
+
+    /// The next-step footprints at the node at `depth`.
+    pub(crate) fn feet(&self, depth: usize) -> &[StepFootprint] {
+        &self.feet[depth * self.n..][..self.n]
+    }
+
+    /// Enters a node at depth `sleeps.len()`, whose footprints
+    /// [`Self::push_feet`] recorded: records its sleep set and pending
+    /// wakeup tree.
+    pub(crate) fn push_node(&mut self, sleep: u64, wut: WakeupTree) {
+        debug_assert_eq!(self.feet.len(), (self.sleeps.len() + 1) * self.n);
         self.sleeps.push(sleep);
         self.wuts.push(wut);
-        self.feet.extend_from_slice(feet);
     }
 
     pub(crate) fn pop_node(&mut self) {
         self.sleeps.pop().expect("pop matches push");
         self.wuts.pop();
-        self.feet.truncate(self.feet.len() - self.n);
+        self.pop_feet();
     }
 
     /// Marks `k` explored at the node at `depth` (joins its sleep set).
@@ -395,16 +485,57 @@ impl OptimalDpor {
         self.sleeps[depth] |= 1 << k;
     }
 
+    /// The sleep set a child of the node at `depth` inherits when `k`
+    /// steps there: a sleeper stays asleep only while its next step is
+    /// independent of the step just taken.
+    pub(crate) fn child_sleep(&self, depth: usize, sleep: u64, k: usize) -> u64 {
+        let feet = self.feet(depth);
+        let mut child = 0u64;
+        for (q, foot) in feet.iter().enumerate() {
+            if sleep & (1 << q) != 0 && !foot.conflicts(&feet[k]) {
+                child |= 1 << q;
+            }
+        }
+        child
+    }
+
     pub(crate) fn wut_is_empty(&self, depth: usize) -> bool {
         self.wuts[depth].is_empty()
     }
 
-    pub(crate) fn seed(&mut self, depth: usize, proc: u8, foot: StepFootprint) {
-        self.wuts[depth].seed(proc, foot);
+    /// Seeds the node at `depth` with a free step by `proc`.
+    pub(crate) fn seed(&mut self, depth: usize, proc: usize) {
+        let foot = self.feet(depth)[proc];
+        self.wuts[depth].seed(u8::try_from(proc).expect("≤ 64 processes"), foot);
     }
 
     pub(crate) fn pop_edge(&mut self, depth: usize) -> Option<WakeupEdge> {
         self.wuts[depth].pop_first()
+    }
+
+    /// Race detection at the node being entered, for *every* process's
+    /// next step, leaves included: at the depth frontier the conflicting
+    /// "second" step never executes, so detection keyed on executed
+    /// steps alone would miss reversals that only differ in the final
+    /// steps of the bounded window. Incremental: a process that did not
+    /// just step and whose footprint is unchanged since the parent node
+    /// has all its races against older steps already handled there (its
+    /// clock is unchanged too), so only the newest trace step needs
+    /// checking. The other processes — the one that stepped and any
+    /// whose footprint changed with the state — rescan from their causal
+    /// floor. Reversal sequences insert into *ancestor* nodes' wakeup
+    /// trees; the node's own tree is pushed after detection.
+    pub(crate) fn detect_node_races(&mut self) {
+        let len = self.core.steps.len();
+        let Some(last) = self.core.steps.last() else {
+            return;
+        };
+        let last_proc = last.proc as usize;
+        for q in 0..self.n {
+            let foot = self.feet(len)[q];
+            let rescan = q == last_proc || self.feet(len - 1)[q] != foot;
+            self.detect_races(q, &foot, if rescan { 0 } else { len - 1 });
+        }
     }
 
     /// Race detection for the next step of process `k` (footprint
@@ -414,40 +545,49 @@ impl OptimalDpor {
     /// insert it into the racing node's wakeup tree unless the
     /// weak-initial sleep guard proves it covered.
     ///
-    /// Callers pass `lo = 0` for a full scan, or `lo = len - 1` to check
-    /// only the step just executed: a race handled at an ancestor stays
-    /// handled, because an initial of the shorter reversed continuation
-    /// remains an initial of every extension (new events by other
-    /// processes cannot become happens-before predecessors of it), so
-    /// only the *new* step needs checking when neither `k`'s footprint
-    /// nor its clock changed.
+    /// The scan runs newest-first over `max(lo, floor)..`, where `floor`
+    /// is `k`'s causal floor: no step below it can race with `k`. Callers
+    /// pass `lo = 0` for a full scan, or `lo = len - 1` to check only the
+    /// step just executed: a race handled at an ancestor stays handled,
+    /// because an initial of the shorter reversed continuation remains an
+    /// initial of every extension (new events by other processes cannot
+    /// become happens-before predecessors of it), so only the *new* step
+    /// needs checking when neither `k`'s footprint nor its clock changed.
     pub(crate) fn detect_races(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
         let len = self.core.steps.len();
-        for e in (lo..len).rev() {
+        let from = lo.max(self.core.causal_floor(k));
+        for e in (from..len).rev() {
             let step = &self.core.steps[e];
             if step.proc as usize == k || !step.foot.conflicts(fp) || self.core.hb_to_next(e, k) {
                 continue;
             }
             self.core.races += 1;
-            let mut v: Vec<WakeupStep> = (e + 1..len)
-                .filter(|&j| !self.core.hb_steps(e, j))
-                .map(|j| WakeupStep {
-                    proc: self.core.steps[j].proc,
-                    foot: self.core.steps[j].foot,
-                })
-                .collect();
-            v.push(WakeupStep {
+            let core = &self.core;
+            self.reversal.clear();
+            self.reversal
+                .extend(
+                    (e + 1..len)
+                        .filter(|&j| !core.hb_steps(e, j))
+                        .map(|j| WakeupStep {
+                            proc: core.steps[j].proc,
+                            foot: core.steps[j].foot,
+                        }),
+                );
+            self.reversal.push(WakeupStep {
                 proc: u8::try_from(k).expect("≤ 64 processes"),
                 foot: *fp,
             });
-            let wi = self.weak_initials(e, &v);
-            if wi & self.sleeps[e] != 0 {
-                self.redundant += 1; // an explored or sleeping branch covers it
-            } else if self.wuts[e].insert(v) {
+            // Redundant when an explored or sleeping branch covers it
+            // (the guard) or a pending branch subsumes it (the insertion).
+            let inserted = self.weak_initials(e, &self.reversal) & self.sleeps[e] == 0
+                && self.wuts[e].insert(&mut self.reversal);
+            if inserted {
                 self.inserts += 1;
             } else {
-                self.redundant += 1; // subsumed by a pending branch
+                self.redundant += 1;
             }
+            #[cfg(test)]
+            self.log.push((e, inserted));
         }
     }
 
@@ -478,5 +618,281 @@ impl OptimalDpor {
             }
         }
         wi
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Naive oracles for the reduction bookkeeping: seeded random walks
+    //! push and pop steps and nodes on a production [`OptimalDpor`] and
+    //! on an oracle twin whose race detection is a naive full scan over
+    //! a transitive-closure happens-before relation, with the reversal
+    //! built in a fresh `Vec` and inserted by `Vec::remove`.
+
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random_foot(rng: &mut StdRng) -> StepFootprint {
+        match rng.gen_range(0..8u8) {
+            0 => StepFootprint::global(),
+            1 => StepFootprint::local(),
+            _ => StepFootprint {
+                var_reads: rng.gen_range(0..8u64),
+                var_writes: rng.gen_range(0..8u64) & rng.gen_range(0..8u64),
+                global_read: rng.gen_bool(0.2),
+                global_write: rng.gen_bool(0.1),
+                ends: rng.gen_bool(0.3),
+                begins: rng.gen_bool(0.3),
+            },
+        }
+    }
+
+    /// `preds[i]`: the bitset of trace steps that happen before step
+    /// `i`, as the transitive closure of program order and conflicts.
+    fn naive_preds(steps: &[TraceStep]) -> Vec<u64> {
+        let mut preds: Vec<u64> = Vec::with_capacity(steps.len());
+        for (i, s) in steps.iter().enumerate() {
+            let mut p = 0u64;
+            for (j, t) in steps[..i].iter().enumerate() {
+                if t.proc == s.proc || t.foot.conflicts(&s.foot) {
+                    p |= preds[j] | 1 << j;
+                }
+            }
+            preds.push(p);
+        }
+        preds
+    }
+
+    /// Whether step `e` is ordered before the next step of `k`.
+    fn naive_hb_to_next(steps: &[TraceStep], preds: &[u64], e: usize, k: usize) -> bool {
+        steps[e].proc as usize == k
+            || steps
+                .iter()
+                .rposition(|s| s.proc as usize == k)
+                .is_some_and(|last| preds[last] & 1 << e != 0)
+    }
+
+    /// The races of `k`'s next step (footprint `fp`) among steps `lo..`,
+    /// newest first, by a scan of every step.
+    fn naive_races(
+        steps: &[TraceStep],
+        preds: &[u64],
+        k: usize,
+        fp: &StepFootprint,
+        lo: usize,
+    ) -> Vec<usize> {
+        (lo..steps.len())
+            .rev()
+            .filter(|&e| {
+                steps[e].proc as usize != k
+                    && steps[e].foot.conflicts(fp)
+                    && !naive_hb_to_next(steps, preds, e, k)
+            })
+            .collect()
+    }
+
+    /// Each clock row equals the naive join: per process, the count of
+    /// its steps among the step's closure predecessors, plus itself.
+    fn assert_clocks(hb: &HbTrace) {
+        let preds = naive_preds(&hb.steps);
+        for (i, &past) in preds.iter().enumerate() {
+            let row: Vec<u32> = (0..hb.n)
+                .map(|q| {
+                    let mine = hb.steps[..=i]
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, t)| t.proc as usize == q && (j == i || past & 1 << j != 0))
+                        .count();
+                    u32::try_from(mine).unwrap()
+                })
+                .collect();
+            assert_eq!(&hb.clocks[i * hb.n..][..hb.n], &row[..], "clock row {i}");
+        }
+    }
+
+    /// The causal floor never skips a step a naive `0..len` scan would
+    /// report as a race, for any footprint (`global()` conflicts with
+    /// every step), and everything under it is ordered before `k`.
+    fn assert_floors(hb: &HbTrace) {
+        let preds = naive_preds(&hb.steps);
+        for k in 0..hb.n {
+            let floor = hb.causal_floor(k);
+            for e in 0..floor {
+                assert!(
+                    naive_hb_to_next(&hb.steps, &preds, e, k),
+                    "floor {floor} of {k} skips unordered step {e}"
+                );
+            }
+            let races = naive_races(&hb.steps, &preds, k, &StepFootprint::global(), 0);
+            assert!(
+                races.iter().all(|&e| e >= floor),
+                "floor {floor} of {k} skips a race"
+            );
+        }
+    }
+
+    /// The pre-scratch insertion: consumes by `Vec::remove`.
+    fn naive_insert(tree: &mut WakeupTree, mut v: Vec<WakeupStep>, interior: bool) -> bool {
+        if v.is_empty() || (interior && tree.edges.is_empty()) {
+            return false;
+        }
+        for i in 0..tree.edges.len() {
+            let edge = &tree.edges[i];
+            if let Some(pos) = v.iter().position(|s| s.proc == edge.proc) {
+                if is_initial(&v, pos) {
+                    v.remove(pos);
+                    return naive_insert(&mut tree.edges[i].sub, v, true);
+                }
+            } else if v.iter().all(|s| !edge.foot.conflicts(&s.foot)) {
+                return naive_insert(&mut tree.edges[i].sub, v, true);
+            }
+        }
+        let mut sub = WakeupTree::default();
+        for s in v.into_iter().rev() {
+            let mut wrap = WakeupTree::default();
+            wrap.edges.push(WakeupEdge {
+                proc: s.proc,
+                foot: s.foot,
+                sub,
+            });
+            sub = wrap;
+        }
+        tree.edges.append(&mut sub.edges);
+        true
+    }
+
+    /// The oracle's race detection: a naive scan of `lo..`, a fresh
+    /// reversal `Vec` per race.
+    fn naive_detect(o: &mut OptimalDpor, k: usize, fp: &StepFootprint, lo: usize) {
+        let len = o.core.steps.len();
+        let preds = naive_preds(&o.core.steps);
+        for e in naive_races(&o.core.steps, &preds, k, fp, lo) {
+            o.core.races += 1;
+            let mut v: Vec<WakeupStep> = (e + 1..len)
+                .filter(|&j| preds[j] & 1 << e == 0)
+                .map(|j| WakeupStep {
+                    proc: o.core.steps[j].proc,
+                    foot: o.core.steps[j].foot,
+                })
+                .collect();
+            v.push(WakeupStep {
+                proc: u8::try_from(k).unwrap(),
+                foot: *fp,
+            });
+            let inserted =
+                o.weak_initials(e, &v) & o.sleeps[e] == 0 && naive_insert(&mut o.wuts[e], v, false);
+            if inserted {
+                o.inserts += 1;
+            } else {
+                o.redundant += 1;
+            }
+            o.log.push((e, inserted));
+        }
+    }
+
+    fn naive_detect_node(o: &mut OptimalDpor) {
+        let len = o.core.steps.len();
+        let Some(last) = o.core.steps.last() else {
+            return;
+        };
+        let last_proc = last.proc as usize;
+        for q in 0..o.n {
+            let foot = o.feet(len)[q];
+            let rescan = q == last_proc || o.feet(len - 1)[q] != foot;
+            naive_detect(o, q, &foot, if rescan { 0 } else { len - 1 });
+        }
+    }
+
+    fn assert_same(prod: &OptimalDpor, oracle: &OptimalDpor) {
+        assert_eq!(prod.log, oracle.log, "races, their order and decisions");
+        assert_eq!(
+            (prod.core.races, prod.inserts, prod.redundant),
+            (oracle.core.races, oracle.inserts, oracle.redundant)
+        );
+        let digests = |o: &OptimalDpor| o.wuts.iter().map(WakeupTree::digest).collect::<Vec<_>>();
+        assert_eq!(digests(prod), digests(oracle), "wakeup trees");
+    }
+
+    /// Enters a node on both twins: footprints (each kept from the
+    /// parent or redrawn), race detection, then a random sleep set.
+    fn enter(rng: &mut StdRng, prod: &mut OptimalDpor, oracle: &mut OptimalDpor) {
+        let n = prod.n;
+        let depth = prod.core.steps.len();
+        let feet: Vec<StepFootprint> = (0..n)
+            .map(|q| {
+                if depth > 0 && rng.gen_bool(0.5) {
+                    prod.feet(depth - 1)[q]
+                } else {
+                    random_foot(rng)
+                }
+            })
+            .collect();
+        prod.push_feet(feet.iter().copied());
+        oracle.push_feet(feet);
+        prod.detect_node_races();
+        naive_detect_node(oracle);
+        assert_same(prod, oracle);
+        // A full scan for an arbitrary footprint, too.
+        if rng.gen_bool(0.3) {
+            let k = rng.gen_range(0..n);
+            let fp = random_foot(rng);
+            prod.detect_races(k, &fp, 0);
+            naive_detect(oracle, k, &fp, 0);
+            assert_same(prod, oracle);
+        }
+        let sleep = (0..n).fold(0u64, |s, q| s | u64::from(rng.gen_bool(0.2)) << q);
+        prod.push_node(sleep, WakeupTree::default());
+        oracle.push_node(sleep, WakeupTree::default());
+    }
+
+    #[test]
+    fn bookkeeping_matches_naive_oracles_on_random_walks() {
+        let mut descents = 0;
+        let mut races = 0;
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=4usize);
+            let max_depth = rng.gen_range(4..=28usize);
+            let mut prod = OptimalDpor::new(n);
+            let mut oracle = OptimalDpor::new(n);
+            enter(&mut rng, &mut prod, &mut oracle);
+            for _ in 0..160 {
+                let depth = prod.core.steps.len();
+                if depth < max_depth && (depth == 0 || rng.gen_bool(0.6)) {
+                    // Descend like the walk: the node's first pending
+                    // edge, or a free step.
+                    let k = match prod.pop_edge(depth) {
+                        Some(edge) => {
+                            let twin = oracle.pop_edge(depth).expect("twin edge");
+                            assert_eq!(edge.proc, twin.proc);
+                            edge.proc as usize
+                        }
+                        None => rng.gen_range(0..n),
+                    };
+                    let foot = prod.feet(depth)[k];
+                    prod.core.push(k, foot);
+                    oracle.core.push(k, foot);
+                    descents += 1;
+                    enter(&mut rng, &mut prod, &mut oracle);
+                } else if depth > 0 {
+                    prod.pop_node();
+                    oracle.pop_node();
+                    let k = prod.core.steps.last().expect("a step").proc as usize;
+                    prod.core.pop();
+                    oracle.core.pop();
+                    prod.sleep_child(depth - 1, k);
+                    oracle.sleep_child(depth - 1, k);
+                }
+                assert_clocks(&prod.core);
+                assert_floors(&prod.core);
+            }
+            races += prod.core.races;
+        }
+        // The walks are not vacuous.
+        assert!(
+            descents > 10_000 && races > 10_000,
+            "{descents} descents, {races} races"
+        );
     }
 }

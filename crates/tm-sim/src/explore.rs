@@ -134,6 +134,16 @@
 //! process — one an explored sibling already covers — stays asleep in a
 //! child while its next step is independent of the step just taken.
 //!
+//! **What the bookkeeping costs.** Race detection and the clock join of
+//! each executed step visit only the steps above a process's *causal
+//! floor* — the oldest step, by any other process, not yet in the causal
+//! past of its last step, read off that step's clock — and the join also
+//! skips steps the clock being built already covers. A process whose
+//! footprint is unchanged and that did not just step checks the newest
+//! step only. Reversal sequences are built in one reusable buffer and
+//! allocate only when appended to a tree as a fresh chain (see
+//! `engine::reduction`'s module docs).
+//!
 //! **Soundness of the certified verdict.** Every schedule of the full
 //! tree is reachable from an explored one by swapping adjacent
 //! independent steps, each swap preserves the leaf verdict (above), and
@@ -849,39 +859,27 @@ fn walk_optimal(
     remaining: usize,
     mut sleep: u64,
     wut: WakeupTree,
-    parent_feet: Option<&[StepFootprint; 64]>,
 ) -> (BoxedTm, StepFootprint) {
     if !walk.meter.note_state() {
         return (tm, StepFootprint::local());
     }
     let n = walk.space.width();
-    let mut feet = [StepFootprint::local(); 64];
+    let depth = opt.core.steps.len();
+    opt.push_feet((0..n).map(|q| reduction::next_footprint(&tm, &walk.space.clients, q)));
     let mut agg = StepFootprint::local();
-    for (q, foot) in feet.iter_mut().enumerate().take(n) {
-        *foot = reduction::next_footprint(&tm, &walk.space.clients, q);
+    for foot in opt.feet(depth) {
         agg.merge(foot);
     }
     // Race detection at *every* node for *every* process's next step,
-    // leaves included: at the depth frontier the conflicting "second"
-    // step never executes, so detection keyed on executed steps alone
-    // would miss reversals that only differ in the final steps of the
-    // bounded window. Incremental: a process that did not just step and
-    // whose footprint is unchanged since the parent node has all its
-    // races against older steps already handled there (its clock is
-    // unchanged too), so only the newest trace step needs checking —
-    // full rescans happen exactly for the process that stepped or on a
-    // state-induced footprint change. Reversal sequences insert into
-    // *ancestor* nodes' wakeup trees (this node's own entry is pushed
-    // below, after detection).
-    let len = opt.core.steps.len();
-    if len > 0 {
-        let last_proc = opt.core.steps[len - 1].proc as usize;
-        for (q, foot) in feet.iter().enumerate().take(n) {
-            let full = q == last_proc || parent_feet.is_none_or(|pf| pf[q] != *foot);
-            opt.detect_races(q, foot, if full { 0 } else { len - 1 });
-        }
-    }
+    // leaves included: at the depth frontier the racing step never
+    // executes. Rescans happen exactly for the process that stepped and
+    // on a state-induced footprint change, and start at that process's
+    // causal floor; every other process checks the newest step only.
+    // Reversals insert into *ancestor* nodes' wakeup trees (this node's
+    // own tree is pushed below, after detection).
+    opt.detect_node_races();
     if remaining == 0 {
+        opt.pop_feet();
         certify_leaf(walk.space, walk.out);
         walk.meter.note_schedule();
         return (tm, agg);
@@ -908,6 +906,7 @@ fn walk_optimal(
         };
         if let Some(delta) = walk.memo.get(&key) {
             if opt.core.steps.iter().all(|s| !s.foot.conflicts(&delta.agg)) {
+                opt.pop_feet();
                 walk.out.schedules += delta.schedules;
                 walk.out.dedup_hits += 1;
                 return (tm, delta.agg);
@@ -923,18 +922,13 @@ fn walk_optimal(
     } else {
         None
     };
-    let depth = opt.core.steps.len();
-    opt.push_node(sleep, wut, &feet[..n]);
+    opt.push_node(sleep, wut);
     // Free seeding: only a node no pending reversal targets picks an
     // arbitrary first representative. A node entered with a non-empty
     // pending tree explores exactly those branches.
     if opt.wut_is_empty(depth) {
         if let Some(first) = (0..n).find(|q| sleep & (1 << q) == 0) {
-            opt.seed(
-                depth,
-                u8::try_from(first).expect("≤ 64 processes"),
-                feet[first],
-            );
+            opt.seed(depth, first);
         }
     }
     while let Some(edge) = opt.pop_edge(depth) {
@@ -956,24 +950,10 @@ fn walk_optimal(
         }
         let mark = walk.space.mark(k);
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
-        opt.core.push(k, feet[k]);
-        // Sleep inheritance: a sibling stays asleep only while its next
-        // step is independent of the step just taken.
-        let mut child_sleep = 0u64;
-        for q in 0..n {
-            if sleep & (1 << q) != 0 && !feet[q].conflicts(&feet[k]) {
-                child_sleep |= 1 << q;
-            }
-        }
-        let (recycled, child_agg) = walk_optimal(
-            walk,
-            opt,
-            child,
-            remaining - 1,
-            child_sleep,
-            edge.sub,
-            Some(&feet),
-        );
+        let child_sleep = opt.child_sleep(depth, sleep, k);
+        opt.core.push(k, opt.feet(depth)[k]);
+        let (recycled, child_agg) =
+            walk_optimal(walk, opt, child, remaining - 1, child_sleep, edge.sub);
         agg.merge(&child_agg);
         walk.pool.put_back(recycled);
         opt.core.pop();
@@ -1071,15 +1051,7 @@ where
             &meter,
             move |walk, tm, remaining| {
                 let mut opt = OptimalDpor::new(n);
-                walk_optimal(
-                    walk,
-                    &mut opt,
-                    tm,
-                    remaining,
-                    0,
-                    WakeupTree::default(),
-                    None,
-                );
+                walk_optimal(walk, &mut opt, tm, remaining, 0, WakeupTree::default());
                 walk.tally.dpor_races += opt.core.races;
                 walk.tally.wakeup_inserts += opt.inserts;
                 walk.tally.wakeup_redundant += opt.redundant;

@@ -11,6 +11,7 @@
 use tm_core::{ProcessId, TVarId};
 use tm_sim::{explore_with, livecheck, ClientScript, ExploreConfig, LivecheckConfig, PlannedOp};
 use tm_stm::{BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SwissTm, TinyStm, Tl2};
+use tm_telemetry::{Counter, Telemetry};
 
 use tm_automata::FgpVariant;
 
@@ -384,6 +385,50 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
             optimal.schedules, expected,
             "{procs}p depth {depth}: pinned executed-schedule count moved"
         );
+    }
+}
+
+#[test]
+fn optimal_dpor_bookkeeping_counters_are_pinned_across_the_catalogue() {
+    // The race analysis, not only its outcome: a change to race
+    // detection or wakeup-tree insertion that keeps the executed
+    // schedule count would still move how many races are reversed,
+    // inserted or proved covered. Each row is (TM, schedules, races,
+    // inserts, redundant) on the contended two-process shape at depth
+    // 14, sequential.
+    const DEPTH: usize = 14;
+    let pinned: [(&str, usize, u64, u64, u64); 10] = [
+        ("fgp", 812, 1_841, 811, 1_030),
+        ("fgp-strict", 1_227, 3_040, 1_226, 1_814),
+        ("tl2", 5, 8, 4, 4),
+        ("norec", 5, 8, 4, 4),
+        ("tinystm", 6_236, 20_586, 6_235, 14_351),
+        ("swisstm", 16_050, 39_034, 16_049, 22_985),
+        ("ostm", 5, 8, 4, 4),
+        ("dstm", 4_788, 12_418, 4_787, 7_631),
+        ("global-lock", 16_384, 32_766, 16_383, 16_383),
+        ("fgp-literal", 1_227, 3_040, 1_226, 1_814),
+    ];
+    let scripts = contended_scripts();
+    for ((name, factory), row) in factories(2, 1).into_iter().zip(pinned) {
+        assert_eq!(name, row.0);
+        let telemetry = Telemetry::counters();
+        let report = explore_with(
+            &*factory,
+            &scripts,
+            &ExploreConfig::new(DEPTH)
+                .sequential()
+                .with_optimal_dpor()
+                .with_telemetry(&telemetry),
+        );
+        let got = (
+            name,
+            report.schedules,
+            telemetry.value(Counter::DporRaces),
+            telemetry.value(Counter::WakeupInserts),
+            telemetry.value(Counter::WakeupRedundant),
+        );
+        assert_eq!(got, row, "{name}: DPOR bookkeeping counters moved");
     }
 }
 
