@@ -1,13 +1,12 @@
 //! Stable, dependency-free 64-bit hashing for state fingerprints.
 //!
-//! The model checker's cross-schedule dedup and the liveness lasso search
-//! both key hash tables on *canonical state digests* of TMs, clients and
-//! certifiers. Those digests must be deterministic within a run but need
+//! The liveness lasso search keys its state-graph interner on *canonical
+//! state digests* of TMs and clients. Those digests must be
+//! deterministic within a run but need
 //! no cryptographic strength and no DoS resistance (all inputs are
 //! machine-generated states, not attacker-controlled keys), so a cheap
 //! seedless mixer over the [`std::hash::Hash`] stream is the right tool:
-//! allocation-free and identical across threads — the parallel
-//! frontier's per-worker seen sets agree on every digest.
+//! allocation-free and identical across threads and runs.
 //!
 //! [`StableHasher`] mixes one word per integer write (`write_u8` …
 //! `write_u64`, `write_usize` and the signed forms): xor the word in,
@@ -18,10 +17,9 @@
 //! them or compares them across runs, so the mixer may change freely.
 //!
 //! A 64-bit digest makes collisions a real (if astronomically unlikely)
-//! possibility; every consumer is therefore *redundantly checked* — the
-//! explorer's digest-dedup is differential-tested report-identical against
-//! the non-dedup explorer, which would surface a collision as a count
-//! mismatch.
+//! possibility; the consumer is therefore *redundantly checked* — the
+//! reduced liveness walk is differential-tested against the plain walk,
+//! which would surface a collision as a state-count mismatch.
 
 use std::hash::{Hash, Hasher};
 

@@ -16,7 +16,7 @@
 //!   events verbatim, so they cross-check byte-identical against the
 //!   engines' in-memory [`tm_telemetry::Snapshot`]s;
 //! * [`tail`] — folds a live stream into single-line progress rendered
-//!   from heartbeat gauges (steps/sec, frontier size, dedup hit rate);
+//!   from heartbeat gauges (steps/sec, frontier size);
 //! * [`explain`] — renders `violation` / `lasso_found` events and their
 //!   adjacent `trace` events as annotated per-step witness timelines;
 //! * [`diff`] — threshold-based drift check between two streams'

@@ -4,9 +4,7 @@
 //! [`TailLine::Progress`] (meant for `\r`-overwriting in place),
 //! run starts and verdicts produce [`TailLine::Keep`] (meant to stay
 //! on screen). Gauges render generically in emitted order, so new
-//! producer gauges appear without a consumer change; the dedup hit
-//! rate is derived from the last `counter_snapshot`'s memo counters
-//! when one has streamed.
+//! producer gauges appear without a consumer change.
 
 use tm_telemetry::Json;
 
@@ -17,7 +15,6 @@ use crate::event::{Envelope, EventBody};
 pub struct TailState {
     engine: String,
     tm: String,
-    memo_hits: Option<(i64, i64)>,
 }
 
 /// One rendered tail line.
@@ -49,38 +46,21 @@ pub fn fold(env: &Envelope, state: &mut TailState) -> Option<TailLine> {
         } => {
             state.engine = engine.clone();
             state.tm = tm.clone();
-            state.memo_hits = None;
             Some(TailLine::Keep(format!(
                 "▶ {engine}/{tm} depth={depth} processes={processes}"
             )))
         }
         EventBody::Heartbeat { gauges, .. } => {
-            let mut parts: Vec<String> = gauges
+            let parts: Vec<String> = gauges
                 .iter()
                 .map(|(name, value)| format!("{name} {}", render_gauge(value)))
                 .collect();
-            if let Some((hits, misses)) = state.memo_hits {
-                let total = hits + misses;
-                if total > 0 {
-                    parts.push(format!("dedup {:.1}%", 100.0 * hits as f64 / total as f64));
-                }
-            }
             Some(TailLine::Progress(format!(
                 "[{}/{}] {}",
                 state.engine,
                 state.tm,
                 parts.join(" · ")
             )))
-        }
-        EventBody::CounterSnapshot { counters, .. } => {
-            let get = |name: &str| {
-                counters
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map_or(0, |(_, v)| *v)
-            };
-            state.memo_hits = Some((get("memo_hits"), get("memo_misses")));
-            None
         }
         EventBody::FaultInjected { kind, process, .. } => Some(TailLine::Keep(format!(
             "⚡ {}/{} {kind} p{process}",
@@ -118,11 +98,11 @@ mod tests {
     use crate::event::parse_stream;
 
     #[test]
-    fn heartbeats_render_as_progress_with_dedup_rate() {
+    fn heartbeats_render_as_progress() {
         let stream = concat!(
             "{\"v\":1,\"ev\":\"run_start\",\"t_ms\":0.1,\"engine\":\"livecheck\",\"tm\":\"tl2\",\"depth\":12,\"processes\":2}\n",
             "{\"v\":1,\"ev\":\"heartbeat\",\"t_ms\":0.2,\"engine\":\"livecheck\",\"states\":100,\"frontier\":12,\"steps\":321,\"states_per_sec\":1234.5}\n",
-            "{\"v\":1,\"ev\":\"counter_snapshot\",\"t_ms\":0.3,\"label\":\"tl2\",\"counters\":{\"memo_hits\":30,\"memo_misses\":70}}\n",
+            "{\"v\":1,\"ev\":\"counter_snapshot\",\"t_ms\":0.3,\"label\":\"tl2\",\"counters\":{\"memo_hits\":30}}\n",
             "{\"v\":1,\"ev\":\"heartbeat\",\"t_ms\":0.4,\"engine\":\"livecheck\",\"states\":200,\"frontier\":9,\"steps\":642,\"states_per_sec\":2100.0}\n",
             "{\"v\":1,\"ev\":\"verdict\",\"t_ms\":0.5,\"engine\":\"livecheck\",\"tm\":\"tl2\",\"starvation_free\":true,\"states\":200}\n",
         );
@@ -138,9 +118,9 @@ mod tests {
             matches!(&lines[1], TailLine::Progress(l) if l.contains("states 100") && l.contains("frontier 12")),
             "{lines:?}"
         );
-        // After the snapshot, the derived dedup hit rate appears.
+        // A counter snapshot renders nothing and leaves the gauges alone.
         assert!(
-            matches!(&lines[2], TailLine::Progress(l) if l.contains("dedup 30.0%")),
+            matches!(&lines[2], TailLine::Progress(l) if l.contains("states 200") && !l.contains("memo")),
             "{lines:?}"
         );
         assert!(matches!(&lines[3], TailLine::Keep(l) if l.starts_with('✓')));

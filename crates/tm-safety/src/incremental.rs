@@ -449,8 +449,7 @@ impl IncrementalChecker {
     /// to it in time proportional to the events pushed since.
     ///
     /// The first checkpoint switches the certifier into logging mode:
-    /// from here on every push records its inverse (amortized O(1))
-    /// until [`IncrementalChecker::compact`].
+    /// from here on every push records its inverse (amortized O(1)).
     pub fn checkpoint(&mut self) -> Checkpoint {
         self.logging = true;
         Checkpoint {
@@ -476,15 +475,6 @@ impl IncrementalChecker {
             self.undo(entry);
         }
         self.position = checkpoint.position;
-    }
-
-    /// Drops the undo log (freeing memory and invalidating outstanding
-    /// checkpoints). Useful after cloning the certifier for a parallel
-    /// subtree root, whose workers never roll back past the clone point.
-    pub fn compact(&mut self) {
-        self.log.clear();
-        self.log.shrink_to_fit();
-        self.logging = false;
     }
 
     fn undo(&mut self, entry: UndoEntry) {
@@ -605,44 +595,6 @@ impl IncrementalChecker {
                 self.open[p.index()] = tx.map(|tx| *tx);
             }
         }
-    }
-
-    /// A canonical 64-bit digest of the certifier's *verdict-relevant*
-    /// state: two certifiers with equal digests accept and reject exactly
-    /// the same future event sequences (modulo 64-bit collisions).
-    ///
-    /// Covered: the mode, the committed-state sequence (candidate slots
-    /// index into it), every open transaction's pending invocation,
-    /// read/write sets and candidate slots, and whether a violation has
-    /// latched. Deliberately excluded, with the canonicalization
-    /// rationale of `tm_stm::SteppedTm::state_digest`:
-    ///
-    /// * the event position and the latched violation's detail — they
-    ///   parameterize *reports*, never verdicts (the explorer's dedup
-    ///   only ever merges subtrees that report nothing);
-    /// * the undo log and logging flag — rollback bookkeeping;
-    /// * trailing `None` entries of the dense open-transaction table —
-    ///   an artifact of which process ids have been touched;
-    /// * each candidate set's base/spill representation — the digest
-    ///   hashes the slot *values* in ascending order.
-    pub fn state_digest(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = tm_core::StableHasher::new();
-        matches!(self.mode, Mode::Opacity).hash(&mut h);
-        self.states.hash(&mut h);
-        for (k, open) in self.open.iter().enumerate() {
-            let Some(tx) = open else { continue };
-            k.hash(&mut h);
-            tx.pending.hash(&mut h);
-            tx.reads.hash(&mut h);
-            tx.writes.hash(&mut h);
-            for slot in tx.candidates.iter() {
-                slot.hash(&mut h);
-            }
-            u64::MAX.hash(&mut h); // terminator between transactions
-        }
-        self.violation.is_some().hash(&mut h);
-        h.finish()
     }
 
     /// Number of commit events processed so far.
@@ -1565,19 +1517,6 @@ mod tests {
         let inner = c.checkpoint();
         c.rollback(outer);
         c.rollback(inner);
-    }
-
-    #[test]
-    fn compact_preserves_verdicts_for_clones() {
-        let mut c = IncrementalChecker::new(Mode::Opacity);
-        let h = figures::figure_1();
-        c.push_all(h.iter().copied()).unwrap();
-        let mut clone = c.clone();
-        clone.compact();
-        let cp = clone.checkpoint();
-        assert!(clone.push(Event::read(P1, X)).is_ok());
-        clone.rollback(cp);
-        assert_eq!(clone.commits(), c.commits());
     }
 
     #[test]

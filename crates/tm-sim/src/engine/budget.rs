@@ -9,14 +9,14 @@
 //! conclusive verdict (the `budget_exhausted` NDJSON event and the
 //! report's `exhausted` field).
 //!
-//! The meter is a bundle of atomics so the explorer's parallel frontier
-//! shares it without locks; the first cap to trip wins the reason
+//! The meter is a bundle of relaxed atomics, so a walker notes through
+//! a shared reference; the first cap to trip wins the reason
 //! (compare-exchange), and wall-clock checks are amortized to one
 //! `Instant::now()` per `WALL_CHECK_MASK`+1 state notes. Exhausted
-//! runs are inherently timing- or scheduling-dependent, so the
-//! byte-identity determinism contract applies to runs that finish
-//! *within* budget — a partial report only promises a sound
-//! under-approximation plus the explicit non-conclusive verdict.
+//! runs are inherently timing-dependent, so the byte-identity
+//! determinism contract applies to runs that finish *within* budget —
+//! a partial report only promises a sound under-approximation plus the
+//! explicit non-conclusive verdict.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
@@ -77,8 +77,8 @@ const TRIP_PANIC: u8 = 4;
 /// `WALL_CHECK_MASK + 1` state notes.
 const WALL_CHECK_MASK: u64 = 0x3f;
 
-/// The shared, lock-free run meter of a [`Budget`]. One per run, shared
-/// by every frontier worker; poll [`BudgetMeter::within`] at node entry.
+/// The lock-free run meter of a [`Budget`]. One per run; poll
+/// [`BudgetMeter::within`] at node entry.
 #[derive(Debug)]
 pub struct BudgetMeter {
     limits: Budget,
@@ -148,9 +148,8 @@ impl BudgetMeter {
     }
 
     /// Marks the run exhausted for a reason outside the metered caps: a
-    /// panicked explorer frontier worker, or a TM step that panicked
-    /// inside livecheck's walk. Both report "frontier worker panicked".
-    /// Does not override an earlier trip.
+    /// TM step that panicked inside either checker's walk, reported as
+    /// "TM step panicked". Does not override an earlier trip.
     pub fn trip_external(&self) {
         self.trip(TRIP_PANIC);
     }
@@ -162,7 +161,7 @@ impl BudgetMeter {
             TRIP_STATES => Some("state budget exhausted"),
             TRIP_SCHEDULES => Some("schedule budget exhausted"),
             TRIP_WALL => Some("wall-clock budget exhausted"),
-            _ => Some("frontier worker panicked"),
+            _ => Some("TM step panicked"),
         }
     }
 }
@@ -224,6 +223,6 @@ mod tests {
         let meter = BudgetMeter::new(Budget::unlimited().with_max_states(100));
         meter.trip_external();
         assert!(!meter.within());
-        assert_eq!(meter.exhausted(), Some("frontier worker panicked"));
+        assert_eq!(meter.exhausted(), Some("TM step panicked"));
     }
 }

@@ -6,64 +6,59 @@
 //! differ in *what* they search — the safety explorer walks the
 //! `n^depth` **schedule tree** certifying opacity of every history
 //! prefix; the liveness checker walks the canonical **state graph**
-//! hunting lassos — but the substrate beneath them is the same, and
-//! before this module existed each checker carried its own copy: a DFS
-//! frontier, fork/refork TM recycling, client mark/restore, digest-keyed
-//! seen sets, reduction hooks, and a rayon frontier. This module owns
-//! that substrate once.
+//! hunting lassos — but the substrate beneath them is the same:
+//! fork/refork TM recycling, client mark/restore, a budget meter and
+//! reduction hooks. This module owns that substrate once.
 //!
 //! # Layers
 //!
 //! ```text
 //!   report      Exploration (explore)        LivecheckReport (livecheck)
 //!      ▲                ▲                            ▲
-//!   budget      [`budget::BudgetMeter`] — shared atomic caps on states /
-//!      │        schedules / wall clock; a tripped cap degrades the run
-//!      │        into a partial report with an explicit `exhausted` verdict
-//!      ▲                ▲                            ▲
-//!   frontier    [`frontier::distribute`] — deterministic order-preserving
-//!      │        parallel map over subtree roots (explorer only; the graph
-//!      │        walk is sequential), lexicographic merge;
-//!      │        [`frontier::distribute_isolated`] adds per-item panic
-//!      │        isolation; [`frontier::auto_split_depth`] splits
+//!   budget      [`budget::BudgetMeter`] — caps on states / schedules /
+//!      │        wall clock; a tripped cap or a panicking TM step
+//!      │        degrades the run into a partial report with an explicit
+//!      │        `exhausted` verdict
 //!      ▲                ▲                            ▲
 //!   faults      [`crate::faults::FaultConfig`] widens the branch space with
 //!      │        `crash(p)` / `parasite(p)` scheduler transitions; the
 //!      │        per-branch [`crate::faults::FaultState`] masks fold into
-//!      │        memo keys and node identities so dedup stays sound
+//!      │        the graph checker's node identities
 //!      ▲                ▲                            ▲
 //!   reduction   optimal DPOR: wakeup trees    transition memoization
 //!      │        (`reduction`, schedule search) (edge replay, graph search)
 //!      ▲                ▲                            ▲
-//!   seen sets   [`memo::SeenSet`] — per-worker deterministic tables;
-//!      │        [`memo::Interner`] for the graph checker's configuration ids
+//!   interning                                 [`memo::Interner`] — the
+//!      │                                      graph checker's node ids
 //!      ▲                ▲                            ▲
 //!   space       [`SearchSpace`] — expand a configuration one process-step
-//!      │        at a time ([`StepRecord`]), digest it, checkpoint/rollback
-//!      │        the client (and certifier) state
+//!      │        at a time ([`StepRecord`]), checkpoint/rollback the
+//!      │        client (and certifier) state
 //!      ▲                ▲                            ▲
 //!   TM pool     [`TmPool`] — allocation-free fork/refork box recycling
 //!               (hoisted into `tm_stm::api`, shared by every walker)
 //! ```
 //!
-//! The two checkers are instantiations of this stack:
+//! The two checkers are instantiations of this stack, each one
+//! sequential walk:
 //!
 //! * [`crate::explore::explore_with`] drives a `ScheduleSpace` (clients +
 //!   schedule path + history + incremental opacity certifier) through the
-//!   schedule tree, exhaustively or under optimal-DPOR reduction, with
-//!   the split-depth parallel frontier;
+//!   schedule tree under optimal-DPOR reduction, or exhaustively when
+//!   faults are quantified; [`crate::explore::explore_schedules`] is the
+//!   exhaustive fault-free reference;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
-//!   schedule + history, no certifier) through the interned state graph
-//!   on one thread, with transition-level reduction (execute each graph
-//!   edge once, replay re-walks) and the unreduced walk kept as its
-//!   differential oracle; a panicking TM step ends the walk in a partial
-//!   report.
+//!   schedule + history, no certifier) through the interned state graph,
+//!   with transition-level reduction (execute each graph edge once,
+//!   replay re-walks) and the unreduced walk kept as its differential
+//!   oracle.
 //!
-//! Determinism is the kernel's invariant: the explorer's parallel
-//! frontier merges worker results in lexicographic subtree-root order,
-//! and the graph walk is sequential, so reports are byte-identical
-//! regardless of thread count — the property all differential suites
-//! pin.
+//! In both, a panicking TM step ends the walk in a partial report.
+//! Determinism is the kernel's invariant: both walks are sequential, so
+//! reports are byte-identical from run to run and at any rayon thread
+//! count — the property all differential suites pin.
+//! [`frontier::distribute`] remains as the kernel's order-preserving
+//! parallel map for callers outside the two walks.
 
 pub mod budget;
 pub mod frontier;

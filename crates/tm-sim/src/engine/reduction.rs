@@ -252,7 +252,7 @@ pub(crate) struct WakeupStep {
 
 /// An edge of a wakeup tree: a labelled step and the subtree to explore
 /// after executing it.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct WakeupEdge {
     pub(crate) proc: u8,
     pub(crate) foot: StepFootprint,
@@ -263,7 +263,7 @@ pub(crate) struct WakeupEdge {
 /// children carry pairwise-distinct process labels in insertion order.
 /// Exploration pops edges front-first; insertion descends by the
 /// weak-initial rule.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct WakeupTree {
     pub(crate) edges: Vec<WakeupEdge>,
 }
@@ -361,38 +361,6 @@ impl WakeupTree {
             sub,
         });
         true
-    }
-
-    /// Order-sensitive structural digest (FNV-1a over a preorder walk),
-    /// for the dedup seen-set key: two nodes with equal configuration
-    /// digests but different pending reversals must not share a
-    /// memoized subtree summary.
-    pub(crate) fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        self.digest_into(&mut h);
-        h
-    }
-
-    fn digest_into(&self, h: &mut u64) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, v: u64) {
-            *h ^= v;
-            *h = h.wrapping_mul(PRIME);
-        }
-        mix(h, self.edges.len() as u64);
-        for edge in &self.edges {
-            mix(h, u64::from(edge.proc) | 0x100);
-            mix(h, edge.foot.var_reads);
-            mix(h, edge.foot.var_writes);
-            mix(
-                h,
-                u64::from(edge.foot.global_read)
-                    | u64::from(edge.foot.global_write) << 1
-                    | u64::from(edge.foot.ends) << 2
-                    | u64::from(edge.foot.begins) << 3,
-            );
-            edge.sub.digest_into(h);
-        }
     }
 }
 
@@ -810,8 +778,7 @@ mod tests {
             (prod.core.races, prod.inserts, prod.redundant),
             (oracle.core.races, oracle.inserts, oracle.redundant)
         );
-        let digests = |o: &OptimalDpor| o.wuts.iter().map(WakeupTree::digest).collect::<Vec<_>>();
-        assert_eq!(digests(prod), digests(oracle), "wakeup trees");
+        assert_eq!(prod.wuts, oracle.wuts, "wakeup trees");
     }
 
     /// Enters a node on both twins: footprints (each kept from the

@@ -112,8 +112,8 @@ pub(crate) fn step_process(
 }
 
 /// The kernel's contract for a checker's mutable search state: a
-/// *configuration* that can be expanded one process-step at a time,
-/// digested for the seen sets, and unwound in O(1) on backtrack.
+/// *configuration* that can be expanded one process-step at a time and
+/// unwound in O(1) on backtrack.
 ///
 /// The safety explorer's `ScheduleSpace` (clients, schedule path,
 /// history, incremental certifier) and the liveness checker's
@@ -139,13 +139,6 @@ pub trait SearchSpace {
 
     /// Unwinds one [`SearchSpace::step`] of process `k`.
     fn rewind(&mut self, k: usize, mark: Self::Mark);
-
-    /// The canonical configuration key — `(TM state digest, clients
-    /// digest)` — or `None` when the TM does not fingerprint. Equal keys
-    /// mean observationally equivalent configurations (every future
-    /// invocation and response coincides); this is what the seen sets
-    /// and the graph interner hash.
-    fn config_key(&self, tm: &BoxedTm) -> Option<(u64, u64)>;
 }
 
 /// Replays `schedule` from the initial configuration — `tm` fresh from

@@ -7,10 +7,13 @@
 //! commit-order certifier and falls back to the exact witness search on
 //! rejection, so every reported violation is definitive.
 //!
-//! The explorer has two walkers over one search space: the plain
-//! exhaustive walk (the default, and the differential oracle next to
-//! [`explore_schedules_naive`]) and the optimal-DPOR walk behind
-//! [`ExploreConfig::optimal_dpor`], the only reduced one.
+//! The explorer has two walks over one search space, both sequential.
+//! [`explore_with`], the production entry point, takes the optimal-DPOR
+//! walk on a fault-free run and the exhaustive walk when
+//! [`ExploreConfig::faults`] is enabled. [`explore_schedules`] takes the
+//! exhaustive walk on a fault-free run: it is the reference the reduced
+//! walk is tested against, and it reports exactly what
+//! [`explore_schedules_naive`] reports.
 //!
 //! # Prefix-sharing DFS
 //!
@@ -34,65 +37,20 @@
 //! one TM fork, versus the naive enumerator's O(depth) replay and
 //! O(history) re-certification per schedule — the asymptotic gap grows
 //! linearly with depth. The naive enumerator survives as
-//! [`explore_schedules_naive`] for differential testing; both explorers
-//! produce *identical* [`Exploration`] reports (same schedule counts,
-//! fallback counts and violation lists, in the same lexicographic
-//! order).
-//!
-//! # Parallel frontier
-//!
-//! With [`ExploreConfig::parallel`], the tree is split at a fixed depth:
-//! every node at that depth becomes a subtree root carrying its own
-//! forked TM, client snapshots and a compacted clone of the certifier,
-//! and the roots are distributed over a thread pool (dynamic dealing —
-//! idle workers claim the next root, so skewed subtrees balance). Roots
-//! are processed in lexicographic order and merged in order, keeping the
-//! report deterministic regardless of thread count.
-//!
-//! # Digest dedup: collapsing the tree into a DAG
-//!
-//! Distinct schedule prefixes routinely reach the *same* configuration —
-//! the same TM state, client cursors and certifier state (permuting two
-//! processes' already-certified steps is the canonical case). The subtree
-//! below such a configuration depends on nothing else, so with
-//! [`ExploreConfig::dedup`] the explorer keys a worker-local seen set on
-//!
-//! `(TM state digest, client cursors, certifier digest, remaining depth)`
-//!
-//! and, on a hit, *replays the memoized subtree summary* (its schedule
-//! count) instead of walking the subtree again — turning the schedule
-//! tree into a DAG. TM digests come from the per-algorithm
-//! [`tm_stm::SteppedTm::state_digest`] canonicalization contract;
-//! certifier digests from
-//! [`tm_safety::IncrementalChecker::state_digest`]. For TMs without a
-//! fingerprint the option silently disables.
-//!
-//! Two rules keep the reports **byte-identical** to the exhaustive
-//! explorer's (differential-tested across the catalogue):
-//!
-//! * a subtree is memoized only when it certified *silently* — no
-//!   violations and no exact-checker fallbacks. Those rare subtrees
-//!   carry path-dependent report data (violation schedules/histories,
-//!   exact re-checks of the full history), so every prefix re-explores
-//!   them and reports its own copy;
-//! * no lookup happens while a fast-certifier rejection is latched (all
-//!   leaves below it fall back to the exact checker).
-//!
-//! Equal keys imply equal futures: the TM digest determines every future
-//! response (the fingerprint contract), cursors determine every future
-//! invocation, and the certifier digest determines every future verdict —
-//! so the memoized counts transfer exactly, collision risk aside (which
-//! is what the differential suite guards).
+//! [`explore_schedules_naive`] for differential testing; it and
+//! [`explore_schedules`] produce *identical* [`Exploration`] reports
+//! (same schedule counts, fallback counts and violation lists, in the
+//! same lexicographic order).
 //!
 //! # Optimal DPOR: one schedule per equivalence class
 //!
 //! Most interleavings differ only by swaps of **independent** steps and
 //! therefore carry the same verdict; the paper's quantitative results
-//! are themselves stated per Mazurkiewicz equivalence class. With
-//! [`ExploreConfig::optimal_dpor`] the explorer visits **one
-//! representative schedule per class** instead of every member, using
-//! the optimal dynamic partial-order reduction of Abdulla, Aronis,
-//! Jonsson and Sagonas: wakeup trees of race reversals over sleep sets.
+//! are themselves stated per Mazurkiewicz equivalence class. A
+//! fault-free [`explore_with`] run visits **one representative schedule
+//! per class** instead of every member, using the optimal dynamic
+//! partial-order reduction of Abdulla, Aronis, Jonsson and Sagonas:
+//! wakeup trees of race reversals over sleep sets.
 //!
 //! **The independence relation.** Per-TM, via the conflict oracle
 //! [`tm_stm::SteppedTm::step_footprint`]: before a step executes, the TM
@@ -167,23 +125,18 @@
 //! count from [`mazurkiewicz_classes`] is thus a ceiling, not an
 //! equality.
 //!
-//! **Composition.** With [`ExploreConfig::dedup`], the seen-set key
-//! adds the node's sleep set and the digest of its pending wakeup tree,
-//! and a memoized summary additionally stores the union of every
-//! footprint the subtree queried or executed; a hit is replayed only
-//! when nothing in the current trace conflicts with that union —
-//! otherwise the skipped walk could owe race reversals to the prefix.
-//! (Subtree *shape* is prefix-independent: race insertions into the
-//! subtree depend only on its own trace, because trace indices put
-//! subtree steps after every prefix step in the max-scan and
-//! happens-before chains between subtree events cannot route through
-//! the prefix.) With [`ExploreConfig::parallel`], the exhaustive walk
-//! enumerates the prefix tree up to the split depth — a reduced prefix
-//! tree could owe reversals across the boundary — and each root runs an
-//! independent wakeup-tree walk from a fresh trace, so reports stay
-//! deterministic and byte-identical across thread counts. With
-//! [`ExploreConfig::faults`], the run takes the exhaustive walk (see
-//! [`explore_with`]).
+//! **Composition.** With [`ExploreConfig::faults`] enabled, the run
+//! takes the exhaustive walk (see [`explore_with`]). A [`Budget`] cap
+//! unwinds either walk into a partial report.
+//!
+//! # Panic containment
+//!
+//! A TM that panics mid-step does not take the explorer down: the walk
+//! runs under one `catch_unwind`, and a panic ends it with a partial
+//! report — [`Exploration::exhausted`] set to `"TM step panicked"`
+//! ([`BudgetMeter::trip_external`]) — carrying the schedules certified
+//! so far. The walk is a single thread, so containment costs nothing
+//! per step.
 //!
 //! # The exploration kernel
 //!
@@ -191,12 +144,9 @@
 //! kernel in [`crate::engine`] (the other is the liveness checker,
 //! [`mod@crate::livecheck`]): its `ScheduleSpace` implements the kernel's
 //! [`SearchSpace`] contract (one stepper, client mark/restore, certifier
-//! checkpoint/rollback, canonical configuration keys), TM branching runs
-//! through the shared [`tm_stm::TmPool`], the seen set is the kernel's
-//! worker-local [`crate::engine::memo::SeenSet`], the happens-before
-//! trace and wakeup trees live in the kernel's reduction layer, and the
-//! parallel frontier merges subtree reports deterministically via
-//! [`crate::engine::frontier::distribute`].
+//! checkpoint/rollback), TM branching runs through the shared
+//! [`tm_stm::TmPool`], and the happens-before trace and wakeup trees
+//! live in the kernel's reduction layer.
 
 use tm_core::{Event, History, ProcessId};
 use tm_safety::{check_opacity, Checkpoint, IncrementalChecker, Mode, SafetyVerdict};
@@ -204,14 +154,12 @@ use tm_stm::{BoxedTm, Outcome, StepFootprint, SteppedTm, TmPool};
 use tm_telemetry::{Counter, Json, Telemetry, Timer};
 
 use crate::engine::budget::{Budget, BudgetMeter};
-use crate::engine::frontier;
-use crate::engine::memo::SeenSet;
 use crate::engine::reduction::{self, OptimalDpor, WakeupTree};
 use crate::engine::space::{
     emit_trace, expand_child, step_process, SearchSpace, StepRecord, TraceWitness,
 };
 use crate::faults::{Fault, FaultConfig, FaultPlan, FaultState};
-use crate::workload::{clients_digest, Client, ClientMark, ClientScript};
+use crate::workload::{Client, ClientMark, ClientScript};
 
 /// A definitive safety violation found during exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,18 +188,16 @@ pub struct Exploration {
     pub exact_fallbacks: usize,
     /// Definitive opacity violations, in schedule-lexicographic order.
     pub violations: Vec<Violation>,
-    /// Subtrees replayed from the digest seen set (0 unless enabled).
-    pub dedup_hits: usize,
     /// Every executed schedule (process index per step), in exploration
     /// order. Populated only under
     /// [`ExploreConfig::with_schedule_log`] — an oracle/debugging aid
     /// for the optimality tests, empty otherwise.
     pub schedule_log: Vec<Vec<u8>>,
     /// `Some(reason)` when the run degraded into a **partial** report —
-    /// an exploration [`Budget`] cap tripped or a frontier worker
-    /// panicked. A partial report is a sound under-approximation: every
-    /// violation it carries is real, but [`Exploration::all_opaque`] is
-    /// *not* a certification (the unexplored remainder may violate).
+    /// an exploration [`Budget`] cap tripped or a TM step panicked. A
+    /// partial report is a sound under-approximation: every violation
+    /// it carries is real, but [`Exploration::all_opaque`] is *not* a
+    /// certification (the unexplored remainder may violate).
     pub exhausted: Option<String>,
     /// Processes a `crash(p)` transition was exercised for (bitmask; 0
     /// for a fault-free run).
@@ -267,60 +213,23 @@ impl Exploration {
     }
 
     /// The *report* portion of the exploration — schedule count, exact
-    /// fallback count and violations. Search diagnostics (dedup-hit
-    /// counts, the schedule log) are excluded: two explorations "report
-    /// identically" iff these match.
+    /// fallback count and violations. Search diagnostics (the schedule
+    /// log) are excluded: two explorations "report identically" iff
+    /// these match.
     pub fn report(&self) -> (usize, usize, &[Violation]) {
         (self.schedules, self.exact_fallbacks, &self.violations)
     }
-
-    fn absorb(&mut self, other: Exploration) {
-        self.schedules += other.schedules;
-        self.exact_fallbacks += other.exact_fallbacks;
-        self.violations.extend(other.violations);
-        self.dedup_hits += other.dedup_hits;
-        self.schedule_log.extend(other.schedule_log);
-        if self.exhausted.is_none() {
-            self.exhausted = other.exhausted;
-        }
-        self.crash_injected |= other.crash_injected;
-        self.parasite_injected |= other.parasite_injected;
-    }
 }
 
-/// Configuration for [`explore_with`].
+/// Configuration for [`explore_with`]: one sequential walk to `depth`,
+/// optimal DPOR on a fault-free run and exhaustive under
+/// [`ExploreConfig::faults`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Schedule length to explore exhaustively.
+    /// Schedule length to explore.
     pub depth: usize,
-    /// Distribute subtrees over a thread pool.
-    pub parallel: bool,
-    /// Prefix length at which the tree is split into parallel subtree
-    /// roots; `None` picks the smallest prefix yielding at least eight
-    /// roots per worker thread.
-    pub split_depth: Option<usize>,
-    /// Collapse the schedule tree into a DAG via the digest seen set
-    /// (see the module docs). Reports stay byte-identical; `schedules`
-    /// still counts every leaf of the full tree. Takes effect only for
-    /// TMs implementing [`tm_stm::SteppedTm::state_digest`]; for the
-    /// rest dedup is silently disabled.
-    pub dedup: bool,
-    /// Optimal dynamic partial-order reduction (see the module docs):
-    /// explore **one representative schedule per Mazurkiewicz
-    /// equivalence class** of the independence relation declared by the
-    /// TM's conflict oracle ([`tm_stm::SteppedTm::step_footprint`]).
-    /// `schedules` then counts *executed* schedules — typically orders
-    /// of magnitude below `n^depth` — while the violation verdict
-    /// (`all_opaque`, and every violation actually reported) is
-    /// preserved: each reported violation is a real explored schedule
-    /// the exhaustive explorer also reports. The walk never starts a
-    /// schedule it abandons as redundant. For TMs that keep the
-    /// conservative default oracle, every step conflicts and the walk
-    /// soundly degenerates to full exploration.
-    pub optimal_dpor: bool,
     /// Record every executed schedule into
-    /// [`Exploration::schedule_log`]. Disables digest dedup for the run
-    /// (a replayed subtree summary cannot reproduce its schedules).
+    /// [`Exploration::schedule_log`].
     pub record_schedules: bool,
     /// Fault quantification (see the module docs): with a non-trivial
     /// config, `crash(p)` / `parasite(p)` become scheduler-level
@@ -328,30 +237,33 @@ pub struct ExploreConfig {
     /// step. Each fault transition consumes one depth unit and leaves
     /// the TM untouched; every reported [`Violation`] carries the
     /// concrete [`FaultPlan`] its branch chose. With
-    /// [`FaultConfig::none()`] (the default) reports are byte-identical
-    /// to fault-free exploration.
+    /// [`FaultConfig::none()`] (the default) the run is fault-free and
+    /// takes the optimal-DPOR walk.
     pub faults: FaultConfig,
     /// Resource caps ([`Budget`]): when a cap trips, the walk unwinds
     /// and the run returns a *partial* report with
     /// [`Exploration::exhausted`] set instead of running unbounded.
     /// Unlimited by default.
     pub budget: Budget,
-    /// Observability handle (off by default — hooks are no-ops). The
-    /// counters it accumulates are deterministic at any thread count;
-    /// see the `tm_telemetry` module docs for the schema and contract.
+    /// Observability handle (off by default — hooks are no-ops). See
+    /// the `tm_telemetry` module docs for the schema and contract.
     pub telemetry: Telemetry,
 }
 
 impl ExploreConfig {
-    /// Exhaustive exploration to `depth`: parallel, no reduction — the
-    /// drop-in semantics of [`explore_schedules`].
+    /// The production walk to `depth`: fault-free, so optimal DPOR —
+    /// `schedules` then counts *executed* schedules, one per
+    /// Mazurkiewicz class of the TM's conflict oracle
+    /// ([`tm_stm::SteppedTm::step_footprint`]), typically orders of
+    /// magnitude below `n^depth`. The verdict (`all_opaque`, and every
+    /// violation actually reported) is the exhaustive walk's: each
+    /// reported violation is a real explored schedule that
+    /// [`explore_schedules`] also reports. For TMs that keep the
+    /// conservative default oracle every step conflicts, and the walk
+    /// soundly degenerates to full exploration.
     pub fn new(depth: usize) -> Self {
         ExploreConfig {
             depth,
-            parallel: true,
-            split_depth: None,
-            dedup: false,
-            optimal_dpor: false,
             record_schedules: false,
             faults: FaultConfig::none(),
             budget: Budget::unlimited(),
@@ -359,27 +271,15 @@ impl ExploreConfig {
         }
     }
 
-    /// Disables the parallel frontier.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
+    /// The identity: the explorer's one walk is already sequential. Kept
+    /// because existing callers (tmbench) still chain it.
+    pub fn sequential(self) -> Self {
         self
     }
 
-    /// Pins the parallel split depth.
-    pub fn with_split_depth(mut self, split: usize) -> Self {
-        self.split_depth = Some(split);
-        self
-    }
-
-    /// Enables digest dedup (the cross-schedule seen set).
-    pub fn with_dedup(mut self) -> Self {
-        self.dedup = true;
-        self
-    }
-
-    /// Enables optimal DPOR (wakeup trees over sleep sets).
-    pub fn with_optimal_dpor(mut self) -> Self {
-        self.optimal_dpor = true;
+    /// The identity: optimal DPOR is already the fault-free walk. Kept
+    /// because existing callers (tmbench) still chain it.
+    pub fn with_optimal_dpor(self) -> Self {
         self
     }
 
@@ -421,8 +321,8 @@ struct ScheduleSpace {
     history: Vec<Event>,
     checker: IncrementalChecker,
     telemetry: Telemetry,
-    /// Steps this space executed — a plain worker-local tally, flushed
-    /// once per walk as [`tm_telemetry::Counter::WorkerSteps`].
+    /// Steps this space executed — a plain tally, flushed once per walk
+    /// as [`tm_telemetry::Counter::WorkerSteps`].
     steps: u64,
     /// Record executed schedules at the leaves
     /// ([`ExploreConfig::record_schedules`]).
@@ -460,25 +360,6 @@ impl ScheduleSpace {
             log_schedules,
             fstate: FaultState::none(),
             fault_log: Vec::new(),
-        }
-    }
-
-    /// A self-contained copy for a parallel subtree root, with the
-    /// certifier's undo log compacted away (roots never unwind past
-    /// their own split point).
-    fn subtree_root(&self) -> Self {
-        let mut checker = self.checker.clone();
-        checker.compact();
-        ScheduleSpace {
-            clients: self.clients.clone(),
-            path: self.path.clone(),
-            history: self.history.clone(),
-            checker,
-            telemetry: self.telemetry.clone(),
-            steps: 0,
-            log_schedules: self.log_schedules,
-            fstate: self.fstate,
-            fault_log: self.fault_log.clone(),
         }
     }
 }
@@ -531,11 +412,6 @@ impl SearchSpace for ScheduleSpace {
         self.checker.rollback(mark.checkpoint);
         self.clients[k].restore(mark.client);
     }
-
-    fn config_key(&self, tm: &BoxedTm) -> Option<(u64, u64)> {
-        tm.state_digest()
-            .map(|d| (d, clients_digest(&self.clients)))
-    }
 }
 
 /// Certify a completed schedule exactly as the naive enumerator does:
@@ -580,40 +456,6 @@ fn certify_leaf(space: &ScheduleSpace, out: &mut Exploration) {
     }
 }
 
-/// Key of the digest seen set: one explored configuration of the search,
-/// at one remaining depth (memoized subtree summaries only transfer
-/// between identical residual searches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MemoKey {
-    tm: u64,
-    clients: u64,
-    checker: u64,
-    /// The node's sleep set (optimal mode only; 0 otherwise).
-    sleep: u64,
-    remaining: u32,
-    /// Structural digest of the node's *pending* wakeup tree (optimal
-    /// mode only; 0 otherwise): a memoized summary transfers only
-    /// between nodes owing the same reversal branches.
-    wut: u64,
-    /// [`FaultState::key`] of the branch (0 in fault-free runs): a
-    /// summary never transfers between distinct crash/parasitic masks —
-    /// the residual searches differ in both branching and stepping.
-    faults: u64,
-}
-
-/// The memoized summary of a silently-certified subtree.
-#[derive(Debug, Clone, Copy)]
-struct MemoDelta {
-    schedules: usize,
-    /// Union of every footprint the subtree queried or executed — the
-    /// optimal-mode replay guard (see the module docs). Unused (empty)
-    /// in the exhaustive walk.
-    agg: StepFootprint,
-}
-
-/// The digest seen set of one walk (worker-local).
-type Memo = SeenSet<MemoKey, MemoDelta>;
-
 /// The per-path mutable state of the depth-first walk. The TM is owned
 /// and consumed per call (the last child of a node steals the parent's
 /// instance); everything else unwinds in place through the
@@ -627,110 +469,38 @@ struct Walk<'a> {
     /// (probed once per exploration), so they pay no per-edge
     /// pop/refork-attempt overhead.
     pool: &'a mut TmPool,
-    /// The digest seen set (disabled during the parallel split walk,
-    /// whose "leaves" collect subtree roots rather than certifying).
-    memo: &'a mut Memo,
-    /// Worker-local telemetry tallies: plain integer increments on the
-    /// hot path, one atomic add each at flush.
-    tally: Tally,
+    /// Fault transitions (`crash(p)` / `parasite(p)`) the walk took — a
+    /// plain tally, flushed once per run as
+    /// [`tm_telemetry::Counter::FaultsInjected`].
+    faults_injected: u64,
     /// The run's fault quantification ([`ExploreConfig::faults`]).
     faults: FaultConfig,
-    /// The run's shared budget meter: one atomic check per tree node,
-    /// short-circuited to a load-free `true` when unlimited.
+    /// The run's budget meter: one check per tree node, short-circuited
+    /// to a load-free `true` when unlimited.
     meter: &'a BudgetMeter,
 }
 
-/// The per-walk telemetry tallies (see [`Walk::tally`]).
-#[derive(Default)]
-struct Tally {
-    /// Seen-set lookups that did not replay a summary (true misses plus
-    /// optimal-mode hits blocked by the footprint replay guard).
-    memo_misses: u64,
-    /// Reversible races the optimal-DPOR analysis detected.
-    dpor_races: u64,
-    /// Reversal sequences inserted into wakeup trees.
-    wakeup_inserts: u64,
-    /// Reversals proved covered and dropped: rejected at insertion by
-    /// the weak-initial sleep guard, subsumed by a pending branch, or —
-    /// because footprints are state-dependent — popped with an asleep
-    /// head and discarded before executing anything.
-    wakeup_redundant: u64,
-    /// Fault transitions (`crash(p)` / `parasite(p)`) the walk took.
-    faults_injected: u64,
-}
-
-impl Tally {
-    fn flush(&self, telemetry: &Telemetry) {
-        telemetry.add(Counter::MemoMisses, self.memo_misses);
-        telemetry.add(Counter::DporRaces, self.dpor_races);
-        telemetry.add(Counter::WakeupInserts, self.wakeup_inserts);
-        telemetry.add(Counter::WakeupRedundant, self.wakeup_redundant);
-        telemetry.add(Counter::FaultsInjected, self.faults_injected);
-    }
-}
-
 /// Exhaustive depth-first walk of the schedule tree below the current
-/// path, invoking `leaf` at depth `remaining == 0` with ownership of the
-/// TM. Returns the TM box for recycling (`None` if a leaf kept it).
+/// path, certifying each leaf at depth `remaining == 0`. Returns the TM
+/// box for recycling.
 ///
 /// With faults enabled ([`Walk::faults`]) each node additionally
 /// branches on every `crash(p)` / `parasite(p)` the config still allows:
 /// fault edges consume one depth unit and leave the TM and the schedule
-/// path untouched. Crashed processes drop out of the eligible set, and
-/// the [`FaultState`] masks fold into the memo key so summaries never
-/// leak across fault placements. With `FaultConfig::none()` the node
-/// shape — including which child consumes the parent's box — is exactly
-/// the fault-free walk, which is what keeps those reports byte-identical.
-fn walk_tree<L>(
-    walk: &mut Walk<'_>,
-    mut tm: BoxedTm,
-    remaining: usize,
-    leaf: &mut L,
-) -> Option<BoxedTm>
-where
-    L: FnMut(&mut Walk<'_>, BoxedTm) -> Option<BoxedTm>,
-{
+/// path untouched, and crashed processes drop out of the eligible set.
+/// With `FaultConfig::none()` the node shape — including which child
+/// consumes the parent's box — is exactly the fault-free walk.
+fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm {
     // Budget gate before any expansion: a tripped meter unwinds the
     // whole walk into a partial report ([`Exploration::exhausted`]).
     if !walk.meter.note_state() {
-        return Some(tm);
+        return tm;
     }
     if remaining == 0 {
-        return leaf(walk, tm);
+        certify_leaf(walk.space, walk.out);
+        walk.meter.note_schedule();
+        return tm;
     }
-    // Digest dedup: replay a memoized subtree summary, or note the entry
-    // counters so this subtree can be memoized on the way out. No lookup
-    // while a rejection is latched (every leaf below falls back to the
-    // exact checker on the full, path-dependent history).
-    let memo_note = if walk.memo.enabled() && walk.space.checker.violation().is_none() {
-        let (tm_digest, clients) = walk
-            .space
-            .config_key(&tm)
-            .expect("dedup runs only for fingerprinting TMs");
-        let key = MemoKey {
-            tm: tm_digest,
-            clients,
-            checker: walk.space.checker.state_digest(),
-            sleep: 0,
-            remaining: remaining as u32,
-            wut: 0,
-            faults: walk.space.fstate.key(),
-        };
-        if let Some(delta) = walk.memo.get(&key) {
-            walk.out.schedules += delta.schedules;
-            walk.out.dedup_hits += 1;
-            return Some(tm);
-        }
-        walk.tally.memo_misses += 1;
-        Some((
-            key,
-            walk.out.schedules,
-            walk.out.exact_fallbacks,
-            walk.out.violations.len(),
-        ))
-    } else {
-        None
-    };
     let n = walk.space.width();
     // The fault transitions available at this node, in canonical order
     // (crashes ascending, then parasitic turns ascending) — empty in
@@ -766,83 +536,53 @@ where
         }
         let mark = walk.space.mark(k);
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
-        let recycled = walk_tree(walk, child, remaining - 1, leaf);
-        if let Some(recycled) = recycled {
-            walk.pool.put_back(recycled);
-        }
+        let recycled = walk_tree(walk, child, remaining - 1);
+        walk.pool.put_back(recycled);
         walk.space.rewind(k, mark);
     }
-    let recycled = if consume_last {
+    if consume_last {
         // The last child consumes the parent's TM instance: no fork.
         // (Deferring this edge's rollback to an ancestor is semantically
         // sound but measurably slower — it trades the undo log's tight
         // LIFO locality for large cold sweeps.)
         let mark = walk.space.mark(last);
         walk.space.step(&mut tm, last);
-        let recycled = walk_tree(walk, tm, remaining - 1, leaf);
+        let recycled = walk_tree(walk, tm, remaining - 1);
         walk.space.rewind(last, mark);
-        recycled
-    } else {
-        // Fault branches. A fault edge mutates only the fault state and
-        // the per-branch fault log: the TM is untouched (a crash is the
-        // *absence* of future steps; a parasitic turn reroutes the
-        // client at its next `tryC`), so the box forks unchanged.
-        let count = fault_edges.len();
-        let mut slot = Some(tm);
-        for (i, fault) in fault_edges.into_iter().enumerate() {
-            let saved = walk.space.fstate;
-            let k = fault.process().0;
-            match fault {
-                Fault::Crash { .. } => {
-                    walk.space.fstate.crash(k);
-                    walk.out.crash_injected |= 1 << k;
-                }
-                Fault::Parasitic { .. } => {
-                    walk.space.fstate.parasite(k);
-                    walk.out.parasite_injected |= 1 << k;
-                }
-            }
-            walk.tally.faults_injected += 1;
-            walk.space.fault_log.push(fault);
-            let is_last = i + 1 == count;
-            let child = if is_last {
-                slot.take().expect("the last fault edge consumes the box")
-            } else {
-                walk.pool
-                    .fork_child(slot.as_ref().expect("box still owned"))
-            };
-            let recycled = walk_tree(walk, child, remaining - 1, leaf);
-            if let Some(recycled) = recycled {
-                if is_last {
-                    slot = Some(recycled);
-                } else {
-                    walk.pool.put_back(recycled);
-                }
-            }
-            walk.space.fault_log.pop();
-            walk.space.fstate = saved;
-        }
-        slot
-    };
-    // Memoize only silently-certified subtrees: violations and exact
-    // fallbacks carry path-dependent report data that must be recomputed
-    // per prefix (see the module docs) — and never a subtree truncated
-    // by a tripped budget (its summary would under-count on replay).
-    if let Some((key, schedules, fallbacks, violations)) = memo_note {
-        if walk.out.exact_fallbacks == fallbacks
-            && walk.out.violations.len() == violations
-            && walk.meter.within()
-        {
-            walk.memo.insert(
-                key,
-                MemoDelta {
-                    schedules: walk.out.schedules - schedules,
-                    agg: StepFootprint::local(),
-                },
-            );
-        }
+        return recycled;
     }
-    recycled
+    // Fault branches. A fault edge mutates only the fault state and the
+    // per-branch fault log: the TM is untouched (a crash is the
+    // *absence* of future steps; a parasitic turn reroutes the client at
+    // its next `tryC`), so the box forks unchanged and the last fault
+    // edge consumes it.
+    let count = fault_edges.len();
+    for (i, fault) in fault_edges.into_iter().enumerate() {
+        let saved = walk.space.fstate;
+        let k = fault.process().0;
+        match fault {
+            Fault::Crash { .. } => {
+                walk.space.fstate.crash(k);
+                walk.out.crash_injected |= 1 << k;
+            }
+            Fault::Parasitic { .. } => {
+                walk.space.fstate.parasite(k);
+                walk.out.parasite_injected |= 1 << k;
+            }
+        }
+        walk.faults_injected += 1;
+        walk.space.fault_log.push(fault);
+        if i + 1 == count {
+            tm = walk_tree(walk, tm, remaining - 1);
+        } else {
+            let child = walk.pool.fork_child(&tm);
+            let recycled = walk_tree(walk, child, remaining - 1);
+            walk.pool.put_back(recycled);
+        }
+        walk.space.fault_log.pop();
+        walk.space.fstate = saved;
+    }
+    tm
 }
 
 /// Optimal-DPOR walk (see the module docs): at each node, explore
@@ -850,8 +590,7 @@ where
 /// race detection inserted, minus those the weak-initial sleep guard
 /// proved covered — seeding one free representative only when the tree
 /// is empty. `wut` is the pending subtree the parent's popped edge
-/// handed down. Returns the TM box for recycling and the union of every
-/// footprint the subtree queried or executed (the memo replay guard).
+/// handed down. Returns the TM box for recycling.
 fn walk_optimal(
     walk: &mut Walk<'_>,
     opt: &mut OptimalDpor,
@@ -859,17 +598,13 @@ fn walk_optimal(
     remaining: usize,
     mut sleep: u64,
     wut: WakeupTree,
-) -> (BoxedTm, StepFootprint) {
+) -> BoxedTm {
     if !walk.meter.note_state() {
-        return (tm, StepFootprint::local());
+        return tm;
     }
     let n = walk.space.width();
     let depth = opt.core.steps.len();
     opt.push_feet((0..n).map(|q| reduction::next_footprint(&tm, &walk.space.clients, q)));
-    let mut agg = StepFootprint::local();
-    for foot in opt.feet(depth) {
-        agg.merge(foot);
-    }
     // Race detection at *every* node for *every* process's next step,
     // leaves included: at the depth frontier the racing step never
     // executes. Rescans happen exactly for the process that stepped and
@@ -882,46 +617,8 @@ fn walk_optimal(
         opt.pop_feet();
         certify_leaf(walk.space, walk.out);
         walk.meter.note_schedule();
-        return (tm, agg);
+        return tm;
     }
-    // Digest dedup, optimal flavour: a stored subtree summary may be
-    // replayed only when nothing in the current trace conflicts with
-    // anything the stored subtree touched — otherwise the skipped walk
-    // could owe race reversals to the prefix — and the pending-tree
-    // digest in the key makes a summary transfer only between nodes
-    // owing identical reversal branches (see the module docs).
-    let memo_note = if walk.memo.enabled() && walk.space.checker.violation().is_none() {
-        let (tm_digest, clients) = walk
-            .space
-            .config_key(&tm)
-            .expect("dedup runs only for fingerprinting TMs");
-        let key = MemoKey {
-            tm: tm_digest,
-            clients,
-            checker: walk.space.checker.state_digest(),
-            sleep,
-            remaining: remaining as u32,
-            wut: wut.digest(),
-            faults: walk.space.fstate.key(),
-        };
-        if let Some(delta) = walk.memo.get(&key) {
-            if opt.core.steps.iter().all(|s| !s.foot.conflicts(&delta.agg)) {
-                opt.pop_feet();
-                walk.out.schedules += delta.schedules;
-                walk.out.dedup_hits += 1;
-                return (tm, delta.agg);
-            }
-        }
-        walk.tally.memo_misses += 1;
-        Some((
-            key,
-            walk.out.schedules,
-            walk.out.exact_fallbacks,
-            walk.out.violations.len(),
-        ))
-    } else {
-        None
-    };
     opt.push_node(sleep, wut);
     // Free seeding: only a node no pending reversal targets picks an
     // arbitrary first representative. A node entered with a non-empty
@@ -952,9 +649,7 @@ fn walk_optimal(
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
         let child_sleep = opt.child_sleep(depth, sleep, k);
         opt.core.push(k, opt.feet(depth)[k]);
-        let (recycled, child_agg) =
-            walk_optimal(walk, opt, child, remaining - 1, child_sleep, edge.sub);
-        agg.merge(&child_agg);
+        let recycled = walk_optimal(walk, opt, child, remaining - 1, child_sleep, edge.sub);
         walk.pool.put_back(recycled);
         opt.core.pop();
         walk.space.rewind(k, mark);
@@ -962,41 +657,55 @@ fn walk_optimal(
         sleep |= 1 << k;
     }
     opt.pop_node();
-    if let Some((key, schedules, fallbacks, violations)) = memo_note {
-        if walk.out.exact_fallbacks == fallbacks
-            && walk.out.violations.len() == violations
-            && walk.meter.within()
-        {
-            walk.memo.insert(
-                key,
-                MemoDelta {
-                    schedules: walk.out.schedules - schedules,
-                    agg,
-                },
-            );
-        }
-    }
-    (tm, agg)
+    tm
 }
 
-/// A node at the parallel split depth, carrying everything a worker
-/// needs to explore its subtree independently.
-struct SubtreeRoot {
-    tm: BoxedTm,
-    space: ScheduleSpace,
-}
-
-/// Explores every schedule of length `config.depth` over `scripts.len()`
-/// processes against TMs built by `factory` (called once; the tree
-/// branches via [`tm_stm::SteppedTm::fork`]), checking opacity of every
-/// produced history — and, because the certifier is incremental and
-/// eager, of every prefix.
+/// Explores the schedules of length `config.depth` over `scripts.len()`
+/// processes against TMs built by `factory` (called once per run, plus
+/// once per streamed violation witness; the tree branches via
+/// [`tm_stm::SteppedTm::fork`]), checking opacity of every produced
+/// history — and, because the certifier is incremental and eager, of
+/// every prefix. A fault-free run takes the optimal-DPOR walk, one
+/// schedule per equivalence class. A run with [`ExploreConfig::faults`]
+/// enabled takes the exhaustive walk: the only sound footprint for a
+/// `crash(p)` / `parasite(p)` transition is the global one (a crash
+/// reshapes every process's future), under which the race analysis
+/// would demand every reversal anyway.
+///
+/// A TM that panics mid-walk ends the run in a partial report (see the
+/// module docs' "Panic containment" section).
 ///
 /// # Panics
 ///
 /// Panics if `scripts` is empty, has more than 64 entries, or does not
 /// match the factory's process count.
 pub fn explore_with<F>(factory: F, scripts: &[ClientScript], config: &ExploreConfig) -> Exploration
+where
+    F: Fn() -> BoxedTm,
+{
+    explore(factory, scripts, config, config.faults.enabled())
+}
+
+/// Explores every schedule of length `depth` over `scripts.len()`
+/// processes, fault-free: the exhaustive walk, whose reports are
+/// identical to the naive enumerator's. The reference [`explore_with`]'s
+/// reduced walk is tested against.
+pub fn explore_schedules<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
+where
+    F: Fn() -> BoxedTm,
+{
+    explore(factory, scripts, &ExploreConfig::new(depth), true)
+}
+
+/// The one driver behind [`explore_with`] and [`explore_schedules`]:
+/// runs the exhaustive walk when `exhaustive` holds and the optimal-DPOR
+/// walk otherwise, then flushes the report into the telemetry handle.
+fn explore<F>(
+    factory: F,
+    scripts: &[ClientScript],
+    config: &ExploreConfig,
+    exhaustive: bool,
+) -> Exploration
 where
     F: Fn() -> BoxedTm,
 {
@@ -1019,74 +728,70 @@ where
     // Probe refork support once ([`TmPool::for_tm`]): TMs without it
     // keep the spare pool empty rather than paying a failed dynamic
     // refork per tree edge.
-    let pool = TmPool::for_tm(&tm).instrument(&telemetry);
-    // Digest dedup silently disables for TMs without a fingerprint —
-    // and under schedule logging, whose replayed summaries could not
-    // reproduce their schedules.
-    let dedup = config.dedup && !config.record_schedules && tm.state_digest().is_some();
-    // The run's budget meter, shared by every worker. Its verdict is
-    // read once at the end: a tripped cap makes the report partial.
+    let mut pool = TmPool::for_tm(&tm).instrument(&telemetry);
+    // The run's budget meter. Its verdict is read once at the end: a
+    // tripped cap makes the report partial.
     let meter = BudgetMeter::new(config.budget);
-
-    // Fault quantification routes DPOR requests to the exhaustive walk:
-    // the only sound footprint for a `crash(p)` / `parasite(p)`
-    // transition is the global one (a crash reshapes every process's
-    // future), under which the race analysis would demand every
-    // reversal anyway — so the kernel takes the honest exhaustive walk
-    // instead of a vacuous reduction.
-    let fault_mode = config.faults.enabled();
-    let out = if config.optimal_dpor && !fault_mode {
-        // Optimal DPOR. Parallel: the prefix tree up to the split depth
-        // is enumerated exhaustively and each root runs an independent
-        // wakeup-tree walk with a fresh, empty trace; every full
-        // schedule then has its exact prefix explored and a
-        // representative of its suffix class explored from that exact
-        // state, which preserves the verdict.
-        explore_split(
-            tm,
-            pool,
-            scripts,
-            config,
-            dedup,
-            &meter,
-            move |walk, tm, remaining| {
-                let mut opt = OptimalDpor::new(n);
-                walk_optimal(walk, &mut opt, tm, remaining, 0, WakeupTree::default());
-                walk.tally.dpor_races += opt.core.races;
-                walk.tally.wakeup_inserts += opt.inserts;
-                walk.tally.wakeup_redundant += opt.redundant;
-            },
-        )
-    } else {
-        explore_split(
-            tm,
-            pool,
-            scripts,
-            config,
-            dedup,
-            &meter,
-            |walk, tm, remaining| {
-                walk_tree(walk, tm, remaining, &mut |walk, tm| {
-                    certify_leaf(walk.space, walk.out);
-                    walk.meter.note_schedule();
-                    Some(tm)
-                });
-            },
-        )
+    // Crashing every process trivially halts the system, so the crash
+    // budget is clamped to n-1: the adversary gains nothing beyond it
+    // and the walk always has a live step to take.
+    let faults = FaultConfig {
+        max_crashes: config.faults.max_crashes.min(n.saturating_sub(1)),
+        ..config.faults
     };
-
-    // The budget verdict, read once: any tripped cap (including a
-    // panicked frontier worker, tripped externally by the split driver)
-    // turns the report partial.
-    let mut out = out;
-    if out.exhausted.is_none() {
-        out.exhausted = meter.exhausted().map(str::to_string);
+    let mut space = ScheduleSpace::new(
+        scripts,
+        config.depth,
+        telemetry.clone(),
+        config.record_schedules,
+    );
+    let mut out = Exploration::default();
+    let mut walk = Walk {
+        space: &mut space,
+        out: &mut out,
+        pool: &mut pool,
+        faults_injected: 0,
+        faults,
+        meter: &meter,
+    };
+    let mut opt = OptimalDpor::new(n);
+    {
+        let _span = telemetry.phase("explore", "walk");
+        // A panicking TM step unwinds out of the walk; the schedules
+        // certified so far still make a sound partial report.
+        let walked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if exhaustive {
+                walk_tree(&mut walk, tm, config.depth);
+            } else {
+                walk_optimal(
+                    &mut walk,
+                    &mut opt,
+                    tm,
+                    config.depth,
+                    0,
+                    WakeupTree::default(),
+                );
+            }
+        }));
+        if walked.is_err() {
+            meter.trip_external();
+        }
     }
+    telemetry.add(Counter::FaultsInjected, walk.faults_injected);
+    telemetry.add(Counter::DporRaces, opt.core.races);
+    telemetry.add(Counter::WakeupInserts, opt.inserts);
+    telemetry.add(Counter::WakeupRedundant, opt.redundant);
+    telemetry.add(Counter::WorkerSteps, space.steps);
+    // Before the counter snapshot below streams ([`TmPool::flush_counters`]).
+    pool.flush_counters();
+    // The budget verdict, read once: any tripped cap (including a
+    // panicked TM step) turns the report partial.
+    out.exhausted = meter.exhausted().map(str::to_string);
 
     // The deterministic end-of-run flush: every count below is a fixed
-    // property of the search, so the snapshot is thread-count-invariant.
-    // `SchedulesExecuted` is flushed from the report itself, making
-    // "snapshot equals report" true by construction.
+    // property of the search. `SchedulesExecuted` is flushed from the
+    // report itself, making "snapshot equals report" true by
+    // construction.
     telemetry.add(Counter::SchedulesExecuted, out.schedules as u64);
     let pruned = (n as u128)
         .checked_pow(config.depth as u32)
@@ -1094,7 +799,6 @@ where
             u64::try_from(total.saturating_sub(out.schedules as u128)).unwrap_or(u64::MAX)
         });
     telemetry.add(Counter::SchedulesPruned, pruned);
-    telemetry.add(Counter::MemoHits, out.dedup_hits as u64);
     telemetry.add(Counter::ExactFallbacks, out.exact_fallbacks as u64);
     telemetry.add(Counter::ViolationsFound, out.violations.len() as u64);
     if telemetry.streams() {
@@ -1202,163 +906,6 @@ where
         }
     }
     out
-}
-
-/// The shared driver behind both walkers: runs `walk_root` once from
-/// the initial configuration (sequential / zero split), or splits the
-/// tree at the parallel frontier — the exhaustive split walk collects
-/// subtree roots, `walk_root` runs per root on the rayon pool, and the
-/// reports merge in lexicographic root order, keeping the result
-/// deterministic regardless of thread count. `dedup` is already
-/// resolved against the TM's fingerprint support.
-fn explore_split<R>(
-    tm: BoxedTm,
-    mut pool: TmPool,
-    scripts: &[ClientScript],
-    config: &ExploreConfig,
-    dedup: bool,
-    meter: &BudgetMeter,
-    walk_root: R,
-) -> Exploration
-where
-    R: Fn(&mut Walk<'_>, BoxedTm, usize) + Sync,
-{
-    let n = scripts.len();
-    let recycle = pool.recycles();
-    let telemetry = config.telemetry.clone();
-    // Crashing every process trivially halts the system, so the crash
-    // budget is clamped to n-1: the adversary gains nothing beyond it
-    // and the walk always has a live step to take.
-    let faults = FaultConfig {
-        max_crashes: config.faults.max_crashes.min(n.saturating_sub(1)),
-        ..config.faults
-    };
-    let mut space = ScheduleSpace::new(
-        scripts,
-        config.depth,
-        telemetry.clone(),
-        config.record_schedules,
-    );
-    let mut out = Exploration::default();
-
-    let split = if config.parallel {
-        config
-            .split_depth
-            .unwrap_or_else(|| frontier::auto_split_depth(n, config.depth))
-            .min(config.depth)
-    } else {
-        0
-    };
-
-    if !config.parallel || split == 0 {
-        let mut memo = Memo::new(dedup);
-        let tally = {
-            let mut walk = Walk {
-                space: &mut space,
-                out: &mut out,
-                pool: &mut pool,
-                memo: &mut memo,
-                tally: Tally::default(),
-                faults,
-                meter,
-            };
-            let _span = telemetry.phase("explore", "walk");
-            walk_root(&mut walk, tm, config.depth);
-            walk.tally
-        };
-        tally.flush(&telemetry);
-        telemetry.add(Counter::WorkerSteps, space.steps);
-        return out;
-    }
-
-    let mut roots = Vec::new();
-    {
-        // The split walk's "leaves" collect subtree roots instead of
-        // certifying, so its subtree summaries would be vacuous: dedup
-        // stays off here and runs per worker below.
-        let _span = telemetry.phase("explore", "split");
-        let mut memo = Memo::new(false);
-        let mut walk = Walk {
-            space: &mut space,
-            out: &mut out,
-            pool: &mut pool,
-            memo: &mut memo,
-            tally: Tally::default(),
-            faults,
-            meter,
-        };
-        walk_tree(&mut walk, tm, split, &mut |walk, tm| {
-            roots.push(SubtreeRoot {
-                tm,
-                space: walk.space.subtree_root(),
-            });
-            None
-        });
-    }
-    telemetry.add(Counter::WorkerSteps, space.steps);
-    telemetry.add(Counter::FrontierSplits, 1);
-    telemetry.add(Counter::FrontierItems, roots.len() as u64);
-    // Per-worker seen sets: sound (digests are thread-agnostic),
-    // deterministic, and lock-free; only cross-subtree hits are forgone
-    // relative to the sequential walk.
-    let remaining = config.depth - split;
-    let results = {
-        let telemetry = &telemetry;
-        let walk_root = &walk_root;
-        let _span = telemetry.phase("explore", "walk");
-        // Panic isolation: a worker that panics loses its subtree's
-        // results but not the run — its slot comes back `None`, the
-        // meter trips, and the merged report is explicitly partial.
-        frontier::distribute_isolated(roots, move |mut root| {
-            let mut sub = Exploration::default();
-            let mut pool = TmPool::new(recycle).instrument(telemetry);
-            let mut memo = Memo::new(dedup);
-            let tally = {
-                let mut walk = Walk {
-                    space: &mut root.space,
-                    out: &mut sub,
-                    pool: &mut pool,
-                    memo: &mut memo,
-                    tally: Tally::default(),
-                    faults,
-                    meter,
-                };
-                walk_root(&mut walk, root.tm, remaining);
-                walk.tally
-            };
-            tally.flush(telemetry);
-            telemetry.add(Counter::WorkerSteps, root.space.steps);
-            telemetry.heartbeat("explore", || {
-                let steps = telemetry.value(Counter::WorkerSteps);
-                vec![
-                    ("steps", Json::Int(steps as i64)),
-                    (
-                        "steps_per_sec",
-                        Json::Num(steps as f64 / telemetry.elapsed_secs().max(1e-9)),
-                    ),
-                ]
-            });
-            sub
-        })
-    };
-    for sub in results {
-        match sub {
-            Some(sub) => out.absorb(sub),
-            None => meter.trip_external(),
-        }
-    }
-    out
-}
-
-/// Explores every schedule of length `depth` over `scripts.len()`
-/// processes: the drop-in entry point (prefix-sharing DFS, parallel
-/// frontier, no reduction — reports are identical to the naive
-/// enumerator's).
-pub fn explore_schedules<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
-where
-    F: Fn() -> BoxedTm,
-{
-    explore_with(factory, scripts, &ExploreConfig::new(depth))
 }
 
 /// The seed enumerator: replays every one of the `processes^depth`
@@ -1648,10 +1195,10 @@ mod tests {
             &scripts,
             8,
         );
-        let dfs = explore_with(
+        let dfs = explore_schedules(
             || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
             &scripts,
-            &ExploreConfig::new(8).sequential(),
+            8,
         );
         assert_eq!(naive, dfs);
     }
@@ -1666,86 +1213,23 @@ mod tests {
             ]),
         ];
         let naive = explore_schedules_naive(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
-        let dfs = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(9).sequential(),
-        );
+        let dfs = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
         assert!(!naive.all_opaque());
         assert_eq!(naive, dfs);
     }
 
     #[test]
-    fn parallel_split_depths_do_not_change_the_report() {
-        let scripts = two_increments();
-        let base = explore_with(
-            || Box::new(Tl2::new(2, 1)),
-            &scripts,
-            &ExploreConfig::new(9).sequential(),
-        );
-        for split in [0, 1, 3, 5, 9] {
-            let par = explore_with(
-                || Box::new(Tl2::new(2, 1)),
-                &scripts,
-                &ExploreConfig::new(9).with_split_depth(split),
-            );
-            assert_eq!(base, par, "split depth {split}");
-        }
-    }
-
-    #[test]
-    fn dedup_replays_subtrees_but_reports_identically() {
-        let scripts = two_increments();
-        let full = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &ExploreConfig::new(10).sequential(),
-        );
-        let deduped = explore_with(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            &ExploreConfig::new(10).sequential().with_dedup(),
-        );
-        assert!(deduped.dedup_hits > 0, "the increment workload must merge");
-        assert_eq!(full.report(), deduped.report());
-        assert_eq!(deduped.schedules, 1 << 10, "hits still count every leaf");
-    }
-
-    #[test]
-    fn dedup_still_catches_the_buggy_tm_with_identical_violations() {
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::new(vec![
-                crate::workload::PlannedOp::Read(X),
-                crate::workload::PlannedOp::Write(X, 5),
-            ]),
-        ];
-        let full = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(10).sequential(),
-        );
-        let deduped = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(10).sequential().with_dedup(),
-        );
-        assert!(!full.all_opaque());
-        assert_eq!(full.report(), deduped.report());
-    }
-
-    #[test]
     fn dpor_reduces_schedules_and_preserves_verdicts() {
         let scripts = two_increments();
-        let full = explore_with(
+        let full = explore_schedules(
             || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
             &scripts,
-            &ExploreConfig::new(9).sequential(),
+            9,
         );
         let dpor = explore_with(
             || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
             &scripts,
-            &ExploreConfig::new(9).sequential().with_optimal_dpor(),
+            &ExploreConfig::new(9),
         );
         assert!(
             dpor.schedules < full.schedules,
@@ -1765,15 +1249,11 @@ mod tests {
                 crate::workload::PlannedOp::Write(X, 5),
             ]),
         ];
-        let full = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(9).sequential(),
-        );
+        let full = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
         let dpor = explore_with(
             || tm_stm::literal_fgp(2, 1),
             &scripts,
-            &ExploreConfig::new(9).sequential().with_optimal_dpor(),
+            &ExploreConfig::new(9),
         );
         assert!(!full.all_opaque() && !dpor.all_opaque());
         // Every DPOR violation is a real schedule the exhaustive explorer
@@ -1788,72 +1268,12 @@ mod tests {
         // The global-lock TM's audited oracle conflicts on every pair,
         // so DPOR must visit every schedule — same report as plain DFS.
         let scripts = two_increments();
-        let full = explore_with(
-            || Box::new(GlobalLock::new(2, 1)),
-            &scripts,
-            &ExploreConfig::new(8).sequential(),
-        );
+        let full = explore_schedules(|| Box::new(GlobalLock::new(2, 1)), &scripts, 8);
         let dpor = explore_with(
             || Box::new(GlobalLock::new(2, 1)),
             &scripts,
-            &ExploreConfig::new(8).sequential().with_optimal_dpor(),
+            &ExploreConfig::new(8),
         );
         assert_eq!(full, dpor);
-    }
-
-    #[test]
-    fn dpor_composes_with_parallel_split_and_dedup() {
-        // Same-variable increments on Fgp, and disjoint-variable
-        // increments on TL2, where almost every op step commutes.
-        let shapes: Vec<(Factory, Vec<ClientScript>)> = vec![
-            (
-                Box::new(|| Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm),
-                two_increments(),
-            ),
-            (
-                Box::new(|| Box::new(Tl2::new(2, 2)) as BoxedTm),
-                vec![
-                    ClientScript::increment(X),
-                    ClientScript::increment(TVarId(1)),
-                ],
-            ),
-        ];
-        for (factory, scripts) in shapes {
-            let base = explore_with(
-                &*factory,
-                &scripts,
-                &ExploreConfig::new(9).sequential().with_optimal_dpor(),
-            );
-            let deduped = explore_with(
-                &*factory,
-                &scripts,
-                &ExploreConfig::new(9)
-                    .sequential()
-                    .with_optimal_dpor()
-                    .with_dedup(),
-            );
-            // Dedup must not change the verdict; executed-schedule counts
-            // may legitimately differ only through replayed summaries,
-            // which are themselves executed-schedule counts — so they
-            // must match too.
-            assert_eq!(base.report(), deduped.report());
-            for split in [1, 3, 5] {
-                let par = explore_with(
-                    &*factory,
-                    &scripts,
-                    &ExploreConfig::new(9)
-                        .with_split_depth(split)
-                        .with_optimal_dpor()
-                        .with_dedup(),
-                );
-                // The parallel frontier enumerates prefixes exhaustively,
-                // so its executed-schedule count sits between the
-                // sequential DPOR count and the full tree; the verdict is
-                // preserved.
-                assert_eq!(par.all_opaque(), base.all_opaque(), "split {split}");
-                assert!(par.schedules >= base.schedules, "split {split}");
-                assert!(par.schedules <= 1 << 9, "split {split}");
-            }
-        }
     }
 }

@@ -23,8 +23,8 @@
 //!   [`crate::livecheck::LassoFinding`]) carries the concrete
 //!   [`FaultPlan`] its branch chose. The per-branch bookkeeping is a
 //!   [`FaultState`] — the crashed/parasitic masks plus the remaining
-//!   crash budget — which folds into memo keys and graph-node identities
-//!   so dedup stays sound across fault placements.
+//!   crash budget — which folds into the liveness checker's graph-node
+//!   identities so states never merge across fault placements.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +43,10 @@ pub enum Fault {
         /// The global step at which the process disappears.
         at_step: usize,
     },
-    /// The process switches to an endless loop of reads and writes,
-    /// never invoking `tryC` again.
+    /// The process never invokes `tryC` again. A simulation switches it
+    /// to the endless read-only loop of [`parasitic_script`]; the model
+    /// checkers instead restart its current transaction each time it
+    /// reaches `tryC`, so it repeats that transaction's operations.
     Parasitic {
         /// The affected process.
         process: ProcessId,

@@ -36,8 +36,8 @@
 //!   ([`certify_workload`]);
 //! * [`engine`] — the exploration kernel beneath both model checkers:
 //!   the shared stepper and [`engine::SearchSpace`] contract, TM
-//!   fork/refork pooling ([`tm_stm::TmPool`]), seen-set/interning
-//!   backends, reduction state, and the deterministic parallel frontier.
+//!   fork/refork pooling ([`tm_stm::TmPool`]), the state interner,
+//!   reduction state, budgets, and a deterministic parallel map.
 //!
 //! ```
 //! use tm_core::TVarId;

@@ -123,10 +123,10 @@
 //!
 //! A TM that panics mid-step does not take the checker down: the walk
 //! runs under one `catch_unwind`, and a panic ends it with a partial
-//! report — [`LivecheckReport::exhausted`] set to `"frontier worker
-//! panicked"` ([`BudgetMeter::trip_external`]) — built from the graph
-//! interned so far. The walk is a single thread, so containment costs
-//! nothing per step.
+//! report — [`LivecheckReport::exhausted`] set to `"TM step panicked"`
+//! ([`BudgetMeter::trip_external`]) — built from the graph interned so
+//! far. The walk is a single thread, so containment costs nothing per
+//! step. The safety explorer contains panics the same way.
 //!
 //! # The exploration kernel
 //!
@@ -550,6 +550,16 @@ impl GraphSpace {
         }
     }
 
+    /// The canonical configuration key — `(TM state digest, clients
+    /// digest)` — or `None` when the TM does not fingerprint. Equal keys
+    /// mean observationally equivalent configurations (every future
+    /// invocation and response coincides); this is what the node
+    /// interner hashes.
+    fn config_key(&self, tm: &BoxedTm) -> Option<(u64, u64)> {
+        tm.state_digest()
+            .map(|d| (d, clients_digest(&self.clients)))
+    }
+
     /// Whether process `k` currently steps parasitically: statically
     /// configured, or turned by a fault transition on this branch.
     fn is_parasitic(&self, k: usize) -> bool {
@@ -612,11 +622,6 @@ impl SearchSpace for GraphSpace {
         self.sched.pop();
         self.history.truncate(mark.history_len);
         self.clients[k].restore(mark.client);
-    }
-
-    fn config_key(&self, tm: &BoxedTm) -> Option<(u64, u64)> {
-        tm.state_digest()
-            .map(|d| (d, clients_digest(&self.clients)))
     }
 }
 

@@ -230,8 +230,8 @@ impl Client {
     /// last read value — exactly the state that determines every future
     /// invocation. The commit/abort tallies are deliberately excluded
     /// (they are observation counters, not behaviour), which is what
-    /// lets the model checker's digest dedup and the liveness lasso
-    /// search merge configurations reached by different prefixes.
+    /// lets the liveness lasso search merge configurations reached by
+    /// different prefixes.
     pub fn cursor(&self) -> (usize, Option<Value>) {
         (self.position, self.last_read)
     }

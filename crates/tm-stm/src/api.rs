@@ -244,7 +244,7 @@ pub trait SteppedTm {
     ///
     /// # Canonicalization contract
     ///
-    /// Digests feed the model checker's cross-schedule seen sets: two
+    /// Digests feed the liveness checker's state-graph interner: two
     /// instances (created by the same factory — digests are never compared
     /// across algorithms or configurations) whose digests are equal are
     /// treated as **observationally equivalent**, i.e. every future
@@ -254,7 +254,7 @@ pub trait SteppedTm {
     /// * **cover** every mutable component that can influence any future
     ///   response or poll outcome (pending invocations, per-transaction
     ///   read/write sets, locks, doom marks, committed values, …) — an
-    ///   omission makes the seen set unsound;
+    ///   omission makes the interner merge distinct states;
     /// * **canonicalize** components whose concrete representation can
     ///   differ between behaviourally equivalent reachable states. The
     ///   recurring case is unbounded monotonic counters compared only
@@ -262,15 +262,15 @@ pub trait SteppedTm {
     ///   *rank pattern* of `{clock, slot versions, transaction rvs}`
     ///   rather than as absolute values (behaviour is invariant under
     ///   order-preserving remapping, and absolute values would keep
-    ///   states from ever recurring — defeating both the dedup and the
-    ///   lasso search); a NOrec-style sequence number is compared only
+    ///   states from ever recurring — defeating the lasso search); a
+    ///   NOrec-style sequence number is compared only
     ///   for equality and is hashed as per-transaction staleness bits.
     ///   Extra precision is always *sound* (it only splits equivalence
     ///   classes, never merges them) but costs collapsing power.
     ///
     /// Collisions of the 64-bit digest are possible in principle; the
-    /// dedup explorer is differential-tested report-identical against the
-    /// exhaustive explorer to keep that risk visible.
+    /// liveness checker's reduced walk is differential-tested against
+    /// its plain walk to keep that risk visible.
     fn state_digest(&self) -> Option<u64> {
         None
     }
@@ -458,8 +458,8 @@ pub trait SteppedTmExt: SteppedTm {
 impl<T: SteppedTm + ?Sized> SteppedTmExt for T {}
 
 /// A boxed stepped TM, the form used by harnesses that iterate over every
-/// algorithm. `Send` so the model checker's parallel frontier can move
-/// forked instances across worker threads.
+/// algorithm. `Send` so a harness can move forked instances across
+/// threads.
 pub type BoxedTm = Box<dyn SteppedTm + Send>;
 
 impl SteppedTm for BoxedTm {

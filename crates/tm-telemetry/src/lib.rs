@@ -2,12 +2,11 @@
 //! counters, phase spans, timing histograms and a line-buffered NDJSON
 //! event stream.
 //!
-//! The checkers prune aggressively (DPOR, dedup-DAG, parallel
-//! frontiers) but used to be opaque while running: the only outputs
-//! was the final report. This crate is the
-//! observability layer threaded through the whole stack —
-//! `tm_sim::engine` (frontier splits, worker steps, memo hits/misses,
-//! DPOR races, wakeup-tree inserts), both checkers (phase spans, schedule
+//! The checkers prune aggressively (DPOR, transition memoization) but
+//! used to be opaque while running: the only output was the final
+//! report. This crate is the observability layer threaded through the
+//! whole stack — `tm_sim::engine` (worker steps, memo hits, DPOR races,
+//! wakeup-tree inserts), both checkers (phase spans, schedule
 //! and state counters, lasso/violation/verdict events) and `tm_stm`
 //! (TmPool fork/refork tallies and timing histograms) — and the wire
 //! format the ROADMAP's portfolio checking service consumes: racing
@@ -40,7 +39,7 @@
 //! Counters accumulate over the lifetime of one handle (pass a fresh
 //! handle per run to get per-run numbers) and are **deterministic**:
 //! every increment is a fixed property of the search (an executed
-//! transition, a memo lookup, a fork), never of thread scheduling, so
+//! transition, a memo hit, a fork), never of thread scheduling, so
 //! for a fixed configuration the [`Snapshot`] is byte-identical across
 //! thread counts and runs. Wall-clock data (timing histograms, phase
 //! durations, heartbeats) is deliberately **excluded** from the
@@ -50,16 +49,14 @@
 //!
 //! * **executed** counts work actually performed against a TM:
 //!   [`Counter::SchedulesExecuted`] is every complete schedule the
-//!   safety explorer accounts for (including memoized subtree
-//!   summaries — it equals the report's `schedules` field), and
+//!   safety explorer certifies (it equals the report's `schedules`
+//!   field), and
 //!   [`Counter::StepsExecuted`] is every TM transition the liveness
 //!   checker executes (each graph edge exactly once under reduction).
 //! * **replayed** counts re-walks served from recorded results instead
 //!   of TM execution: [`Counter::StepsReplayed`] (livecheck edge
-//!   replays) and [`Counter::MemoHits`] (seen-set hits in either
-//!   engine). Replayed work still contributes to *executed* schedule
-//!   totals — a memoized subtree's schedules count as executed because
-//!   the summary is exact — but costs no TM stepping.
+//!   replays) and [`Counter::MemoHits`] (livecheck re-expansions
+//!   skipped). Replayed work costs no TM stepping.
 //! * **pruned** counts search the engine proved redundant and skipped
 //!   entirely: [`Counter::SchedulesPruned`] (leaves of the full
 //!   `n^depth` tree minus executed leaves, saturating) and
@@ -94,7 +91,7 @@
 //! | `run_start` | `engine` (`"explore"` \| `"livecheck"` \| `"online"`), `tm`, `depth`, `processes` |
 //! | `phase_start` | `engine`, `phase` |
 //! | `phase_end` | `engine`, `phase`, `dur_us` |
-//! | `heartbeat` | `engine` plus live gauges (e.g. `steps`, `steps_per_sec`, `states`, `frontier`, `dedup_hit_rate`; the online certifier streams `ops`, `ops_per_sec`, `epochs_sealed`, `lag_epochs`) |
+//! | `heartbeat` | `engine` plus live gauges (e.g. `steps`, `schedules`, `states`, `lassos`, `states_per_sec`; the online certifier streams `ops`, `ops_per_sec`, `epochs_sealed`, `lag_epochs`) |
 //! | `lasso_found` | `prefix_len`, `cycle_len`, `starving`, `parasitic` (process index arrays) |
 //! | `violation` | `engine`, `schedule` (process index array), `detail` |
 //! | `trace` | `engine`, `kind` (`"violation"` \| `"lasso"`), `idx` (witness index within the run), `schedule` (process index array), `cycle_start` (lasso only: step index where the repeated cycle begins), `steps` (per-step objects `{"p","op","resp","digest"}`: process, operation, TM response — `null` while withheld — and the canonical state fingerprint after the step, present when the TM implements `state_digest`) |
@@ -174,20 +171,13 @@ pub enum Counter {
     /// Schedule-tree walk steps (`SearchSpace::step` executions in the
     /// safety explorer, interior nodes included).
     WorkerSteps,
-    /// Parallel frontier splits performed (one per explorer split).
-    FrontierSplits,
-    /// Work items distributed over the explorer's parallel frontier
-    /// (subtree roots).
-    FrontierItems,
-    /// Seen-set hits: memoized subtree summaries replayed (explorer
-    /// dedup) or re-expansions skipped (livecheck budget dedup).
+    /// Seen-set hits: re-expansions the liveness checker skipped
+    /// (budget dedup).
     MemoHits,
-    /// Seen-set lookups that missed (explorer dedup only).
-    MemoMisses,
     /// Reversible races the optimal-DPOR analysis detected.
     DporRaces,
-    /// Complete schedules the safety explorer accounted for (equals the
-    /// report's `schedules`; includes memoized replays).
+    /// Complete schedules the safety explorer certified (equals the
+    /// report's `schedules`).
     SchedulesExecuted,
     /// Leaves of the full `width^depth` schedule tree not accounted for
     /// (saturating at `u64::MAX` for unrepresentable trees).
@@ -221,8 +211,10 @@ pub enum Counter {
     /// DPOR).
     WakeupInserts,
     /// Race reversals proved already covered — rejected by the
-    /// weak-initial sleep guard or subsumed by an existing wakeup-tree
-    /// branch (optimal DPOR).
+    /// weak-initial sleep guard, subsumed by an existing wakeup-tree
+    /// branch, or (footprints being state-dependent) popped with an
+    /// asleep head and dropped before executing anything (optimal
+    /// DPOR).
     WakeupRedundant,
     /// Fault transitions (`crash(p)` / `parasite(p)`) the fault-aware
     /// search executed as scheduler-level branches.
@@ -250,15 +242,12 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the snapshot array length).
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 25;
 
     /// Every counter, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::WorkerSteps,
-        Counter::FrontierSplits,
-        Counter::FrontierItems,
         Counter::MemoHits,
-        Counter::MemoMisses,
         Counter::DporRaces,
         Counter::SchedulesExecuted,
         Counter::SchedulesPruned,
@@ -289,10 +278,7 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::WorkerSteps => "worker_steps",
-            Counter::FrontierSplits => "frontier_splits",
-            Counter::FrontierItems => "frontier_items",
             Counter::MemoHits => "memo_hits",
-            Counter::MemoMisses => "memo_misses",
             Counter::DporRaces => "dpor_races",
             Counter::SchedulesExecuted => "schedules_executed",
             Counter::SchedulesPruned => "schedules_pruned",

@@ -60,10 +60,10 @@ fn main() {
     }
 
     println!("\n== 2b. The prefix-sharing DFS makes depth 16 routine ==\n");
-    let deep = explore_with(
+    let deep = explore_schedules(
         || Box::new(tm_liveness_repro::stm::FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
         &scripts,
-        &ExploreConfig::new(16).with_telemetry(&telemetry),
+        16,
     );
     println!(
         "   fgp        schedules={} (2^16) violations={}",
@@ -78,18 +78,15 @@ fn main() {
         ClientScript::increment(x),
         ClientScript::read_both(x, TVarId(1)),
     ];
-    let full = explore_with(
+    let full = explore_schedules(
         || Box::new(tm_liveness_repro::stm::FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
         &contended,
-        &ExploreConfig::new(8).sequential(),
+        8,
     );
     let dpor = explore_with(
         || Box::new(tm_liveness_repro::stm::FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
         &contended,
-        &ExploreConfig::new(8)
-            .sequential()
-            .with_optimal_dpor()
-            .with_telemetry(&telemetry),
+        &ExploreConfig::new(8).with_telemetry(&telemetry),
     );
     println!(
         "   fgp 3p/d8  executed {} of {} schedules ({:.0}x fewer), same verdict",

@@ -9,7 +9,10 @@
 //! byte-identical graphs, lassos and starvation verdicts.
 
 use tm_core::{ProcessId, TVarId};
-use tm_sim::{explore_with, livecheck, ClientScript, ExploreConfig, LivecheckConfig, PlannedOp};
+use tm_sim::{
+    explore_schedules, explore_with, livecheck, ClientScript, ExploreConfig, LivecheckConfig,
+    PlannedOp,
+};
 use tm_stm::{BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SwissTm, TinyStm, Tl2};
 use tm_telemetry::{Counter, Telemetry};
 
@@ -91,12 +94,8 @@ fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
         if name == "global-lock" {
             continue; // audited all-conflicting oracle: no reduction, by design
         }
-        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(7).sequential());
-        let dpor = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(7).sequential().with_optimal_dpor(),
-        );
+        let plain = explore_schedules(&*factory, &scripts, 7);
+        let dpor = explore_with(&*factory, &scripts, &ExploreConfig::new(7));
         assert!(
             dpor.schedules < plain.schedules,
             "{name}: DPOR ({}) must beat the exhaustive walk ({})",
@@ -122,12 +121,8 @@ fn optimal_dpor_runs_ten_times_fewer_schedules_on_fgp_at_three_processes() {
         ClientScript::increment(X),
         ClientScript::read_both(X, Y),
     ];
-    let plain = explore_with(factory, &scripts, &ExploreConfig::new(8).sequential());
-    let optimal = explore_with(
-        factory,
-        &scripts,
-        &ExploreConfig::new(8).sequential().with_optimal_dpor(),
-    );
+    let plain = explore_schedules(factory, &scripts, 8);
+    let optimal = explore_with(factory, &scripts, &ExploreConfig::new(8));
     assert_eq!(plain.schedules, 6561);
     assert_eq!(plain.all_opaque(), optimal.all_opaque());
     assert!(
@@ -142,86 +137,17 @@ fn optimal_dpor_runs_ten_times_fewer_schedules_on_fgp_at_three_processes() {
 fn conservative_oracles_degenerate_to_report_identical_full_exploration() {
     // The global-lock TM's audited oracle conflicts on every pair of
     // steps, so the DPOR walk must visit every schedule and reproduce
-    // the exhaustive report byte for byte — at three processes, and
-    // through the parallel frontier.
+    // the exhaustive report byte for byte, at three processes.
     let scripts = vec![
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
         ClientScript::read_both(X, Y),
     ];
     let factory = || Box::new(GlobalLock::new(3, 2)) as BoxedTm;
-    let plain = explore_with(factory, &scripts, &ExploreConfig::new(6).sequential());
+    let plain = explore_schedules(factory, &scripts, 6);
     assert_eq!(plain.schedules, 729);
-    let dpor = explore_with(
-        factory,
-        &scripts,
-        &ExploreConfig::new(6).sequential().with_optimal_dpor(),
-    );
+    let dpor = explore_with(factory, &scripts, &ExploreConfig::new(6));
     assert_eq!(plain, dpor);
-    let parallel = explore_with(
-        factory,
-        &scripts,
-        &ExploreConfig::new(6)
-            .with_split_depth(2)
-            .with_optimal_dpor(),
-    );
-    assert_eq!(plain, parallel);
-}
-
-#[test]
-fn dpor_composes_with_dedup_and_the_parallel_frontier() {
-    let scripts = contended_scripts();
-    let depth = 9;
-    for (name, factory) in factories(2, 1) {
-        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(depth).sequential());
-        let base = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(depth).sequential().with_optimal_dpor(),
-        );
-        let deduped = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(depth)
-                .sequential()
-                .with_optimal_dpor()
-                .with_dedup(),
-        );
-        assert_eq!(
-            base.report(),
-            deduped.report(),
-            "{name}: dedup changed the DPOR report"
-        );
-        for split in 1..=depth {
-            for dedup in [false, true] {
-                let config = ExploreConfig::new(depth)
-                    .with_split_depth(split)
-                    .with_optimal_dpor();
-                let config = if dedup { config.with_dedup() } else { config };
-                let par = explore_with(&*factory, &scripts, &config);
-                assert_eq!(
-                    plain.all_opaque(),
-                    par.all_opaque(),
-                    "{name}: parallel DPOR changed the verdict at split {split}"
-                );
-                for violation in &par.violations {
-                    assert!(
-                        plain.violations.contains(violation),
-                        "{name}: parallel DPOR invented a violation at split {split}: \
-                         {violation:?}"
-                    );
-                }
-                // The prefix tree is enumerated exhaustively, so the
-                // executed count sits between the sequential DPOR count
-                // and the full tree.
-                assert!(
-                    base.schedules <= par.schedules && par.schedules <= plain.schedules,
-                    "{name}: split {split} executed {}",
-                    par.schedules
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -235,15 +161,11 @@ fn dpor_catches_the_leak_on_disjoint_variables_too() {
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(Y), PlannedOp::Write(Y, 5)]),
     ];
-    let plain = explore_with(
-        || tm_stm::literal_fgp(2, 2),
-        &scripts,
-        &ExploreConfig::new(9).sequential(),
-    );
+    let plain = explore_schedules(|| tm_stm::literal_fgp(2, 2), &scripts, 9);
     let dpor = explore_with(
         || tm_stm::literal_fgp(2, 2),
         &scripts,
-        &ExploreConfig::new(9).sequential().with_optimal_dpor(),
+        &ExploreConfig::new(9),
     );
     assert!(
         dpor.schedules < plain.schedules,
@@ -284,12 +206,8 @@ fn optimal_dpor_verdicts_and_violation_subset_across_the_catalogue() {
     for (procs, tvars, depth, scripts) in shapes {
         let mut buggy_caught = false;
         for (name, factory) in factories(procs, tvars) {
-            let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(depth).sequential());
-            let optimal = explore_with(
-                &*factory,
-                &scripts,
-                &ExploreConfig::new(depth).sequential().with_optimal_dpor(),
-            );
+            let plain = explore_schedules(&*factory, &scripts, depth);
+            let optimal = explore_with(&*factory, &scripts, &ExploreConfig::new(depth));
             assert_eq!(plain.schedules, procs.pow(depth as u32), "{name}");
             assert_eq!(
                 plain.all_opaque(),
@@ -346,10 +264,7 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
         let optimal = explore_with(
             factory,
             &scripts,
-            &ExploreConfig::new(depth)
-                .sequential()
-                .with_optimal_dpor()
-                .with_schedule_log(),
+            &ExploreConfig::new(depth).with_schedule_log(),
         );
         assert!(optimal.all_opaque());
         assert_eq!(
@@ -374,7 +289,7 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
             optimal.schedules,
             classes
         );
-        let plain = explore_with(factory, &scripts, &ExploreConfig::new(depth).sequential());
+        let plain = explore_schedules(factory, &scripts, depth);
         assert!(
             optimal.schedules <= plain.schedules,
             "{procs}p depth {depth}: optimal ({}) exceeded the exhaustive walk ({})",
@@ -416,10 +331,7 @@ fn optimal_dpor_bookkeeping_counters_are_pinned_across_the_catalogue() {
         let report = explore_with(
             &*factory,
             &scripts,
-            &ExploreConfig::new(DEPTH)
-                .sequential()
-                .with_optimal_dpor()
-                .with_telemetry(&telemetry),
+            &ExploreConfig::new(DEPTH).with_telemetry(&telemetry),
         );
         let got = (
             name,
@@ -434,9 +346,9 @@ fn optimal_dpor_bookkeeping_counters_are_pinned_across_the_catalogue() {
 
 #[test]
 fn optimal_dpor_is_deterministic_across_rayon_thread_counts() {
-    // With the split depth pinned, the parallel wakeup-tree walk's
-    // report — executed schedules, fallbacks, violations, in merge
-    // order — must be byte-identical at any worker count.
+    // The wakeup-tree walk is sequential: its report — executed
+    // schedules, fallbacks, violations, in walk order — must be
+    // byte-identical whatever the size of the ambient rayon pool.
     let scripts = vec![
         ClientScript::increment(X),
         ClientScript::increment(X),
@@ -451,9 +363,7 @@ fn optimal_dpor_is_deterministic_across_rayon_thread_counts() {
             explore_with(
                 || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
                 &scripts,
-                &ExploreConfig::new(7)
-                    .with_split_depth(2)
-                    .with_optimal_dpor(),
+                &ExploreConfig::new(7),
             )
         })
     };
@@ -469,15 +379,11 @@ fn optimal_dpor_degenerates_to_full_exploration_for_conservative_oracles() {
     // The global-lock TM's audited oracle conflicts on every pair, so
     // wakeup trees must reproduce the exhaustive report byte for byte.
     let scripts = contended_scripts();
-    let plain = explore_with(
-        || Box::new(GlobalLock::new(2, 1)) as BoxedTm,
-        &scripts,
-        &ExploreConfig::new(8).sequential(),
-    );
+    let plain = explore_schedules(|| Box::new(GlobalLock::new(2, 1)) as BoxedTm, &scripts, 8);
     let optimal = explore_with(
         || Box::new(GlobalLock::new(2, 1)) as BoxedTm,
         &scripts,
-        &ExploreConfig::new(8).sequential().with_optimal_dpor(),
+        &ExploreConfig::new(8),
     );
     assert_eq!(plain, optimal);
 }
@@ -546,13 +452,9 @@ fn parasitic_starvation_analysis_survives_both_reductions() {
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 2)]),
     ];
     let factory = || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm;
-    let sweep = explore_with(
-        factory,
-        &scripts,
-        &ExploreConfig::new(10).with_optimal_dpor(),
-    );
+    let sweep = explore_with(factory, &scripts, &ExploreConfig::new(10));
     assert!(sweep.all_opaque());
-    assert!(explore_with(factory, &scripts, &ExploreConfig::new(10)).all_opaque());
+    assert!(explore_schedules(factory, &scripts, 10).all_opaque());
     let report = livecheck(
         factory,
         &scripts,

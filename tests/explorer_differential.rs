@@ -2,14 +2,15 @@
 //! naive from-scratch enumerator must report **identical** results —
 //! same schedule counts, same exact-checker fallback counts, same
 //! violation lists (schedules, histories, details and shortest failing
-//! prefixes) in the same order — across catalogue TMs, process counts
-//! and parallel configurations. One deliberately buggy TM (the literal
+//! prefixes) in the same order — across catalogue TMs and process
+//! counts. One deliberately buggy TM (the literal
 //! `Fgp` formal rules) is included: both explorers must *catch* it, not
 //! merely agree on silence.
 
 use tm_core::TVarId;
 use tm_sim::{
-    explore_schedules_naive, explore_with, ClientScript, Exploration, ExploreConfig, PlannedOp,
+    explore_schedules, explore_schedules_naive, explore_with, ClientScript, Exploration,
+    ExploreConfig, FaultConfig, PlannedOp,
 };
 use tm_stm::{BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SwissTm, TinyStm, Tl2};
 
@@ -119,10 +120,10 @@ fn full_catalogue_factories(processes: usize, tvars: usize) -> Vec<(&'static str
 
 #[test]
 fn engine_reports_match_the_naive_legacy_across_the_full_catalogue() {
-    // The engine-backed explorer (shared kernel: ScheduleSpace, TmPool,
-    // engine frontier) against the seed's from-scratch enumerator, byte
-    // for byte, across the full nine-TM catalogue plus the seeded-buggy
-    // literal Fgp — sequential, parallel-split, and dedup'd.
+    // The engine-backed exhaustive walk (shared kernel: ScheduleSpace,
+    // TmPool) against the seed's from-scratch enumerator, byte for byte,
+    // across the full nine-TM catalogue plus the seeded-buggy literal
+    // Fgp.
     let scripts = vec![
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
@@ -130,25 +131,9 @@ fn engine_reports_match_the_naive_legacy_across_the_full_catalogue() {
     let mut buggy_caught = false;
     for (name, factory) in full_catalogue_factories(2, 1) {
         let naive = explore_schedules_naive(&*factory, &scripts, 7);
-        let dfs = explore_with(&*factory, &scripts, &ExploreConfig::new(7).sequential());
+        let dfs = explore_schedules(&*factory, &scripts, 7);
         assert_eq!(naive.schedules, 1 << 7, "{name}");
-        assert_identical(name, &naive, &dfs, "full catalogue, sequential");
-        let par = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(7).with_split_depth(2),
-        );
-        assert_identical(name, &naive, &par, "full catalogue, split 2");
-        let dedup = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(7).sequential().with_dedup(),
-        );
-        assert_eq!(
-            naive.report(),
-            dedup.report(),
-            "{name}: dedup changed the report"
-        );
+        assert_eq!(naive, dfs, "{name}: full catalogue");
         if name == "fgp-literal" {
             assert!(!dfs.all_opaque(), "the literal-Fgp leak must surface");
             buggy_caught = true;
@@ -166,7 +151,7 @@ fn two_process_reports_are_identical_across_the_catalogue() {
     let mut buggy_caught = false;
     for (name, factory) in factories(2, 1) {
         let naive = explore_schedules_naive(&*factory, &scripts, 8);
-        let dfs = explore_with(&*factory, &scripts, &ExploreConfig::new(8).sequential());
+        let dfs = explore_schedules(&*factory, &scripts, 8);
         assert_eq!(naive.schedules, 1 << 8, "{name}");
         assert_identical(name, &naive, &dfs, "2p depth 8 sequential");
         if name == "fgp-literal" {
@@ -191,26 +176,9 @@ fn three_process_reports_are_identical_across_the_catalogue() {
     ];
     for (name, factory) in factories(3, 2) {
         let naive = explore_schedules_naive(&*factory, &scripts, 6);
-        let dfs = explore_with(&*factory, &scripts, &ExploreConfig::new(6).sequential());
+        let dfs = explore_schedules(&*factory, &scripts, 6);
         assert_eq!(naive.schedules, 3usize.pow(6), "{name}");
         assert_identical(name, &naive, &dfs, "3p depth 6 sequential");
-    }
-}
-
-#[test]
-fn parallel_frontier_matches_naive_at_every_split_depth() {
-    let scripts = vec![
-        ClientScript::increment(X),
-        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
-    ];
-    let naive = explore_schedules_naive(|| tm_stm::literal_fgp(2, 1), &scripts, 8);
-    for split in [0, 1, 2, 4, 8] {
-        let par = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(8).with_split_depth(split),
-        );
-        assert_identical("fgp-literal", &naive, &par, &format!("split {split}"));
     }
 }
 
@@ -220,11 +188,7 @@ fn violations_carry_their_shortest_failing_prefix() {
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
     ];
-    let dfs = explore_with(
-        || tm_stm::literal_fgp(2, 1),
-        &scripts,
-        &ExploreConfig::new(9),
-    );
+    let dfs = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
     assert!(!dfs.violations.is_empty());
     for v in &dfs.violations {
         assert!(
@@ -243,55 +207,10 @@ fn violations_carry_their_shortest_failing_prefix() {
 }
 
 #[test]
-fn digest_dedup_reports_are_byte_identical_across_the_catalogue() {
-    // The digest seen set merges subtrees by canonical state fingerprint;
-    // a hash collision or an unsound canonicalization (a fingerprint
-    // missing behaviour-relevant state) would merge subtrees with
-    // different futures and diverge the counts. Exercised across all six
-    // catalogue TMs — including the blocking global-lock TM and the
-    // seeded-buggy literal Fgp, whose violating subtrees must be
-    // re-explored per prefix and re-reported identically.
-    let scripts = vec![
-        ClientScript::increment(X),
-        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
-    ];
-    let mut merged_somewhere = false;
-    for (name, factory) in factories(2, 1) {
-        let plain = explore_with(&*factory, &scripts, &ExploreConfig::new(9).sequential());
-        let deduped = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(9).sequential().with_dedup(),
-        );
-        assert_eq!(
-            plain.report(),
-            deduped.report(),
-            "{name}: dedup changed the report"
-        );
-        assert_eq!(plain.schedules, 1 << 9, "{name}");
-        merged_somewhere |= deduped.dedup_hits > 0;
-        // And under the parallel frontier (per-worker seen sets).
-        let parallel = explore_with(
-            &*factory,
-            &scripts,
-            &ExploreConfig::new(9).with_split_depth(3).with_dedup(),
-        );
-        assert_eq!(
-            plain.report(),
-            parallel.report(),
-            "{name}: parallel dedup changed the report"
-        );
-    }
-    assert!(merged_somewhere, "dedup never fired on the catalogue");
-}
-
-#[test]
 fn telemetry_snapshot_is_identical_across_thread_counts() {
     // The counter-determinism contract (see tm_telemetry's module docs):
-    // counters flush at phase boundaries from per-worker deterministic
-    // tallies whose sum is partition-independent. The split depth is
-    // pinned because `auto_split_depth` follows the pool size — that is
-    // a config difference, not a scheduling race.
+    // counters flush at the end of the walk from deterministic tallies,
+    // so the snapshot cannot depend on the ambient rayon pool size.
     use tm_telemetry::{Counter, Telemetry};
     let scripts = vec![ClientScript::increment(X), ClientScript::increment(X)];
     let snap_at = |threads: usize| {
@@ -304,9 +223,7 @@ fn telemetry_snapshot_is_identical_across_thread_counts() {
             explore_with(
                 || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
                 &scripts,
-                &ExploreConfig::new(10)
-                    .with_split_depth(3)
-                    .with_telemetry(&telemetry),
+                &ExploreConfig::new(10).with_telemetry(&telemetry),
             )
         });
         (telemetry.snapshot(), report)
@@ -331,7 +248,8 @@ fn telemetry_snapshot_is_identical_across_thread_counts() {
 #[test]
 fn executed_schedule_counter_matches_the_report_across_the_catalogue() {
     // `Counter::SchedulesExecuted` must agree with the report's leaf
-    // count for every TM and configuration — the anchor that ties the
+    // count for every TM on both walks — optimal DPOR fault-free, the
+    // exhaustive walk with a crash quantified — the anchor that ties the
     // telemetry stream to the exploration it narrates.
     use tm_telemetry::{Counter, Telemetry};
     let scripts = vec![
@@ -340,9 +258,8 @@ fn executed_schedule_counter_matches_the_report_across_the_catalogue() {
     ];
     for (name, factory) in full_catalogue_factories(2, 1) {
         for config in [
-            ExploreConfig::new(8).sequential(),
-            ExploreConfig::new(8).sequential().with_optimal_dpor(),
             ExploreConfig::new(8),
+            ExploreConfig::new(8).with_faults(FaultConfig::with_crashes(1)),
         ] {
             let telemetry = Telemetry::counters();
             let report = explore_with(&*factory, &scripts, &config.with_telemetry(&telemetry));

@@ -1,6 +1,7 @@
 //! Fault-prone model checking, end to end: exhaustive crash/parasitic
 //! injection inside both checkers, the Theorem-1 corollary across the
-//! catalogue, fault-free byte-identity of the NDJSON stream, thread-count
+//! catalogue, crash-only safety exploration against the fault-free
+//! walk, fault-free byte-identity of the NDJSON stream, thread-count
 //! determinism of the fault-space search, and budgeted graceful
 //! degradation (budget trips and TMs that panic mid-search both produce
 //! an explicit partial verdict that round-trips through `tm-obs`).
@@ -12,8 +13,8 @@ use tm_automata::FgpVariant;
 use tm_core::{Invocation, ProcessId, Response, TVarId};
 use tm_liveness_repro::obs::summary;
 use tm_sim::{
-    explore_with, livecheck, Budget, ClientScript, ExploreConfig, FaultConfig, LivecheckConfig,
-    PlannedOp,
+    explore_schedules, explore_with, livecheck, Budget, ClientScript, ExploreConfig, FaultConfig,
+    LivecheckConfig, PlannedOp,
 };
 use tm_stm::{
     BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, Outcome, SteppedTm, SwissTm, TinyStm, Tl2,
@@ -177,9 +178,7 @@ fn fault_config_none_is_byte_identical_across_the_catalogue() {
         let mut reports = Vec::new();
         for (_, factory) in catalog() {
             let mut lc = LivecheckConfig::new(8).with_telemetry(&telemetry);
-            let mut ex = ExploreConfig::new(4)
-                .sequential()
-                .with_telemetry(&telemetry);
+            let mut ex = ExploreConfig::new(4).with_telemetry(&telemetry);
             if explicit {
                 lc = lc
                     .with_faults(FaultConfig::none())
@@ -226,13 +225,77 @@ fn fault_config_none_is_byte_identical_across_the_catalogue() {
 }
 
 // ---------------------------------------------------------------------
-// Thread-count determinism of the fault space.
+// Fault-prone search agreement and determinism.
 // ---------------------------------------------------------------------
 
+/// Crashes add nothing to safety: a crashed process's history is a
+/// prefix of some fault-free schedule's history, opacity is
+/// prefix-closed, and the certifier checks every prefix. So a crash-only
+/// exploration must reach the fault-free verdict of the same depth, and
+/// every violation it reports must extend to a fault-free violation:
+/// its schedule is a prefix of some fault-free violation's schedule.
+/// Checked on the whole catalogue at two and three processes and on the
+/// seeded-buggy literal Fgp.
+#[test]
+fn crash_only_exploration_adds_nothing_to_safety() {
+    let (x, y) = (X, TVarId(1));
+    let mut cases: Vec<(String, BoxedTm, Vec<ClientScript>, usize)> = Vec::new();
+    for tm in tm_stm::full_catalog(2, 2) {
+        let scripts = vec![ClientScript::increment(x), ClientScript::transfer(x, y)];
+        cases.push((format!("{} 2p", tm.name()), tm, scripts, 9));
+    }
+    for tm in tm_stm::full_catalog(3, 2) {
+        let scripts = vec![
+            ClientScript::increment(x),
+            ClientScript::transfer(x, y),
+            ClientScript::read_both(x, y),
+        ];
+        cases.push((format!("{} 3p", tm.name()), tm, scripts, 7));
+    }
+    cases.push((
+        "fgp-literal".to_string(),
+        tm_stm::literal_fgp(2, 1),
+        vec![
+            ClientScript::increment(x),
+            ClientScript::new(vec![PlannedOp::Read(x), PlannedOp::Write(x, 5)]),
+        ],
+        10,
+    ));
+    let mut buggy_caught = false;
+    for (name, template, scripts, depth) in cases {
+        let factory = || template.fork();
+        let fault_free = explore_schedules(factory, &scripts, depth);
+        let crashed = explore_with(
+            factory,
+            &scripts,
+            &ExploreConfig::new(depth).with_faults(FaultConfig::with_crashes(1)),
+        );
+        assert!(crashed.crash_injected != 0, "{name}: no crash explored");
+        assert_eq!(
+            crashed.all_opaque(),
+            fault_free.all_opaque(),
+            "{name}: a crash changed the verdict"
+        );
+        for v in &crashed.violations {
+            assert!(
+                fault_free
+                    .violations
+                    .iter()
+                    .any(|f| f.schedule.starts_with(&v.schedule)),
+                "{name}: crash-run violation {:?} (faults {:?}) extends to no fault-free one",
+                v.schedule,
+                v.faults
+            );
+        }
+        buggy_caught |= !crashed.all_opaque();
+    }
+    assert!(buggy_caught, "the literal-Fgp leak must surface");
+}
+
 /// The fault-prone reduced graph walk and the fault-prone explorer
-/// produce identical results at 1, 2 and 4 rayon threads: fault edges
-/// intern into the same canonical ids and the explorer's deterministic
-/// merge is insensitive to worker scheduling.
+/// produce identical results under 1-, 2- and 4-thread rayon pools:
+/// both walks are sequential, so fault edges intern into the same
+/// canonical ids and the explorer visits the same tree.
 #[test]
 fn fault_space_exploration_is_deterministic_across_thread_counts() {
     let faults = FaultConfig::with_crashes(1).and_parasitic();
@@ -422,10 +485,11 @@ impl SteppedTm for PanicTm {
     }
 }
 
-/// A TM that panics mid-search is contained on both livecheck walks: the
-/// run closes with a partial verdict (reason "frontier worker
-/// panicked") over the graph interned so far, and the stream
-/// round-trips through `tm-obs`.
+/// A TM that panics mid-search is contained on both livecheck walks and
+/// on both explorer walks (optimal DPOR fault-free, exhaustive with
+/// faults): the run closes with a partial verdict (reason "TM step
+/// panicked") over the work done so far, and the stream round-trips
+/// through `tm-obs`.
 #[test]
 fn panicking_frontier_worker_degrades_to_a_partial_verdict() {
     for (walk, config) in [
@@ -449,7 +513,7 @@ fn panicking_frontier_worker_degrades_to_a_partial_verdict() {
             );
             assert_eq!(
                 report.exhausted.as_deref(),
-                Some("frontier worker panicked"),
+                Some("TM step panicked"),
                 "{walk}: {report:?}"
             );
             // The walk before the panic still produced a usable prefix.
@@ -458,5 +522,39 @@ fn panicking_frontier_worker_degrades_to_a_partial_verdict() {
         let raw = std::fs::read_to_string(&path).expect("read");
         std::fs::remove_file(&path).ok();
         assert_partial_stream(&raw, "livecheck");
+    }
+    for (walk, config) in [
+        ("optimal", ExploreConfig::new(12)),
+        (
+            "exhaustive",
+            ExploreConfig::new(12).with_faults(FaultConfig::with_crashes(1).and_parasitic()),
+        ),
+    ] {
+        let path = temp(&format!("panic_explore_{walk}"));
+        {
+            let telemetry = Telemetry::to_path(&path).expect("open stream");
+            let fuse = Arc::new(AtomicUsize::new(0));
+            let report = explore_with(
+                || {
+                    Box::new(PanicTm::new(
+                        Box::new(Tl2::new(2, 1)),
+                        Arc::clone(&fuse),
+                        40,
+                    )) as BoxedTm
+                },
+                &contended(),
+                &config.with_telemetry(&telemetry),
+            );
+            assert_eq!(
+                report.exhausted.as_deref(),
+                Some("TM step panicked"),
+                "{walk}: {report:?}"
+            );
+            // The walk before the panic still certified schedules.
+            assert!(report.schedules > 0, "{walk}: {report:?}");
+        }
+        let raw = std::fs::read_to_string(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        assert_partial_stream(&raw, "explore");
     }
 }

@@ -81,16 +81,13 @@ fn summary_counters_are_byte_identical_to_engine_snapshots() {
         stream.push_str(&run);
         engine_truth.push(("livecheck", *name, counters, starvation_free));
     }
-    // Explorer streams pass through the same consumer: one sequential
-    // optimal-DPOR run, the production reduced walker.
+    // Explorer streams pass through the same consumer: one fault-free
+    // run, so the production optimal-DPOR walk.
     let (run, counters, all_opaque) = streamed("summary_explore", |telemetry| {
         explore_with(
             || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
             &contended(),
-            &ExploreConfig::new(8)
-                .sequential()
-                .with_optimal_dpor()
-                .with_telemetry(telemetry),
+            &ExploreConfig::new(8).with_telemetry(telemetry),
         )
         .all_opaque()
     });

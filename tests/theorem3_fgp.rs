@@ -11,8 +11,7 @@
 use tm_automata::FgpVariant;
 use tm_core::{ProcessId, TVarId};
 use tm_sim::{
-    explore_schedules, explore_with, simulate, Client, ClientScript, ExploreConfig, FaultPlan,
-    RandomScheduler, SimConfig,
+    explore_schedules, simulate, Client, ClientScript, FaultPlan, RandomScheduler, SimConfig,
 };
 use tm_stm::{BoxedTm, FgpTm};
 
@@ -69,10 +68,10 @@ fn fgp_three_processes_model_checked_at_depth_ten() {
         ClientScript::increment(X),
         ClientScript::read_both(X, Y),
     ];
-    let result = explore_with(
+    let result = explore_schedules(
         || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
         &scripts,
-        &ExploreConfig::new(10),
+        10,
     );
     assert_eq!(result.schedules, 3usize.pow(10));
     assert!(result.all_opaque());
