@@ -21,7 +21,9 @@
 //!   live process infinitely often and separate crash-induced from
 //!   TM-induced starvation. One [`certify`] call decides both with
 //!   `1 + 3·processes` Tarjan passes: one over the whole [`CycleGraph`],
-//!   then one per process and filter over its intra-component edges;
+//!   then one per process and filter over its intra-component edges.
+//!   It also returns a closed-walk [`CycleWitness`] per plain
+//!   progressing, starving and parasitic verdict;
 //! * [`figures`] — the paper's infinite-history figures (5, 6, 7, 9, 10,
 //!   12, 13, 14) as ready-made lassos.
 //!
@@ -54,4 +56,7 @@ pub use meta::{satisfies_biprogressing_condition, satisfies_nonblocking_conditio
 pub use properties::{
     GlobalProgress, LocalProgress, PriorityProgress, SoloProgress, TmLivenessProperty,
 };
-pub use scc::{certify, CycleEdge, CycleGraph, FairProcessVerdicts, ProcessCycleVerdicts};
+pub use scc::{
+    certify, Certificate, CycleEdge, CycleGraph, CycleWitness, FairProcessVerdicts,
+    ProcessCycleVerdicts,
+};

@@ -2,12 +2,11 @@
 //!
 //! The liveness model checker (`tm_sim::livecheck`) records the explored
 //! configuration graph explicitly and needs **completeness** claims over
-//! it — "no cycle starves process `p` within the bound" — that on-path
-//! lasso detection cannot give once a seen set prunes re-expansion. This
-//! module decides cycle existence exactly, per process, by strongly
-//! connected components (Tarjan over edge-filtered views of a
-//! [`CycleGraph`]): an edge lies on a cycle of a filtered graph iff both
-//! endpoints share an SCC.
+//! it: "no cycle starves process `p` within the bound". This module
+//! decides cycle existence exactly, per process, by strongly connected
+//! components (Tarjan over edge-filtered views of a [`CycleGraph`]): an
+//! edge lies on a cycle of a filtered graph iff both endpoints share an
+//! SCC.
 //!
 //! [`certify`] answers every question with `1 + 3·processes` Tarjan
 //! passes (10 for three processes):
@@ -23,10 +22,20 @@
 //!    component) and the fair one (the same component also schedules or
 //!    has crashed every process).
 //!
+//! Every plain `progressing`, `starving` and `parasitic` verdict also
+//! comes with a [`CycleWitness`]: a closed walk read off the same
+//! components, through the first want edge in node order and back to
+//! its source by breadth-first search. Blocked cycles carry no events,
+//! so they stay verdict-only.
+//!
 //! The passes run in process-id order on one thread. A rayon fan-out
 //! over the processes measured no faster, so there is none.
 
+use std::collections::VecDeque;
+
 use tm_core::ProcessId;
+
+use crate::classify::ProcessClass;
 
 /// One labelled edge of an explored configuration graph, in the compact
 /// form the cycle certificates need: the scheduled process and what its
@@ -149,6 +158,73 @@ pub struct FairProcessVerdicts {
     pub crash_victim: bool,
 }
 
+/// A closed walk witnessing one plain verdict: it stays inside one
+/// component of the verdict's filtered graph and repeats its want edge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CycleWitness {
+    /// The process the verdict is about.
+    pub process: ProcessId,
+    /// The verdict: [`ProcessClass::Progressing`],
+    /// [`ProcessClass::Starving`] or [`ProcessClass::Parasitic`].
+    pub class: ProcessClass,
+    /// The walk as `(node, process)` steps, each naming the node's
+    /// out-edge of that process. It starts at the source of the want
+    /// edge and ends back there. A pair is unambiguous because the
+    /// graphs livecheck certifies have at most one edge per process per
+    /// node.
+    pub walk: Vec<(u32, u8)>,
+}
+
+/// Everything [`certify`] decides about one graph, per process in
+/// process-id order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Certificate {
+    /// The plain cycle-existence verdicts.
+    pub verdicts: Vec<ProcessCycleVerdicts>,
+    /// The fairness-filtered verdicts.
+    pub fair: Vec<FairProcessVerdicts>,
+    /// One witness per plain `progressing`, `starving` and `parasitic`
+    /// verdict, in that order within each process.
+    pub witnesses: Vec<CycleWitness>,
+}
+
+/// A cycle shape [`certify`] decides, as two edge filters for a process
+/// `p`: the edges such a cycle may `keep`, and the edge it must repeat
+/// (`want`).
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `p` commits infinitely often.
+    Progressing,
+    /// `p` aborts infinitely often and never commits.
+    Starving,
+    /// `p` takes effective steps but never `tryC`, commits or aborts.
+    Parasitic,
+    /// `p` is scheduled but never gets an event.
+    Blocked,
+}
+
+impl Shape {
+    fn keep(self, p: u8, e: &CycleEdge) -> bool {
+        let mine = e.process == p;
+        match self {
+            Shape::Progressing => true,
+            Shape::Starving => !(mine && e.committed),
+            Shape::Parasitic => !(mine && (e.committed || e.aborted || e.tryc)),
+            Shape::Blocked => !(mine && e.events > 0),
+        }
+    }
+
+    fn want(self, p: u8, e: &CycleEdge) -> bool {
+        e.process == p
+            && match self {
+                Shape::Progressing => e.committed,
+                Shape::Starving => e.aborted,
+                Shape::Parasitic => e.events > 0,
+                Shape::Blocked => e.events == 0,
+            }
+    }
+}
+
 const UNVISITED: u32 = u32::MAX;
 
 /// Scratch arrays of the iterative Tarjan passes, reused across passes.
@@ -266,8 +342,8 @@ struct Component {
     want: bool,
 }
 
-/// One Tarjan pass over the `keep`-restricted graph and its component
-/// summary.
+/// One Tarjan pass over the graph restricted to `shape`'s kept edges for
+/// process `p`, and its component summary.
 ///
 /// The unfair flag needs a kept intra-component `want` edge. The fair
 /// flag also needs every live process to have a kept intra-component
@@ -283,13 +359,17 @@ struct Component {
 /// Fault masks only grow along edges, so every node of a cycle-bearing
 /// SCC carries the same mask; processes crashed in a component are
 /// exempt from its fairness obligation.
+///
+/// With `witness` set, a certified unfair flag also returns its
+/// [`closed_walk`].
 fn filter_pass(
     graph: &CycleGraph,
     tarjan: &mut Tarjan,
     live: u64,
-    keep: impl Fn(&CycleEdge) -> bool + Copy,
-    want: impl Fn(&CycleEdge) -> bool,
-) -> FilterVerdict {
+    (shape, p): (Shape, u8),
+    witness: bool,
+) -> (FilterVerdict, Option<Vec<(u32, u8)>>) {
+    let keep = |e: &CycleEdge| shape.keep(p, e);
     let ncomp = tarjan.run(graph, keep);
     let comp = &tarjan.comp;
     let mut summary = vec![Component::default(); ncomp];
@@ -299,7 +379,7 @@ fn filter_pass(
         for e in graph.out_edges(u) {
             if keep(e) && comp[e.target as usize] == c {
                 s.scheduled |= 1 << e.process;
-                s.want |= want(e);
+                s.want |= shape.want(p, e);
             }
         }
     }
@@ -311,35 +391,86 @@ fn filter_pass(
             verdict.victim |= s.crashed != 0;
         }
     }
-    verdict
+    let walk = (witness && verdict.unfair)
+        .then(|| closed_walk(graph, comp, (shape, p)))
+        .flatten();
+    (verdict, walk)
+}
+
+/// A closed walk inside one component of `comp` (components over
+/// `shape`'s kept edges for `p`): the first kept want edge in node order
+/// whose endpoints share a component, then a shortest kept path from its
+/// target back to its source, found by breadth-first search inside that
+/// component. `None` when no want edge lies inside a component.
+fn closed_walk(
+    graph: &CycleGraph,
+    comp: &[u32],
+    (shape, p): (Shape, u8),
+) -> Option<Vec<(u32, u8)>> {
+    let inside = |u: usize, e: &CycleEdge| shape.keep(p, e) && comp[e.target as usize] == comp[u];
+    let (source, want) = (0..graph.node_count()).find_map(|u| {
+        graph
+            .out_edges(u)
+            .iter()
+            .find(|e| shape.want(p, e) && inside(u, e))
+            .map(|e| (u, *e))
+    })?;
+    let start = want.target as usize;
+    // `prev[v]` is the step that first reached `v`; `start` marks itself.
+    let mut prev = vec![(UNVISITED, 0u8); graph.node_count()];
+    prev[start] = (want.target, want.process);
+    let mut queue = VecDeque::from([start]);
+    while let Some(u) = queue.pop_front() {
+        if u == source {
+            break;
+        }
+        for e in graph.out_edges(u).iter().filter(|e| inside(u, e)) {
+            let t = e.target as usize;
+            if prev[t].0 == UNVISITED {
+                prev[t] = (u as u32, e.process);
+                queue.push_back(t);
+            }
+        }
+    }
+    let mut back = Vec::new();
+    let mut at = source;
+    while at != start {
+        let step = prev[at];
+        back.push(step);
+        at = step.0 as usize;
+    }
+    let mut walk = vec![(source as u32, want.process)];
+    walk.extend(back.into_iter().rev());
+    Some(walk)
 }
 
 /// Certifies every process's plain and fairness-filtered cycle verdicts
-/// over the explored graph (see the module docs for the passes).
+/// over the explored graph, with a witness per plain `progressing`,
+/// `starving` and `parasitic` verdict (see the module docs for the
+/// passes).
 ///
 /// Plain verdicts quantify over all cycles; fair verdicts keep only
 /// cycles that schedule every live process infinitely often, where a
 /// process crashed in a component is exempt from that component's
 /// obligation. Both use the same edge filters, so `fair.starving →
-/// plain.starving` etc. by construction.
+/// plain.starving` etc. by construction, and a witness walks the
+/// filtered graph its verdict was decided on.
 ///
 /// # Panics
 ///
 /// If `processes` exceeds 64, or an edge targets a node the graph does
 /// not have.
-pub fn certify(
-    graph: &CycleGraph,
-    processes: usize,
-) -> (Vec<ProcessCycleVerdicts>, Vec<FairProcessVerdicts>) {
+pub fn certify(graph: &CycleGraph, processes: usize) -> Certificate {
     assert!(processes <= 64, "process masks are u64s");
     let mut tarjan = Tarjan::default();
     tarjan.run(graph, |_| true);
     let full = &tarjan.comp;
     let intra = |u: usize, e: &CycleEdge| full[u] == full[e.target as usize];
     // The core: nodes with an edge inside their full component, densely
-    // renumbered. Both endpoints of an intra-component edge are in it.
+    // renumbered in node order. Both endpoints of an intra-component
+    // edge are in it; `members` maps core ids back.
     let mut local = vec![UNVISITED; graph.node_count()];
-    let mut kept_nodes = 0u32;
+    let mut members = Vec::new();
     let mut kept_edges = 0usize;
     let mut progressing = 0u64;
     for (u, slot) in local.iter_mut().enumerate() {
@@ -352,25 +483,32 @@ pub fn certify(
             }
         }
         if any {
-            *slot = kept_nodes;
-            kept_nodes += 1;
+            *slot = members.len() as u32;
+            members.push(u as u32);
         }
     }
-    let mut core = CycleGraph::with_capacity(kept_nodes as usize, kept_edges);
-    for (u, &id) in local.iter().enumerate() {
-        if id != UNVISITED {
-            core.push_node(
-                graph.crashed[u],
-                graph
-                    .out_edges(u)
-                    .iter()
-                    .filter(|e| intra(u, e))
-                    .map(|e| CycleEdge {
-                        target: local[e.target as usize],
-                        ..*e
-                    }),
-            );
-        }
+    let progressing_walks: Vec<Option<Vec<(u32, u8)>>> = (0..processes)
+        .map(|k| {
+            let p = u8::try_from(k).expect("≤ 64 processes");
+            (progressing >> k & 1 != 0)
+                .then(|| closed_walk(graph, full, (Shape::Progressing, p)))
+                .flatten()
+        })
+        .collect();
+    let mut core = CycleGraph::with_capacity(members.len(), kept_edges);
+    for &u in &members {
+        let u = u as usize;
+        core.push_node(
+            graph.crashed[u],
+            graph
+                .out_edges(u)
+                .iter()
+                .filter(|e| intra(u, e))
+                .map(|e| CycleEdge {
+                    target: local[e.target as usize],
+                    ..*e
+                }),
+        );
     }
     let live = if processes == 64 {
         u64::MAX
@@ -379,46 +517,51 @@ pub fn certify(
     };
     let mut verdicts = Vec::with_capacity(processes);
     let mut fair = Vec::with_capacity(processes);
-    for k in 0..processes {
+    let mut witnesses = Vec::new();
+    for (k, progressing_walk) in progressing_walks.into_iter().enumerate() {
         let p = u8::try_from(k).expect("≤ 64 processes");
-        let mine = move |e: &CycleEdge| e.process == p;
-        let starving = filter_pass(
-            &core,
-            &mut tarjan,
-            live,
-            |e| !(mine(e) && e.committed),
-            |e| mine(e) && e.aborted,
-        );
-        let parasitic = filter_pass(
-            &core,
-            &mut tarjan,
-            live,
-            |e| !(mine(e) && (e.committed || e.aborted || e.tryc)),
-            |e| mine(e) && e.events > 0,
-        );
-        let blocked = filter_pass(
-            &core,
-            &mut tarjan,
-            live,
-            |e| !(mine(e) && e.events > 0),
-            |e| mine(e) && e.events == 0,
-        );
+        let process = ProcessId(k);
+        let (starving, starving_walk) =
+            filter_pass(&core, &mut tarjan, live, (Shape::Starving, p), true);
+        let (parasitic, parasitic_walk) =
+            filter_pass(&core, &mut tarjan, live, (Shape::Parasitic, p), true);
+        let (blocked, _) = filter_pass(&core, &mut tarjan, live, (Shape::Blocked, p), false);
         verdicts.push(ProcessCycleVerdicts {
-            process: ProcessId(k),
+            process,
             progressing: progressing >> k & 1 != 0,
             starving: starving.unfair,
             parasitic: parasitic.unfair,
             blocked: blocked.unfair,
         });
         fair.push(FairProcessVerdicts {
-            process: ProcessId(k),
+            process,
             starving: starving.fair,
             parasitic: parasitic.fair,
             blocked: blocked.fair,
             crash_victim: starving.victim || blocked.victim,
         });
+        let lift = |walk: Vec<(u32, u8)>| {
+            walk.iter()
+                .map(|&(u, q)| (members[u as usize], q))
+                .collect()
+        };
+        for (class, walk) in [
+            (ProcessClass::Progressing, progressing_walk),
+            (ProcessClass::Starving, starving_walk.map(lift)),
+            (ProcessClass::Parasitic, parasitic_walk.map(lift)),
+        ] {
+            witnesses.extend(walk.map(|walk| CycleWitness {
+                process,
+                class,
+                walk,
+            }));
+        }
     }
-    (verdicts, fair)
+    Certificate {
+        verdicts,
+        fair,
+        witnesses,
+    }
 }
 
 #[cfg(test)]
@@ -459,11 +602,11 @@ mod tests {
 
     /// Plain verdicts of a fault-free graph.
     fn plain(adjacency: &[Vec<CycleEdge>], processes: usize) -> Vec<ProcessCycleVerdicts> {
-        certify(&graph(adjacency, &vec![0; adjacency.len()]), processes).0
+        certify(&graph(adjacency, &vec![0; adjacency.len()]), processes).verdicts
     }
 
     fn fair(adjacency: &[Vec<CycleEdge>], crashed: &[u64]) -> Vec<FairProcessVerdicts> {
-        certify(&graph(adjacency, crashed), 2).1
+        certify(&graph(adjacency, crashed), 2).fair
     }
 
     /// Two nodes in a loop: p0 commits around the cycle, p1 aborts
@@ -717,7 +860,53 @@ mod tests {
                 .collect();
             let got = certify(&graph(&adjacency, &crashed), processes);
             let want = oracle(&adjacency, &crashed, processes);
-            assert_eq!(got, want, "graph {adjacency:?} crashed {crashed:?}");
+            assert_eq!(
+                (got.verdicts.clone(), got.fair.clone()),
+                want,
+                "graph {adjacency:?} crashed {crashed:?}"
+            );
+            assert_witnesses_walk_their_filters(&adjacency, &got);
+        }
+    }
+
+    /// Every plain progressing, starving and parasitic verdict has
+    /// exactly one witness, and no other witness exists. Each witness
+    /// is a closed walk of edges its shape keeps, entered by a want
+    /// edge.
+    fn assert_witnesses_walk_their_filters(adjacency: &[Vec<CycleEdge>], got: &Certificate) {
+        let expected: Vec<_> = (got.verdicts.iter())
+            .flat_map(|v| {
+                [
+                    (v.progressing, ProcessClass::Progressing),
+                    (v.starving, ProcessClass::Starving),
+                    (v.parasitic, ProcessClass::Parasitic),
+                ]
+                .into_iter()
+                .filter(|&(holds, _)| holds)
+                .map(move |(_, class)| (v.process, class))
+            })
+            .collect();
+        let found: Vec<_> = got.witnesses.iter().map(|w| (w.process, w.class)).collect();
+        assert_eq!(found, expected, "{adjacency:?}");
+        for w in &got.witnesses {
+            let p = w.process.index() as u8;
+            let shape = match w.class {
+                ProcessClass::Progressing => Shape::Progressing,
+                ProcessClass::Starving => Shape::Starving,
+                _ => Shape::Parasitic,
+            };
+            for (i, &(u, q)) in w.walk.iter().enumerate() {
+                let next = w.walk[(i + 1) % w.walk.len()].0;
+                assert!(
+                    adjacency[u as usize].iter().any(|e| {
+                        e.target == next
+                            && e.process == q
+                            && shape.keep(p, e)
+                            && (i > 0 || shape.want(p, e))
+                    }),
+                    "{w:?} leaves its filter at step {i}: {adjacency:?}"
+                );
+            }
         }
     }
 }

@@ -26,8 +26,9 @@ use std::time::Instant;
 /// hot path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
-    /// Cap on states expanded (tree nodes entered / graph nodes
-    /// interned).
+    /// Cap on states *expanded*: tree nodes entered by the safety
+    /// explorer, graph nodes whose transitions the liveness checker
+    /// steps. Interned frontier nodes do not count.
     pub max_states: Option<u64>,
     /// Cap on completed schedules (safety explorer leaves; unused by the
     /// graph checker).

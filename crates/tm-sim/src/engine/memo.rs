@@ -12,7 +12,7 @@ use tm_core::StableHasher;
 
 /// Dense interning of configuration keys: the liveness checker's
 /// digest → node-id table. Ids are assigned in first-seen order, so the
-/// checker's sequential DFS yields identical ids on every run.
+/// checker's sequential walk yields identical ids on every run.
 ///
 /// The keys are already digests, so the table hashes them with the
 /// word-wise [`StableHasher`] instead of SipHash: one multiply per key
@@ -43,16 +43,6 @@ impl<K: Hash + Eq> Interner<K> {
             }
         }
     }
-
-    /// Number of interned keys.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -62,10 +52,9 @@ mod tests {
     #[test]
     fn interner_assigns_dense_first_seen_ids() {
         let mut interner = Interner::new();
-        assert!(interner.is_empty());
         assert_eq!(interner.intern("a"), (0, true));
         assert_eq!(interner.intern("b"), (1, true));
         assert_eq!(interner.intern("a"), (0, false));
-        assert_eq!(interner.len(), 2);
+        assert_eq!(interner.intern("c"), (2, true));
     }
 }

@@ -25,8 +25,8 @@
 //!      │        per-branch [`crate::faults::FaultState`] masks fold into
 //!      │        the graph checker's node identities
 //!      ▲                ▲                            ▲
-//!   reduction   optimal DPOR: wakeup trees    transition memoization
-//!      │        (`reduction`, schedule search) (edge replay, graph search)
+//!   reduction   optimal DPOR: wakeup trees    one expansion per state
+//!      │        (`reduction`, schedule search) (breadth-first, graph search)
 //!      ▲                ▲                            ▲
 //!   interning                                 [`memo::Interner`] — the
 //!      │                                      graph checker's node ids
@@ -48,9 +48,10 @@
 //!   faults are quantified; [`crate::explore::explore_schedules`] is the
 //!   exhaustive fault-free reference;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
-//!   schedule + history, no certifier) through the interned state graph,
-//!   with transition-level reduction (execute each graph edge once,
-//!   replay re-walks) and the unreduced walk kept as its differential
+//!   fault masks, no certifier) breadth-first through the interned state
+//!   graph, expanding each configuration once and so executing each
+//!   graph edge once; [`crate::livecheck::livecheck_reference`], the
+//!   depth-budget DFS that re-executes its re-walks, is the differential
 //!   oracle.
 //!
 //! In both, a panicking TM step ends the walk in a partial report.

@@ -81,9 +81,9 @@
 //!   is appended as a fresh chain. Next-step footprints are stored once
 //!   per path node, `n` wide, and read from there by the walk.
 //!
-//! The graph search's transition memoization (execute each state-graph
-//! edge once, replay re-walks) is the liveness checker's analogue; it
-//! lives with the graph structures in [`crate::livecheck`].
+//! The liveness checker needs no such layer: its breadth-first walk
+//! expands each state once, so it executes each state-graph edge once
+//! (see [`crate::livecheck`]).
 
 use tm_core::ProcessId;
 use tm_stm::{BoxedTm, StepFootprint, SteppedTm};

@@ -74,8 +74,9 @@ impl StepRecord {
 /// response if one exists, otherwise issue the client's next invocation.
 /// Produced events are appended to `history` and responses are fed to
 /// the client. With `parasitic`, a client about to invoke `tryC` loops
-/// its transaction instead (the paper's §2.3 parasitic processes) —
-/// only the liveness checker sets it.
+/// its transaction instead (the paper's §2.3 parasitic processes); the
+/// simulator ([`crate::runner::simulate`]) applies the same rule to a
+/// [`crate::faults::FaultPlan`]'s parasitic turns.
 ///
 /// This is the single stepper beneath both checkers: the safety
 /// explorer's certifier feed and the liveness checker's edge labelling
@@ -117,7 +118,7 @@ pub(crate) fn step_process(
 ///
 /// The safety explorer's `ScheduleSpace` (clients, schedule path,
 /// history, incremental certifier) and the liveness checker's
-/// `GraphSpace` (clients, schedule, history) are the two
+/// `GraphSpace` (clients, fault masks) are the two
 /// instantiations; generic kernel helpers such as `expand_child` (the
 /// pool-fork-then-step expansion every walker shares) drive either.
 pub trait SearchSpace {

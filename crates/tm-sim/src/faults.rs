@@ -8,8 +8,9 @@
 //!
 //! * a **crash** at step `t` removes the process from the eligible set of
 //!   every step `≥ t`;
-//! * a **parasitic turn** at step `t` replaces the process's client with
-//!   an endless read-only loop that never issues `tryC`.
+//! * a **parasitic turn** at step `t` makes the process restart its
+//!   current transaction whenever it would invoke `tryC`, from step `t`
+//!   on, so it repeats that transaction's operations forever.
 //!
 //! Two layers consume this module:
 //!
@@ -28,10 +29,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use tm_core::{ProcessId, TVarId};
+use tm_core::ProcessId;
 use tm_telemetry::Json;
-
-use crate::workload::{ClientScript, PlannedOp};
 
 /// A single injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,9 +42,8 @@ pub enum Fault {
         /// The global step at which the process disappears.
         at_step: usize,
     },
-    /// The process never invokes `tryC` again. A simulation switches it
-    /// to the endless read-only loop of [`parasitic_script`]; the model
-    /// checkers instead restart its current transaction each time it
+    /// The process never invokes `tryC` again: the simulation and both
+    /// model checkers restart its current transaction each time it
     /// reaches `tryC`, so it repeats that transaction's operations.
     Parasitic {
         /// The affected process.
@@ -301,15 +299,6 @@ impl FaultPlan {
     }
 }
 
-/// The endless read-only loop a parasitic process runs: reads of `x`
-/// forever, no `tryC`. (Liveness classification only needs event kinds, so
-/// reads suffice.)
-pub fn parasitic_script(x: TVarId) -> ClientScript {
-    // A very long read-only plan; the simulation never reaches its tryC in
-    // any bounded run, and the client loops it anyway.
-    ClientScript::new(vec![PlannedOp::Read(x); usize::from(u16::MAX)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,13 +328,6 @@ mod tests {
     fn correct_processes_excludes_faulty() {
         let plan = FaultPlan::none().crash(P1, 3).parasitic(P2, 9);
         assert_eq!(plan.correct_processes(4), vec![ProcessId(2), ProcessId(3)]);
-    }
-
-    #[test]
-    fn parasitic_script_never_commits() {
-        let s = parasitic_script(TVarId(0));
-        assert!(s.ops().iter().all(|op| matches!(op, PlannedOp::Read(_))));
-        assert!(s.ops().len() > 10_000);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`livecheck`](livecheck()) — bounded *liveness* model checking: lasso detection
 //!   over the canonical state graph, classifying which processes a TM
 //!   can starve, block, or keep progressing (the paper's Figure 2
-//!   taxonomy, decided mechanically), with transition-level reduction
-//!   (`LivecheckConfig::reduce`) as the production walk;
+//!   taxonomy, decided mechanically) by one breadth-first walk that
+//!   executes each graph transition once, with
+//!   [`livecheck_reference`] as its differential oracle;
 //! * [`FaultConfig`] — fault-*prone* model checking: crash and
 //!   parasitic-turn transitions quantified exhaustively inside both
 //!   checkers (every fault placement the budget admits, not one scripted
@@ -78,10 +79,10 @@ pub use explore::{
     explore_schedules, explore_schedules_naive, explore_with, mazurkiewicz_classes,
     schedule_normal_form, Exploration, ExploreConfig, Violation,
 };
-pub use faults::{parasitic_script, Fault, FaultConfig, FaultPlan, FaultState};
+pub use faults::{Fault, FaultConfig, FaultPlan, FaultState};
 pub use livecheck::{
-    livecheck, FairProcessVerdicts, LassoFinding, LivecheckConfig, LivecheckReport,
-    ProcessCycleVerdicts,
+    livecheck, livecheck_reference, DigestCheck, FairProcessVerdicts, LassoFinding,
+    LivecheckConfig, LivecheckReport, ProcessCycleVerdicts,
 };
 pub use online::{
     certify_chunk, certify_workload, Chunk, Chunker, OnlineConfig, OnlinePipeline, OnlineReport,

@@ -9,11 +9,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use tm_core::{Event, ProcessId, Response};
+use tm_core::{Event, Invocation, ProcessId, Response};
 use tm_safety::{IncrementalChecker, Mode};
 use tm_stm::{Outcome, SteppedTm};
 
-use crate::faults::{parasitic_script, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::scheduler::Scheduler;
 use crate::workload::Client;
 
@@ -118,14 +118,6 @@ pub fn simulate(
     let mut steps_done = 0;
 
     for step in 0..config.steps {
-        // Trigger parasitic turns scheduled for this step.
-        for (k, client) in clients.iter_mut().enumerate() {
-            let p = ProcessId(k);
-            if faults.parasitic_turn_at(p, step) {
-                let x = tm_core::TVarId(0);
-                client.replace_script(parasitic_script(x));
-            }
-        }
         let eligible: Vec<ProcessId> = (0..n)
             .map(ProcessId)
             .filter(|&p| !faults.is_crashed(p, step))
@@ -158,6 +150,11 @@ pub fn simulate(
             continue;
         }
 
+        // A parasitic process never invokes tryC: it restarts its
+        // transaction instead, exactly as the checkers' stepper does.
+        if faults.is_parasitic(p, step) && clients[k].next_invocation() == Invocation::TryCommit {
+            clients[k].restart_transaction();
+        }
         let invocation = clients[k].next_invocation();
         if let Some(c) = &mut checker {
             if safety_ok {
@@ -308,6 +305,75 @@ mod tests {
         assert!(report.commit_log.iter().all(|&(s, p)| p != P2 || s < 50));
         // p1 keeps going.
         assert!(report.commits[0] > 50);
+    }
+
+    /// Forwards to a TM and logs every invocation in order.
+    struct Logged {
+        inner: Tl2,
+        log: Vec<(ProcessId, Invocation)>,
+    }
+
+    impl SteppedTm for Logged {
+        fn name(&self) -> &'static str {
+            "logged"
+        }
+        fn process_count(&self) -> usize {
+            self.inner.process_count()
+        }
+        fn tvar_count(&self) -> usize {
+            self.inner.tvar_count()
+        }
+        fn invoke(&mut self, process: ProcessId, invocation: Invocation) -> Outcome {
+            self.log.push((process, invocation));
+            self.inner.invoke(process, invocation)
+        }
+        fn poll(&mut self, process: ProcessId) -> Option<Response> {
+            self.inner.poll(process)
+        }
+        fn has_pending(&self, process: ProcessId) -> bool {
+            self.inner.has_pending(process)
+        }
+        fn fork(&self) -> tm_stm::BoxedTm {
+            self.inner.fork()
+        }
+    }
+
+    #[test]
+    fn parasitic_turn_repeats_the_own_transaction_without_try_commit() {
+        // The checkers' parasite: from its turn on, p1 restarts its own
+        // transaction whenever it would invoke tryC. TL2 never blocks,
+        // so under round robin invocation `i` is step `i`.
+        let y = TVarId(1);
+        let turn = 8;
+        let mut tm = Logged {
+            inner: Tl2::new(2, 2),
+            log: Vec::new(),
+        };
+        let mut clients = vec![
+            Client::new(ClientScript::increment(y)),
+            Client::new(ClientScript::increment(X)),
+        ];
+        simulate(
+            &mut tm,
+            &mut clients,
+            &mut RoundRobin::new(),
+            &FaultPlan::none().parasitic(P1, turn),
+            SimConfig::steps(400),
+        );
+        assert_eq!(tm.log.len(), 400);
+        let (before, after) = tm.log.split_at(turn);
+        assert!(before.contains(&(P1, Invocation::TryCommit)));
+        let mine: Vec<Invocation> = after
+            .iter()
+            .filter(|&&(p, _)| p == P1)
+            .map(|&(_, inv)| inv)
+            .collect();
+        assert_eq!(mine.len(), 196);
+        // Its own script's operations, writes included; never tryC.
+        assert!(mine
+            .iter()
+            .all(|inv| matches!(inv, Invocation::Read(v) | Invocation::Write(v, _) if *v == y)));
+        assert!(mine.iter().any(|inv| matches!(inv, Invocation::Write(..))));
     }
 
     #[test]

@@ -120,11 +120,11 @@ pub fn random_script<R: Rng>(config: &WorkloadConfig, rng: &mut R) -> ClientScri
 }
 
 /// Digest of every client's [`Client::cursor`] — the client component of
-/// the model checkers' configuration keys: exactly the state that
+/// the liveness checker's configuration keys: exactly the state that
 /// determines all future invocations, with the commit/abort tallies
 /// excluded (they differ between merged prefixes and influence nothing
-/// the checkers observe). Allocation-free: this sits on the per-node
-/// hot path of the dedup explorer and the per-step path of livecheck.
+/// the checker observes). Allocation-free: this sits on livecheck's
+/// per-edge path.
 pub(crate) fn clients_digest(clients: &[Client]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = tm_core::StableHasher::new();
@@ -246,14 +246,6 @@ impl Client {
         self.last_read = None;
     }
 
-    /// Replaces the script (used by parasitic fault injection, which
-    /// switches a client to an endless read loop).
-    pub fn replace_script(&mut self, script: ClientScript) {
-        self.script = script;
-        self.position = 0;
-        self.last_read = None;
-    }
-
     /// Whether the client is mid-transaction (has issued at least one
     /// operation of its current attempt).
     pub fn mid_transaction(&self) -> bool {
@@ -330,15 +322,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn replace_script_resets_position() {
-        let mut c = Client::new(ClientScript::increment(X));
-        c.observe(Response::Value(1));
-        assert!(c.mid_transaction());
-        c.replace_script(ClientScript::read_both(X, Y));
-        assert!(!c.mid_transaction());
-        assert_eq!(c.next_invocation(), Invocation::Read(X));
     }
 }

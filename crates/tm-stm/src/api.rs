@@ -269,8 +269,9 @@ pub trait SteppedTm {
     ///   classes, never merges them) but costs collapsing power.
     ///
     /// Collisions of the 64-bit digest are possible in principle; the
-    /// liveness checker's reduced walk is differential-tested against
-    /// its plain walk to keep that risk visible.
+    /// liveness checker's reference walk re-executes every re-walked
+    /// edge and compares it with the recorded one to keep that risk
+    /// visible.
     fn state_digest(&self) -> Option<u64> {
         None
     }

@@ -45,18 +45,14 @@
 //! durations, heartbeats) is deliberately **excluded** from the
 //! snapshot.
 //!
-//! The executed / replayed / pruned contract, shared by both checkers:
+//! The executed / pruned contract, shared by both checkers:
 //!
 //! * **executed** counts work actually performed against a TM:
 //!   [`Counter::SchedulesExecuted`] is every complete schedule the
 //!   safety explorer certifies (it equals the report's `schedules`
 //!   field), and
-//!   [`Counter::StepsExecuted`] is every TM transition the liveness
-//!   checker executes (each graph edge exactly once under reduction).
-//! * **replayed** counts re-walks served from recorded results instead
-//!   of TM execution: [`Counter::StepsReplayed`] (livecheck edge
-//!   replays) and [`Counter::MemoHits`] (livecheck re-expansions
-//!   skipped). Replayed work costs no TM stepping.
+//!   [`Counter::StepsExecuted`] is every process step the liveness
+//!   checker executes (each step edge of its graph exactly once).
 //! * **pruned** counts search the engine proved redundant and skipped
 //!   entirely: [`Counter::SchedulesPruned`] (leaves of the full
 //!   `n^depth` tree minus executed leaves, saturating) and
@@ -164,16 +160,13 @@ pub const EVENT_TAGS: &[&str] = &[
 ];
 
 /// The deterministic engine counters (see the module docs for the
-/// executed / replayed / pruned contract).
+/// executed / pruned contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
     /// Schedule-tree walk steps (`SearchSpace::step` executions in the
     /// safety explorer, interior nodes included).
     WorkerSteps,
-    /// Seen-set hits: re-expansions the liveness checker skipped
-    /// (budget dedup).
-    MemoHits,
     /// Reversible races the optimal-DPOR analysis detected.
     DporRaces,
     /// Complete schedules the safety explorer certified (equals the
@@ -191,17 +184,11 @@ pub enum Counter {
     GraphNodes,
     /// Edges of the explored liveness state graph.
     GraphEdges,
-    /// TM transitions the liveness checker executed (each graph edge
-    /// exactly once under reduction).
+    /// Process steps the liveness checker executed (each step edge of
+    /// its graph exactly once).
     StepsExecuted,
-    /// Liveness edge re-walks served by replaying recorded events.
-    StepsReplayed,
-    /// Back-edges (cycles) the liveness DFS encountered, with
-    /// multiplicity.
-    CyclesDetected,
-    /// Cycles with no events (blocked shapes).
-    EventlessCycles,
-    /// Lasso findings stored (deduplicated, capped).
+    /// Lasso findings stored (at most one per certified plain
+    /// progressing, starving or parasitic verdict).
     LassosFound,
     /// Allocating TM forks performed by the branching pool.
     TmForks,
@@ -242,12 +229,11 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the snapshot array length).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 21;
 
     /// Every counter, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::WorkerSteps,
-        Counter::MemoHits,
         Counter::DporRaces,
         Counter::SchedulesExecuted,
         Counter::SchedulesPruned,
@@ -256,9 +242,6 @@ impl Counter {
         Counter::GraphNodes,
         Counter::GraphEdges,
         Counter::StepsExecuted,
-        Counter::StepsReplayed,
-        Counter::CyclesDetected,
-        Counter::EventlessCycles,
         Counter::LassosFound,
         Counter::TmForks,
         Counter::TmReforks,
@@ -278,7 +261,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::WorkerSteps => "worker_steps",
-            Counter::MemoHits => "memo_hits",
             Counter::DporRaces => "dpor_races",
             Counter::SchedulesExecuted => "schedules_executed",
             Counter::SchedulesPruned => "schedules_pruned",
@@ -287,9 +269,6 @@ impl Counter {
             Counter::GraphNodes => "graph_nodes",
             Counter::GraphEdges => "graph_edges",
             Counter::StepsExecuted => "steps_executed",
-            Counter::StepsReplayed => "steps_replayed",
-            Counter::CyclesDetected => "cycles_detected",
-            Counter::EventlessCycles => "eventless_cycles",
             Counter::LassosFound => "lassos_found",
             Counter::TmForks => "tm_forks",
             Counter::TmReforks => "tm_reforks",
@@ -816,15 +795,15 @@ mod tests {
         let b = Telemetry::counters();
         for t in [&a, &b] {
             t.add(Counter::SchedulesExecuted, 100);
-            t.add(Counter::MemoHits, 7);
+            t.add(Counter::DporRaces, 7);
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot().get(Counter::SchedulesExecuted), 100);
-        b.add(Counter::MemoHits, 1);
+        b.add(Counter::DporRaces, 1);
         assert_ne!(a.snapshot(), b.snapshot());
         assert_eq!(
             a.snapshot().nonzero(),
-            vec![("memo_hits", 7), ("schedules_executed", 100)]
+            vec![("dpor_races", 7), ("schedules_executed", 100)]
         );
     }
 

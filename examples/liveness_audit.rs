@@ -152,7 +152,6 @@ fn main() {
         Telemetry::from_env()
     };
     let config = LivecheckConfig::new(depth)
-        .with_reduction()
         .with_telemetry(&telemetry)
         .with_faults(faults);
 
@@ -167,16 +166,8 @@ fn main() {
         "workload: p1 = (write x 1 · tryC)^ω, p2 = (read x · write x 2 · tryC)^ω, depth {depth}\n"
     );
     println!(
-        "  {:<12} {:>7} {:>7} {:>7} {:>7}  {:<11} {:<10} {:<10} {:<11} verdict",
-        "tm",
-        "states",
-        "edges",
-        "cycles",
-        "lassos",
-        "progressing",
-        "starving",
-        "parasitic",
-        "blocked"
+        "  {:<12} {:>7} {:>7} {:>7}  {:<11} {:<10} {:<10} {:<11} verdict",
+        "tm", "states", "edges", "lassos", "progressing", "starving", "parasitic", "blocked"
     );
     let mut reports = Vec::new();
     for (name, factory) in &catalog {
@@ -191,11 +182,10 @@ fn main() {
             "starvation/parasitic lasso"
         };
         println!(
-            "  {:<12} {:>7} {:>7} {:>7} {:>7}  {:<11} {:<10} {:<10} {:<11} {verdict}",
+            "  {:<12} {:>7} {:>7} {:>7}  {:<11} {:<10} {:<10} {:<11} {verdict}",
             *name,
             report.states,
             report.edges,
-            report.cycles_detected,
             report.lassos.len(),
             process_list(&report.progressing_processes()),
             process_list(&report.starving_processes()),

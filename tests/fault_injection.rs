@@ -13,8 +13,8 @@ use tm_automata::FgpVariant;
 use tm_core::{Invocation, ProcessId, Response, TVarId};
 use tm_liveness_repro::obs::summary;
 use tm_sim::{
-    explore_schedules, explore_with, livecheck, Budget, ClientScript, ExploreConfig, FaultConfig,
-    LivecheckConfig, PlannedOp,
+    explore_schedules, explore_with, livecheck, livecheck_reference, Budget, ClientScript,
+    ExploreConfig, FaultConfig, LivecheckConfig, LivecheckReport, PlannedOp,
 };
 use tm_stm::{
     BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, Outcome, SteppedTm, SwissTm, TinyStm, Tl2,
@@ -308,7 +308,7 @@ fn fault_space_exploration_is_deterministic_across_thread_counts() {
             let live = livecheck(
                 || Box::new(Tl2::new(2, 1)) as BoxedTm,
                 &contended(),
-                &LivecheckConfig::new(8).with_faults(faults).with_reduction(),
+                &LivecheckConfig::new(8).with_faults(faults),
             );
             let explored = explore_with(
                 || Box::new(Tl2::new(2, 1)) as BoxedTm,
@@ -324,31 +324,37 @@ fn fault_space_exploration_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The reduced and plain fault-prone walks agree: same graph, same
-/// masks, same lassos, same fair verdicts. Only the execution
-/// accounting differs by design (the reduced walk executes every edge
-/// exactly once and replays re-walks; the plain walk re-executes them),
-/// so each plain execution is either executed or replayed by the
-/// reduced walk.
+/// The production and reference fault-prone walks agree across the
+/// catalogue: same graph, same verdicts and fair verdicts, same crash
+/// victims and fault masks, the same witnessed verdicts, and every edge
+/// the reference re-executes matches the recorded one. Lasso contents
+/// are left out: they depend on node order, which differs.
 #[test]
-fn reduced_fault_search_matches_plain() {
+fn fault_prone_livecheck_matches_the_reference() {
     let faults = FaultConfig::with_crashes(1).and_parasitic();
-    let factory = || Box::new(NOrec::new(2, 1)) as BoxedTm;
-    let plain = livecheck(
-        factory,
-        &contended(),
-        &LivecheckConfig::new(8).with_faults(faults),
-    );
-    let mut reduced = livecheck(
-        factory,
-        &contended(),
-        &LivecheckConfig::new(8).with_faults(faults).with_reduction(),
-    );
-    assert!(plain.crash_injected != 0 && plain.parasite_injected != 0);
-    assert_eq!(plain.steps, reduced.steps + reduced.replayed_steps);
-    reduced.steps = plain.steps;
-    reduced.replayed_steps = 0;
-    assert_eq!(format!("{plain:?}"), format!("{reduced:?}"));
+    let config = LivecheckConfig::new(8).with_faults(faults);
+    let claims = |r: &LivecheckReport| {
+        let witnessed: Vec<_> = r.lassos.iter().map(|l| l.witnesses).collect();
+        format!(
+            "{} {} {:?} {:?} {:#b} {:#b} {witnessed:?} {}",
+            r.states,
+            r.edges,
+            r.verdicts,
+            r.fair_verdicts,
+            r.crash_injected,
+            r.parasite_injected,
+            r.rejected_cycles
+        )
+    };
+    for (name, factory) in catalog() {
+        let production = livecheck(&*factory, &contended(), &config);
+        let (reference, check) = livecheck_reference(&*factory, &contended(), &config);
+        assert!(production.crash_injected != 0 && production.parasite_injected != 0);
+        assert_eq!(claims(&production), claims(&reference), "{name}");
+        assert_eq!(production.rejected_cycles, 0, "{name}");
+        assert_eq!(check.mismatches, 0, "{name}: {check:?}");
+        assert!(check.rechecked > 0, "{name}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -485,23 +491,24 @@ impl SteppedTm for PanicTm {
     }
 }
 
-/// A TM that panics mid-search is contained on both livecheck walks and
-/// on both explorer walks (optimal DPOR fault-free, exhaustive with
-/// faults): the run closes with a partial verdict (reason "TM step
-/// panicked") over the work done so far, and the stream round-trips
-/// through `tm-obs`.
+/// A TM that panics mid-search is contained on both livecheck walks
+/// (production and reference) and on both explorer walks (optimal DPOR
+/// fault-free, exhaustive with faults): the run closes with a partial
+/// verdict (reason "TM step panicked") over the work done so far, and
+/// the stream round-trips through `tm-obs`.
 #[test]
 fn panicking_frontier_worker_degrades_to_a_partial_verdict() {
-    for (walk, config) in [
-        ("reduced", LivecheckConfig::new(12).with_reduction()),
-        ("plain", LivecheckConfig::new(12)),
-    ] {
+    type Walk = fn(&dyn Fn() -> BoxedTm, &[ClientScript], &LivecheckConfig) -> LivecheckReport;
+    let production: Walk = |factory, scripts, config| livecheck(factory, scripts, config);
+    let reference: Walk =
+        |factory, scripts, config| livecheck_reference(factory, scripts, config).0;
+    for (walk, run) in [("production", production), ("reference", reference)] {
         let path = temp(&format!("panic_live_{walk}"));
         {
             let telemetry = Telemetry::to_path(&path).expect("open stream");
             let fuse = Arc::new(AtomicUsize::new(0));
-            let report = livecheck(
-                || {
+            let report = run(
+                &|| {
                     Box::new(PanicTm::new(
                         Box::new(Tl2::new(2, 1)),
                         Arc::clone(&fuse),
@@ -509,7 +516,7 @@ fn panicking_frontier_worker_degrades_to_a_partial_verdict() {
                     )) as BoxedTm
                 },
                 &contended(),
-                &config.with_telemetry(&telemetry),
+                &LivecheckConfig::new(12).with_telemetry(&telemetry),
             );
             assert_eq!(
                 report.exhausted.as_deref(),

@@ -6,8 +6,13 @@
 use tm_automata::FgpVariant;
 use tm_core::{ProcessId, TVarId};
 use tm_liveness::{GlobalProgress, LocalProgress, ProcessClass, TmLivenessProperty};
-use tm_sim::{livecheck, ClientScript, LivecheckConfig, LivecheckReport, PlannedOp};
-use tm_stm::{BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SteppedTm, SwissTm, TinyStm, Tl2};
+use tm_sim::{
+    livecheck, livecheck_reference, simulate, Client, ClientScript, DigestCheck, FaultConfig,
+    FaultPlan, FixedSchedule, LassoFinding, LivecheckConfig, LivecheckReport, PlannedOp, SimConfig,
+};
+use tm_stm::{
+    full_catalog, BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SteppedTm, SwissTm, TinyStm, Tl2,
+};
 
 const X: TVarId = TVarId(0);
 const P1: ProcessId = ProcessId(0);
@@ -128,7 +133,12 @@ fn global_lock_certified_starvation_free_but_blocking() {
     assert_eq!(report.starving_processes(), vec![]);
     assert_eq!(report.parasitic_processes(), vec![]);
     assert_eq!(report.blocked_processes(), vec![P1, P2]);
-    assert!(report.eventless_cycles > 0);
+    // Blocked cycles are eventless, so they stay verdict-only: every
+    // lasso witnesses a progressing verdict.
+    assert!(report
+        .lassos
+        .iter()
+        .all(|l| l.witnesses.1 == ProcessClass::Progressing));
 }
 
 #[test]
@@ -201,76 +211,216 @@ fn parasitic_process_is_classified_and_never_progresses() {
     assert!(report.progressing_processes().contains(&P2));
 }
 
-/// Field-by-field byte-identity of two livecheck reports, including the
-/// full lasso findings (histories, schedules and classifications).
-fn assert_reports_identical(name: &str, a: &LivecheckReport, b: &LivecheckReport, what: &str) {
-    assert_eq!(a.states, b.states, "{name} ({what}): states");
-    assert_eq!(a.edges, b.edges, "{name} ({what}): edges");
-    assert_eq!(a.steps, b.steps, "{name} ({what}): steps");
-    assert_eq!(
-        a.replayed_steps, b.replayed_steps,
-        "{name} ({what}): replayed_steps"
-    );
-    assert_eq!(a.dedup_hits, b.dedup_hits, "{name} ({what}): dedup_hits");
-    assert_eq!(
-        a.cycles_detected, b.cycles_detected,
-        "{name} ({what}): cycles_detected"
-    );
-    assert_eq!(
-        a.eventless_cycles, b.eventless_cycles,
-        "{name} ({what}): eventless_cycles"
-    );
-    assert_eq!(
-        a.rejected_cycles, b.rejected_cycles,
-        "{name} ({what}): rejected_cycles"
-    );
-    assert_eq!(a.truncated, b.truncated, "{name} ({what}): truncated");
-    assert_eq!(a.verdicts, b.verdicts, "{name} ({what}): verdicts");
-    assert_eq!(
-        a.fair_verdicts, b.fair_verdicts,
-        "{name} ({what}): fair verdicts"
-    );
-    assert_eq!(a.lassos.len(), b.lassos.len(), "{name} ({what}): lassos");
-    for (x, y) in a.lassos.iter().zip(&b.lassos) {
-        assert_eq!(
-            x.schedule_prefix, y.schedule_prefix,
-            "{name} ({what}): lasso prefix"
-        );
-        assert_eq!(
-            x.schedule_cycle, y.schedule_cycle,
-            "{name} ({what}): lasso cycle"
-        );
-        assert_eq!(x.lasso, y.lasso, "{name} ({what}): lasso history");
-        assert_eq!(x.classes, y.classes, "{name} ({what}): lasso classes");
-    }
+/// What a report claims independently of the walk's node order:
+/// graph size, plain and fair verdicts (crash victims included), fault
+/// masks and the witnessed verdicts. Lasso contents are left out.
+fn claims(r: &LivecheckReport) -> String {
+    let witnessed: Vec<_> = r.lassos.iter().map(|l| l.witnesses).collect();
+    format!(
+        "{} states, {} edges, {:?}, {:?}, masks {:#b}/{:#b}, witnessed {witnessed:?}, rejected {}",
+        r.states,
+        r.edges,
+        r.verdicts,
+        r.fair_verdicts,
+        r.crash_injected,
+        r.parasite_injected,
+        r.rejected_cycles
+    )
+}
+
+/// Runs the production walk and the reference walk, asserts they make
+/// the same [`claims`], validate every witness and hold the digest
+/// contract on every edge the reference re-executed. Returns the
+/// production report and the reference's digest check.
+fn assert_matches_reference(
+    name: &str,
+    factory: &dyn Fn() -> BoxedTm,
+    scripts: &[ClientScript],
+    config: &LivecheckConfig,
+) -> (LivecheckReport, DigestCheck) {
+    let production = livecheck(factory, scripts, config);
+    let (reference, check) = livecheck_reference(factory, scripts, config);
+    assert_eq!(claims(&production), claims(&reference), "{name}");
+    assert_eq!(production.rejected_cycles, 0, "{name}");
+    assert_eq!(check.mismatches, 0, "{name}: digest contract {check:?}");
+    assert!(production.exhausted.is_none() && reference.exhausted.is_none());
+    (production, check)
 }
 
 #[test]
-fn reduced_livecheck_matches_plain_across_the_catalog() {
-    // Production-vs-oracle identity: the reduced walk must report
-    // exactly what the plain walk reports — states, edges, cycles,
-    // dedup hits, lassos and (fair) verdicts — across the whole
-    // fingerprinting catalogue, blocking global-lock TM included. Only
-    // the execution discipline differs: every step the plain walk
-    // executes, the reduced walk executes once or replays.
+fn production_livecheck_matches_the_reference_across_the_catalog() {
+    // Production-vs-oracle identity across the whole fingerprinting
+    // catalogue, blocking global-lock TM included. Only the walk
+    // differs: the reference re-executes every re-walked edge, the
+    // production walk executes each edge once.
     for (name, factory) in fingerprinting_catalog() {
-        let plain = livecheck(&*factory, &contended(), &LivecheckConfig::new(11));
-        let reduced = livecheck(
-            &*factory,
-            &contended(),
-            &LivecheckConfig::new(11).with_reduction(),
-        );
-        assert_eq!(
-            plain.steps,
-            reduced.steps + reduced.replayed_steps,
-            "{name}: every plain execution is executed once or replayed"
-        );
-        assert_eq!(plain.replayed_steps, 0, "{name}");
-        let mut as_plain = reduced.clone();
-        as_plain.steps = plain.steps;
-        as_plain.replayed_steps = 0;
-        assert_reports_identical(name, &plain, &as_plain, "reduced vs plain");
+        let (production, check) =
+            assert_matches_reference(name, &*factory, &contended(), &LivecheckConfig::new(11));
+        assert!(check.rechecked > 0, "{name}: the reference never re-walked");
+        assert!(!production.lassos.is_empty(), "{name}");
     }
+}
+
+/// The scripts of the three-process liveness benchmark.
+fn three_process_scripts() -> Vec<ClientScript> {
+    let y = TVarId(1);
+    vec![
+        ClientScript::new(vec![PlannedOp::Write(X, 1)]),
+        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 2)]),
+        ClientScript::new(vec![
+            PlannedOp::Read(y),
+            PlannedOp::Read(X),
+            PlannedOp::Write(y, 1),
+        ]),
+    ]
+}
+
+/// The digest contract one step deep: the reference walk re-executes
+/// every re-walked edge from a concrete TM and compares it with the
+/// recorded edge (target node, process, kind and events). A mismatch
+/// would mean a `state_digest` merged configurations with different
+/// futures. Checked across the catalogue at two and three processes,
+/// fault-free, fault-prone and with a static parasite, together with
+/// the production walk's agreement with the reference.
+#[test]
+fn digest_contract_holds_one_step_deep_across_the_catalogue() {
+    let fault_prone = FaultConfig::with_crashes(1).and_parasitic();
+    let shapes = [
+        (2, contended(), 14, 11),
+        (3, three_process_scripts(), 11, 9),
+    ];
+    let mut rechecked = 0;
+    for (processes, scripts, depth, faulty_depth) in shapes {
+        for tm in full_catalog(processes, 2) {
+            let name = tm.name();
+            let factory = || {
+                full_catalog(processes, 2)
+                    .into_iter()
+                    .find(|t| t.name() == name)
+                    .expect("catalogue TM")
+            };
+            for (what, config) in [
+                ("fault-free", LivecheckConfig::new(depth)),
+                (
+                    "fault-prone",
+                    LivecheckConfig::new(faulty_depth).with_faults(fault_prone),
+                ),
+                (
+                    "parasitic p1",
+                    LivecheckConfig::new(depth).with_parasitic(P1),
+                ),
+            ] {
+                let label = format!("{name} {processes}p {what}");
+                rechecked += assert_matches_reference(&label, &factory, &scripts, &config)
+                    .1
+                    .rechecked;
+            }
+        }
+    }
+    assert!(rechecked > 50_000, "only {rechecked} edges re-executed");
+}
+
+/// Replays `schedule` through the simulator from a fresh TM, with the
+/// witness's fault plan plus `static_parasitic` turned parasitic from
+/// step 0, and returns the configuration it ends in: the TM digest and
+/// every client's cursor.
+fn replay(
+    factory: &dyn Fn() -> BoxedTm,
+    scripts: &[ClientScript],
+    plan: &FaultPlan,
+    schedule: &[ProcessId],
+) -> (Option<u64>, Vec<(usize, Option<u64>)>) {
+    let mut tm = factory();
+    let mut clients: Vec<Client> = scripts.iter().cloned().map(Client::new).collect();
+    simulate(
+        &mut *tm,
+        &mut clients,
+        &mut FixedSchedule::new(schedule.to_vec()),
+        plan,
+        SimConfig::steps(schedule.len()),
+    );
+    (
+        tm.state_digest(),
+        clients.iter().map(Client::cursor).collect(),
+    )
+}
+
+/// Every witness is sound: replaying `schedule_prefix · schedule_cycle`
+/// on a fresh TM returns to the configuration where the cycle entered,
+/// and every certified plain starving, parasitic or progressing verdict
+/// has a witness of that class.
+#[test]
+fn witnesses_replay_to_their_entry_configuration() {
+    let fault_prone = FaultConfig::with_crashes(1).and_parasitic();
+    for (name, factory) in fingerprinting_catalog() {
+        for config in [
+            LivecheckConfig::new(10),
+            LivecheckConfig::new(8).with_faults(fault_prone),
+        ] {
+            let report = livecheck(&*factory, &contended(), &config);
+            assert_eq!(report.rejected_cycles, 0, "{name}");
+            assert_witnesses_replay(name, &*factory, &contended(), &report, &FaultPlan::none());
+        }
+    }
+    // A static parasite: the simulator runs it as parasitic from step 0.
+    let scripts = vec![
+        ClientScript::new(vec![PlannedOp::Read(X)]),
+        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 2)]),
+    ];
+    let factory = || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm;
+    let report = livecheck(
+        factory,
+        &scripts,
+        &LivecheckConfig::new(10).with_parasitic(P1),
+    );
+    assert_witnesses_replay(
+        "fgp parasitic",
+        &factory,
+        &scripts,
+        &report,
+        &FaultPlan::none().parasitic(P1, 0),
+    );
+}
+
+fn assert_witnesses_replay(
+    name: &str,
+    factory: &dyn Fn() -> BoxedTm,
+    scripts: &[ClientScript],
+    report: &LivecheckReport,
+    static_faults: &FaultPlan,
+) {
+    for verdict in &report.verdicts {
+        for (holds, class) in [
+            (verdict.progressing, ProcessClass::Progressing),
+            (verdict.starving, ProcessClass::Starving),
+            (verdict.parasitic, ProcessClass::Parasitic),
+        ] {
+            let witness = report
+                .lassos
+                .iter()
+                .find(|l| l.witnesses == (verdict.process, class));
+            assert_eq!(witness.is_some(), holds, "{name}: {class:?} witness");
+        }
+    }
+    for lasso in &report.lassos {
+        assert!(
+            lasso.classes.contains(&lasso.witnesses),
+            "{name}: {lasso:?}"
+        );
+        let plan = with_faults(static_faults, lasso);
+        let mut schedule = lasso.schedule_prefix.clone();
+        let entry = replay(factory, scripts, &plan, &schedule);
+        schedule.extend_from_slice(&lasso.schedule_cycle);
+        let exit = replay(factory, scripts, &plan, &schedule);
+        assert!(entry.0.is_some(), "{name}");
+        assert_eq!(entry, exit, "{name}: cycle of {lasso:?}");
+    }
+}
+
+/// The lasso's fault plan plus the static faults.
+fn with_faults(static_faults: &FaultPlan, lasso: &LassoFinding) -> FaultPlan {
+    let faults = static_faults.faults().iter().chain(lasso.plan.faults());
+    FaultPlan::from_faults(faults.copied().collect())
 }
 
 #[test]
@@ -281,7 +431,7 @@ fn reduced_livecheck_is_deterministic_across_thread_counts() {
         livecheck(
             || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
             &contended(),
-            &LivecheckConfig::new(12).with_reduction(),
+            &LivecheckConfig::new(12),
         )
     };
     let baseline = run();
@@ -291,7 +441,11 @@ fn reduced_livecheck_is_deterministic_across_thread_counts() {
             .build()
             .expect("pool");
         let report = pool.install(run);
-        assert_reports_identical("fgp", &baseline, &report, &format!("{threads} threads"));
+        assert_eq!(
+            format!("{baseline:?}"),
+            format!("{report:?}"),
+            "{threads} threads"
+        );
     }
 }
 
@@ -333,9 +487,7 @@ fn telemetry_snapshot_is_identical_across_thread_counts() {
             livecheck(
                 || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
                 &contended(),
-                &LivecheckConfig::new(12)
-                    .with_reduction()
-                    .with_telemetry(&telemetry),
+                &LivecheckConfig::new(12).with_telemetry(&telemetry),
             )
         });
         (telemetry.snapshot(), report)
@@ -346,8 +498,8 @@ fn telemetry_snapshot_is_identical_across_thread_counts() {
     assert_eq!(baseline.get(Counter::GraphEdges), report.edges as u64);
     assert_eq!(baseline.get(Counter::StepsExecuted), report.steps as u64);
     assert_eq!(
-        baseline.get(Counter::StepsReplayed),
-        report.replayed_steps as u64
+        baseline.get(Counter::LassosFound),
+        report.lassos.len() as u64
     );
     for threads in [2usize, 4] {
         let (snap, _) = snap_at(threads);

@@ -197,13 +197,22 @@ fn diff_flags_counter_drift_between_live_streams() {
     assert!(report.is_clean(), "identical runs drifted: {report:?}");
     assert!(report.compared > 0, "nothing compared");
 
-    // A deeper bound explores more: the drift is reported.
+    // A shallower bound explores less: the drift is reported.
+    let report = diff::diff(
+        &baseline,
+        &load(&livecheck_stream("diff_shallow", 6)),
+        &thresholds,
+    );
+    assert!(!report.is_clean(), "shallower bound reported no drift");
+
+    // This graph closes by depth 10 (33 states), and each state is
+    // expanded once, so a deeper bound counts the same work.
     let report = diff::diff(
         &baseline,
         &load(&livecheck_stream("diff_deep", 16)),
         &thresholds,
     );
-    assert!(!report.is_clean(), "deeper bound reported no drift");
+    assert!(report.is_clean(), "a closed graph drifted: {report:?}");
 
     // A stream cut before its counter_snapshot (a producer that died
     // mid-run) has nothing to compare: loading it is an error.
