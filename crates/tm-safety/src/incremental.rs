@@ -27,12 +27,21 @@
 //!
 //! The model checker walks a *tree* of histories depth-first, so the
 //! certifier supports O(events-since) rollback: [`IncrementalChecker::checkpoint`]
-//! marks a point, every [`IncrementalChecker::push`] appends inverse
-//! operations to an undo log, and [`IncrementalChecker::rollback`]
-//! replays the inverses. Certification thereby advances one event per
-//! tree edge instead of re-certifying each complete history from event
-//! zero, and a rejection latches at the **shortest failing prefix** of
-//! the current branch.
+//! marks a point, every push appends its inverse operations to an undo
+//! log, and [`IncrementalChecker::rollback`] replays the inverses.
+//! Certification thereby advances one event per tree edge instead of
+//! re-certifying each complete history from event zero, and a rejection
+//! latches at the **shortest failing prefix** of the current branch.
+//!
+//! There is one response rule, reached from two entry points.
+//! [`IncrementalChecker::push`] takes one event: an invocation is stored
+//! as its transaction's pending invocation, and a response takes it off
+//! the record again (logging that, so rollback puts it back) before
+//! applying the rule. [`IncrementalChecker::push_call`], the explorer's
+//! per-edge hot path, hands an invocation and its immediate response to
+//! the rule directly. Either way the rule logs at most one inverse per
+//! response, so the undo log has one family of entries and one `undo`
+//! arm per entry.
 //!
 //! # Candidate-slot representation
 //!
@@ -216,7 +225,7 @@ impl SlotSet {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct OpenTx {
     pending: Option<Invocation>,
     /// Write set, last-write-wins per t-variable (a handful of entries;
@@ -229,6 +238,17 @@ struct OpenTx {
 }
 
 impl OpenTx {
+    /// A fresh record: a transaction that begins now can only be
+    /// serialized at or after the current committed state `top`.
+    fn new(top: usize, pending: Option<Invocation>) -> Self {
+        OpenTx {
+            pending,
+            writes: Vec::new(),
+            reads: Vec::new(),
+            candidates: SlotSet::singleton(top),
+        }
+    }
+
     fn write_of(&self, x: TVarId) -> Option<Value> {
         self.writes.iter().find(|&&(y, _)| y == x).map(|&(_, v)| v)
     }
@@ -260,69 +280,55 @@ impl OpenTx {
     }
 }
 
-/// One inverse operation in the undo log; applying it reverses the
-/// corresponding [`IncrementalChecker::push`]. Entries sit on the model
-/// checker's per-edge hot path, so the common ones are kept word-sized:
-/// the pending invocation a response consumed is *derived* from the
-/// transaction record where possible (a read's variable is its last
-/// recorded read, a write's buffered value is in the write set), and
-/// retired records are boxed.
+/// The value of `x` in a dense committed state (absent = [`INITIAL_VALUE`]).
+fn value_at(state: &[Value], x: TVarId) -> Value {
+    state.get(x.index()).copied().unwrap_or(INITIAL_VALUE)
+}
+
+/// One inverse operation in the undo log. An invocation pushed alone logs
+/// `OpenInserted` or `PendingSet`. The response rule logs at most one of
+/// the other five, whichever entry point reached it; a response pushed
+/// alone first logs `PendingSet` for the invocation it took off the
+/// record (or only `Failed`, if it found no record). `fresh` marks a
+/// record created by the same [`IncrementalChecker::push_call`]: undoing
+/// drops it instead of restoring it. Entries sit on the model checker's
+/// per-edge hot path, so they stay small: a read's undo pops the record's
+/// last read instead of storing it, a write's keeps only the value it
+/// overwrote, and retired records are boxed.
 #[derive(Debug, Clone)]
 enum UndoEntry {
     /// An invocation created this transaction's record.
     OpenInserted(ProcessId),
-    /// An invocation set `pending` on an existing record.
+    /// An invocation set `pending` on an existing record, or a response
+    /// took it off: restore the previous value.
     PendingSet(ProcessId, Option<Invocation>),
-    /// A read response was accepted in strict-serializability mode
-    /// (candidates are not maintained): pop the read and re-derive
-    /// `pending` from it.
-    ReadKept(ProcessId),
-    /// A read response was accepted in opacity mode: additionally
-    /// restore the pre-prune candidate set.
-    ReadPruned(ProcessId, SlotSet),
-    /// A read of the transaction's own write of `var` was accepted.
-    OwnReadObserved(ProcessId, TVarId),
-    /// A write response was accepted (`previous` = the overwritten
-    /// buffered value; the written value is re-derived from the record).
-    WriteRecorded(ProcessId, TVarId, Option<Value>),
-    /// The transaction aborted and its record was retired.
-    TxAborted(ProcessId, Box<OpenTx>),
-    /// The transaction committed: a state was appended and the open
-    /// transactions in the `granted` bitmask gained the new slot as a
-    /// candidate.
-    TxCommitted {
-        process: ProcessId,
-        tx: Box<OpenTx>,
-        granted: u64,
-    },
-    /// The event latched a violation (restoring clears it); the record,
-    /// if one was open, was retired.
-    Failed(ProcessId, Option<Box<OpenTx>>),
-    /// A fused [`IncrementalChecker::push_call`] accepted a read
-    /// (`fresh` = the call also created the record).
-    CallRead {
+    /// A read was accepted: pop it and restore the pre-prune candidates.
+    Read {
         process: ProcessId,
         fresh: bool,
         prior: SlotSet,
     },
-    /// A fused call accepted a write.
-    CallWrite {
+    /// A write was accepted (`previous` = the overwritten buffered value).
+    Write {
         process: ProcessId,
         fresh: bool,
         var: TVarId,
         previous: Option<Value>,
     },
-    /// A fused call aborted the transaction (`None` = the record was
-    /// created by the same call, so there is nothing to restore).
-    CallAborted(ProcessId, Option<Box<OpenTx>>),
-    /// A fused call committed the transaction.
-    CallCommitted {
+    /// The transaction aborted and its record was retired (`None` = the
+    /// record was fresh, so there is nothing to restore).
+    Aborted(ProcessId, Option<Box<OpenTx>>),
+    /// The transaction committed: a state was appended and the open
+    /// transactions in the `granted` bitmask gained the new slot as a
+    /// candidate.
+    Committed {
         process: ProcessId,
         tx: Option<Box<OpenTx>>,
         granted: u64,
     },
-    /// A fused call latched a violation.
-    CallFailed(ProcessId, Option<Box<OpenTx>>),
+    /// The event latched a violation (restoring clears it) and retired
+    /// the record it consumed, if any.
+    Failed(ProcessId, Option<Box<OpenTx>>),
 }
 
 /// A position in the certifier's history, produced by
@@ -479,102 +485,42 @@ impl IncrementalChecker {
 
     fn undo(&mut self, entry: UndoEntry) {
         match entry {
-            UndoEntry::OpenInserted(p) => {
-                self.open[p.index()] = None;
-            }
+            UndoEntry::OpenInserted(p) => self.open[p.index()] = None,
             UndoEntry::PendingSet(p, pending) => {
                 if let Some(tx) = self.open[p.index()].as_mut() {
                     tx.pending = pending;
                 }
             }
-            UndoEntry::ReadKept(process) => {
-                let tx = self.open[process.index()]
-                    .as_mut()
-                    .expect("read had an open tx");
-                let (x, _) = tx.reads.pop().expect("undo matches a recorded read");
-                tx.pending = Some(Invocation::Read(x));
-            }
-            UndoEntry::ReadPruned(process, prior) => {
-                let tx = self.open[process.index()]
-                    .as_mut()
-                    .expect("read had an open tx");
-                let (x, _) = tx.reads.pop().expect("undo matches a recorded read");
-                tx.candidates = prior;
-                tx.pending = Some(Invocation::Read(x));
-            }
-            UndoEntry::OwnReadObserved(process, var) => {
-                let tx = self.open[process.index()]
-                    .as_mut()
-                    .expect("read had an open tx");
-                tx.pending = Some(Invocation::Read(var));
-            }
-            UndoEntry::WriteRecorded(process, var, previous) => {
-                let tx = self.open[process.index()]
-                    .as_mut()
-                    .expect("write had an open tx");
-                let written = tx.write_of(var).expect("undo matches a recorded write");
-                tx.pending = Some(Invocation::Write(var, written));
-                tx.unrecord_write(var, previous);
-            }
-            UndoEntry::TxAborted(p, tx) => {
-                self.open[p.index()] = Some(*tx);
-            }
-            UndoEntry::TxCommitted {
-                process,
-                tx,
-                granted,
-            } => {
-                let new_slot = self.states.len() - 1;
-                for (q, other) in self.open.iter_mut().enumerate() {
-                    if q < 64 && granted & (1 << q) != 0 {
-                        if let Some(other) = other.as_mut() {
-                            other.candidates.remove(new_slot);
-                        }
-                    }
-                }
-                self.states.pop();
-                self.open[process.index()] = Some(*tx);
-            }
-            UndoEntry::Failed(p, tx) => {
-                self.violation = None;
-                if let Some(tx) = tx {
-                    self.open[p.index()] = Some(*tx);
-                }
-            }
-            UndoEntry::CallRead {
+            UndoEntry::Read {
                 process,
                 fresh,
                 prior,
             } => {
+                let slot = &mut self.open[process.index()];
                 if fresh {
-                    self.open[process.index()] = None;
+                    *slot = None;
                 } else {
-                    let tx = self.open[process.index()]
-                        .as_mut()
-                        .expect("fused read had an open tx");
+                    let tx = slot.as_mut().expect("read had an open tx");
                     tx.reads.pop();
                     tx.candidates = prior;
                 }
             }
-            UndoEntry::CallWrite {
+            UndoEntry::Write {
                 process,
                 fresh,
                 var,
                 previous,
             } => {
+                let slot = &mut self.open[process.index()];
                 if fresh {
-                    self.open[process.index()] = None;
+                    *slot = None;
                 } else {
-                    let tx = self.open[process.index()]
-                        .as_mut()
-                        .expect("fused write had an open tx");
+                    let tx = slot.as_mut().expect("write had an open tx");
                     tx.unrecord_write(var, previous);
                 }
             }
-            UndoEntry::CallAborted(p, tx) => {
-                self.open[p.index()] = tx.map(|tx| *tx);
-            }
-            UndoEntry::CallCommitted {
+            UndoEntry::Aborted(p, tx) => self.open[p.index()] = tx.map(|tx| *tx),
+            UndoEntry::Committed {
                 process,
                 tx,
                 granted,
@@ -590,7 +536,7 @@ impl IncrementalChecker {
                 self.states.pop();
                 self.open[process.index()] = tx.map(|tx| *tx);
             }
-            UndoEntry::CallFailed(p, tx) => {
+            UndoEntry::Failed(p, tx) => {
                 self.violation = None;
                 self.open[p.index()] = tx.map(|tx| *tx);
             }
@@ -614,31 +560,46 @@ impl IncrementalChecker {
 
     /// The committed value of `x` in the latest committed state.
     pub fn committed_value(&self, x: TVarId) -> Value {
-        self.states
-            .last()
-            .and_then(|s| s.get(x.index()))
-            .copied()
-            .unwrap_or(INITIAL_VALUE)
+        value_at(&self.states[self.commits()], x)
     }
 
-    fn state_value(&self, slot: usize, x: TVarId) -> Value {
-        self.states[slot]
-            .get(x.index())
-            .copied()
-            .unwrap_or(INITIAL_VALUE)
+    /// Appends `entry` to the undo log while logging.
+    fn record(&mut self, entry: UndoEntry) {
+        if self.logging {
+            self.log.push(entry);
+        }
     }
 
-    fn fail(&mut self, process: ProcessId, detail: String) -> CommitOrderViolation {
+    /// What an undo entry keeps of the retired record `tx`: a box while
+    /// logging (streaming users pay no allocation), and nothing when it is
+    /// `fresh`, since undoing then drops the record.
+    fn retire(&self, tx: OpenTx, fresh: bool) -> Option<Box<OpenTx>> {
+        (self.logging && !fresh).then(|| Box::new(tx))
+    }
+
+    /// Latches a violation by `process` at event `at`; `retired` is the
+    /// record the event consumed, restored on rollback.
+    fn fail(
+        &mut self,
+        process: ProcessId,
+        at: usize,
+        retired: Option<Box<OpenTx>>,
+        detail: String,
+    ) -> CommitOrderViolation {
         let v = CommitOrderViolation {
             process,
-            position: self.position,
+            position: at,
             detail,
         };
         self.violation = Some(v.clone());
+        self.record(UndoEntry::Failed(process, retired));
         v
     }
 
-    /// Pushes the next event of the history.
+    /// Pushes the next event of the history. An invocation becomes its
+    /// transaction's pending invocation; a response takes it off the
+    /// record again and goes through the same response rule as
+    /// [`IncrementalChecker::push_call`].
     ///
     /// # Errors
     ///
@@ -648,228 +609,41 @@ impl IncrementalChecker {
         if let Some(v) = &self.violation {
             return Err(v.clone());
         }
-        let process = event.process;
+        let (process, at, top) = (event.process, self.position, self.commits());
+        self.position += 1;
+        let slot = self.open_slot(process);
         match event.kind {
             EventKind::Invocation(inv) => {
-                let top = self.commits();
-                let logging = self.logging;
-                let slot = self.open_slot(process);
                 let entry = match slot {
                     Some(tx) => UndoEntry::PendingSet(process, tx.pending.replace(inv)),
                     None => {
-                        *slot = Some(OpenTx {
-                            pending: Some(inv),
-                            writes: Vec::new(),
-                            reads: Vec::new(),
-                            // A fresh transaction can only be serialized at
-                            // or after the current committed state.
-                            candidates: SlotSet::singleton(top),
-                        });
+                        *slot = Some(OpenTx::new(top, Some(inv)));
                         UndoEntry::OpenInserted(process)
                     }
                 };
-                if logging {
-                    self.log.push(entry);
-                }
+                self.record(entry);
+                Ok(())
             }
-            EventKind::Response(resp) => match self.on_response(process, resp) {
-                Ok(entry) => {
-                    if self.logging {
-                        if let Some(entry) = entry {
-                            self.log.push(entry);
-                        }
-                    }
-                }
-                Err((detail, tx)) => {
-                    let v = self.fail(process, detail);
-                    if self.logging {
-                        self.log.push(UndoEntry::Failed(process, tx));
-                    }
-                    self.position += 1;
-                    return Err(v);
-                }
-            },
-        }
-        self.position += 1;
-        Ok(())
-    }
-
-    /// Handles a response event. Returns the undo-log entry on success;
-    /// on failure returns the violation detail together with the retired
-    /// transaction record (restored to its pre-event state, captured
-    /// only while logging) for the log.
-    #[allow(clippy::type_complexity)]
-    fn on_response(
-        &mut self,
-        process: ProcessId,
-        resp: Response,
-    ) -> Result<Option<UndoEntry>, (String, Option<Box<OpenTx>>)> {
-        let Some(mut tx) = self.open_slot(process).take() else {
-            // A response with no open transaction: treat as malformed input.
-            return Err(("response without an open transaction".to_string(), None));
-        };
-        let logging = self.logging;
-        let pending = tx.pending.take();
-        let retire = move |mut tx: OpenTx, pending: Option<Invocation>, detail: String| {
-            tx.pending = pending;
-            (detail, logging.then(|| Box::new(tx)))
-        };
-        match resp {
-            Response::Aborted => {
-                // The transaction ends. In opacity mode its reads were
-                // checked eagerly, so nothing further to verify. The
-                // retired record is boxed only while logging — streaming
-                // users pay no allocation here.
-                tx.pending = pending;
-                Ok(logging.then(|| UndoEntry::TxAborted(process, Box::new(tx))))
-            }
-            Response::Value(v) => {
-                let Some(Invocation::Read(x)) = pending else {
-                    return Err(retire(
-                        tx,
-                        pending,
-                        "value response without pending read".to_string(),
-                    ));
+            EventKind::Response(resp) => {
+                let Some(mut tx) = slot.take() else {
+                    // A response with no open transaction: malformed input.
+                    let detail = "response without an open transaction".to_string();
+                    return Err(self.fail(process, at, None, detail));
                 };
-                if let Some(w) = tx.write_of(x) {
-                    if w != v {
-                        return Err(retire(
-                            tx,
-                            pending,
-                            format!(
-                                "read of {x} returned {v} but the transaction's own write was {w}"
-                            ),
-                        ));
-                    }
-                    self.open[process.index()] = Some(tx);
-                    Ok(Some(UndoEntry::OwnReadObserved(process, x)))
-                } else {
-                    // Capture the pre-prune candidates only while logging
-                    // (allocation-free unless the set spilled past 64
-                    // commits).
-                    let prior = if logging {
-                        tx.candidates.clone()
-                    } else {
-                        SlotSet::default()
-                    };
-                    let mut narrowed = false;
-                    if self.mode == Mode::Opacity {
-                        let states = &self.states;
-                        tx.candidates.prune(|s| {
-                            states[s].get(x.index()).copied().unwrap_or(INITIAL_VALUE) == v
-                        });
-                        if tx.candidates.is_empty() {
-                            if logging {
-                                tx.candidates = prior;
-                            }
-                            return Err(retire(
-                                tx,
-                                pending,
-                                format!(
-                                    "read of {x} returned {v}, inconsistent with every candidate \
-                                     serialization point"
-                                ),
-                            ));
-                        }
-                        // Always restore candidates on undo in opacity
-                        // mode: a did-it-narrow comparison to emit the
-                        // slimmer `ReadKept` measures consistently slower
-                        // than carrying the 40-byte set unconditionally.
-                        narrowed = logging;
-                    }
-                    tx.reads.push((x, v));
-                    self.open[process.index()] = Some(tx);
-                    Ok(Some(if narrowed {
-                        UndoEntry::ReadPruned(process, prior)
-                    } else {
-                        UndoEntry::ReadKept(process)
-                    }))
-                }
-            }
-            Response::Ok => {
-                let Some(Invocation::Write(x, v)) = pending else {
-                    return Err(retire(
-                        tx,
-                        pending,
-                        "ok response without pending write".to_string(),
-                    ));
-                };
-                let previous = tx.record_write(x, v);
-                self.open[process.index()] = Some(tx);
-                Ok(Some(UndoEntry::WriteRecorded(process, x, previous)))
-            }
-            Response::Committed => {
-                if !matches!(pending, Some(Invocation::TryCommit)) {
-                    return Err(retire(
-                        tx,
-                        pending,
-                        "commit response without pending tryC".to_string(),
-                    ));
-                }
-                let top = self.commits();
-                // The committed transaction is serialized last: all its
-                // reads must be consistent with the current committed state.
-                for &(x, v) in &tx.reads {
-                    let cur = self.state_value(top, x);
-                    if cur != v {
-                        return Err(retire(
-                            tx,
-                            pending,
-                            format!(
-                                "committed transaction read {x}={v} but the committed state at \
-                                 its serialization point has {x}={cur}"
-                            ),
-                        ));
-                    }
-                }
-                // Apply its writes to form the next committed state.
-                let mut next = self.states[top].clone();
-                for &(x, v) in &tx.writes {
-                    Self::apply_write(&mut next, x, v);
-                }
-                self.states.push(next);
-                let new_slot = self.commits();
-                // The new state is a candidate serialization point for every
-                // still-open transaction whose reads it satisfies.
-                let mut granted = 0u64;
-                if self.mode == Mode::Opacity {
-                    let states = &self.states;
-                    for (q, other) in self.open.iter_mut().enumerate() {
-                        let Some(other) = other.as_mut() else {
-                            continue;
-                        };
-                        let fits = other.reads.iter().all(|&(x, v)| {
-                            states[new_slot]
-                                .get(x.index())
-                                .copied()
-                                .unwrap_or(INITIAL_VALUE)
-                                == v
-                        });
-                        if fits {
-                            other.candidates.insert(new_slot);
-                            if logging {
-                                assert!(q < 64, "rollback logging supports at most 64 processes");
-                                granted |= 1 << q;
-                            }
-                        }
-                    }
-                }
-                tx.pending = pending;
-                Ok(logging.then(|| UndoEntry::TxCommitted {
-                    process,
-                    tx: Box::new(tx),
-                    granted,
-                }))
+                let inv = tx.pending.take();
+                self.record(UndoEntry::PendingSet(process, inv));
+                self.answer(process, tx, false, inv, resp, at)
             }
         }
     }
 
     /// Pushes an invocation and the response that immediately answers it
-    /// as one fused operation — observationally identical to two
+    /// as one call. It runs the same response rule as two
     /// [`IncrementalChecker::push`] calls (same verdicts, positions and
-    /// rollback behaviour) with one record lookup and one undo-log entry.
-    /// This is the model checker's per-edge hot path: non-blocking TMs
-    /// answer almost every invocation immediately.
+    /// rollback behaviour) but never stores the invocation on the record,
+    /// so it logs at most one undo entry. This is the model checker's
+    /// per-edge hot path: non-blocking TMs answer almost every invocation
+    /// immediately.
     ///
     /// The caller must respect the sequential-process contract (no other
     /// invocation of `process` may be outstanding).
@@ -887,9 +661,9 @@ impl IncrementalChecker {
         if let Some(v) = &self.violation {
             return Err(v.clone());
         }
-        let top = self.commits();
-        let logging = self.logging;
-        let (mut tx, fresh) = match self.open_slot(process).take() {
+        let (at, top) = (self.position + 1, self.commits());
+        self.position += 2;
+        let (tx, fresh) = match self.open_slot(process).take() {
             Some(tx) => {
                 debug_assert!(
                     tx.pending.is_none(),
@@ -897,171 +671,146 @@ impl IncrementalChecker {
                 );
                 (tx, false)
             }
-            None => (
-                OpenTx {
-                    pending: None,
-                    writes: Vec::new(),
-                    reads: Vec::new(),
-                    // A fresh transaction can only be serialized at or
-                    // after the current committed state.
-                    candidates: SlotSet::singleton(top),
-                },
-                true,
-            ),
+            None => (OpenTx::new(top, None), true),
         };
-        // Failure helper: the response event (position + 1) latches; the
-        // consumed record is retired exactly as two sequential pushes
-        // would leave it.
-        macro_rules! fail_call {
-            ($tx:expr, $detail:expr) => {{
-                let v = CommitOrderViolation {
-                    process,
-                    position: self.position + 1,
-                    detail: $detail,
-                };
-                self.violation = Some(v.clone());
-                if logging {
-                    let retired = if fresh { None } else { Some(Box::new($tx)) };
-                    self.log.push(UndoEntry::CallFailed(process, retired));
-                }
-                self.position += 2;
-                return Err(v);
-            }};
-        }
-        let entry = match response {
-            Response::Aborted => {
-                // The transaction ends; eager read checks already ran.
-                // The retired record is boxed only while logging.
-                if !logging {
-                    self.position += 2;
-                    return Ok(());
-                }
-                let retired = if fresh { None } else { Some(Box::new(tx)) };
-                UndoEntry::CallAborted(process, retired)
+        self.answer(process, tx, fresh, Some(invocation), response, at)
+    }
+
+    /// The response rule. Answers `inv` (the invocation the response
+    /// consumes; `None` if none was pending) with `resp` on `process`'s
+    /// record `tx`, which the caller took out of `open`; a `fresh` record
+    /// was created by the same call. A violation is reported at event
+    /// `at`. Logs at most one undo entry.
+    fn answer(
+        &mut self,
+        process: ProcessId,
+        mut tx: OpenTx,
+        fresh: bool,
+        inv: Option<Invocation>,
+        resp: Response,
+        at: usize,
+    ) -> Result<(), CommitOrderViolation> {
+        let detail = match (resp, inv) {
+            (Response::Aborted, _) => {
+                // The transaction ends. In opacity mode its reads were
+                // checked eagerly, so nothing further to verify.
+                let retired = self.retire(tx, fresh);
+                self.record(UndoEntry::Aborted(process, retired));
+                return Ok(());
             }
-            Response::Value(v) => {
-                let Invocation::Read(x) = invocation else {
-                    fail_call!(tx, "value response without pending read".to_string());
-                };
-                if let Some(w) = tx.write_of(x) {
-                    if w != v {
-                        fail_call!(
-                            tx,
-                            format!(
-                                "read of {x} returned {v} but the transaction's own write was {w}"
-                            )
-                        );
-                    }
-                    // Reading the own buffered write mutates nothing.
+            (Response::Value(v), Some(Invocation::Read(x))) => match tx.write_of(x) {
+                // Reading the own buffered write changes nothing.
+                Some(w) if w == v => {
                     self.open[process.index()] = Some(tx);
-                    self.position += 2;
                     return Ok(());
                 }
-                let prior = if logging {
-                    tx.candidates.clone()
-                } else {
-                    SlotSet::default()
-                };
-                if self.mode == Mode::Opacity {
-                    let states = &self.states;
-                    tx.candidates
-                        .prune(|s| states[s].get(x.index()).copied().unwrap_or(INITIAL_VALUE) == v);
+                Some(w) => {
+                    format!("read of {x} returned {v} but the transaction's own write was {w}")
+                }
+                None => {
+                    // Capture the pre-prune candidates only while logging
+                    // (allocation-free unless the set spilled past 64
+                    // commits).
+                    let prior = if self.logging {
+                        tx.candidates.clone()
+                    } else {
+                        SlotSet::default()
+                    };
+                    if self.mode == Mode::Opacity {
+                        let states = &self.states;
+                        tx.candidates.prune(|s| value_at(&states[s], x) == v);
+                    }
                     if tx.candidates.is_empty() {
-                        if logging {
-                            tx.candidates = prior;
-                        }
-                        fail_call!(
-                            tx,
-                            format!(
-                                "read of {x} returned {v}, inconsistent with every candidate \
-                                 serialization point"
-                            )
-                        );
+                        tx.candidates = prior;
+                        format!(
+                            "read of {x} returned {v}, inconsistent with every candidate \
+                             serialization point"
+                        )
+                    } else {
+                        tx.reads.push((x, v));
+                        self.open[process.index()] = Some(tx);
+                        self.record(UndoEntry::Read {
+                            process,
+                            fresh,
+                            prior,
+                        });
+                        return Ok(());
                     }
                 }
-                tx.reads.push((x, v));
-                self.open[process.index()] = Some(tx);
-                UndoEntry::CallRead {
-                    process,
-                    fresh,
-                    prior,
-                }
-            }
-            Response::Ok => {
-                let Invocation::Write(x, v) = invocation else {
-                    fail_call!(tx, "ok response without pending write".to_string());
-                };
+            },
+            (Response::Value(_), _) => "value response without pending read".to_string(),
+            (Response::Ok, Some(Invocation::Write(x, v))) => {
                 let previous = tx.record_write(x, v);
                 self.open[process.index()] = Some(tx);
-                UndoEntry::CallWrite {
+                self.record(UndoEntry::Write {
                     process,
                     fresh,
                     var: x,
                     previous,
-                }
+                });
+                return Ok(());
             }
-            Response::Committed => {
-                if invocation != Invocation::TryCommit {
-                    fail_call!(tx, "commit response without pending tryC".to_string());
-                }
-                for &(x, v) in &tx.reads {
-                    let cur = self.state_value(top, x);
-                    if cur != v {
-                        fail_call!(
-                            tx,
-                            format!(
-                                "committed transaction read {x}={v} but the committed state at \
-                                 its serialization point has {x}={cur}"
-                            )
-                        );
+            (Response::Ok, _) => "ok response without pending write".to_string(),
+            (Response::Committed, Some(Invocation::TryCommit)) => {
+                // The committed transaction is serialized last: all its
+                // reads must be consistent with the current committed state.
+                let top = &self.states[self.commits()];
+                match tx
+                    .reads
+                    .iter()
+                    .copied()
+                    .find(|&(x, v)| value_at(top, x) != v)
+                {
+                    Some((x, v)) => format!(
+                        "committed transaction read {x}={v} but the committed state at its \
+                         serialization point has {x}={}",
+                        value_at(top, x)
+                    ),
+                    None => {
+                        self.commit(process, tx, fresh);
+                        return Ok(());
                     }
                 }
-                let mut next = self.states[top].clone();
-                for &(x, v) in &tx.writes {
-                    Self::apply_write(&mut next, x, v);
-                }
-                self.states.push(next);
-                let new_slot = self.commits();
-                let mut granted = 0u64;
-                if self.mode == Mode::Opacity {
-                    let states = &self.states;
-                    for (q, other) in self.open.iter_mut().enumerate() {
-                        let Some(other) = other.as_mut() else {
-                            continue;
-                        };
-                        let fits = other.reads.iter().all(|&(x, v)| {
-                            states[new_slot]
-                                .get(x.index())
-                                .copied()
-                                .unwrap_or(INITIAL_VALUE)
-                                == v
-                        });
-                        if fits {
-                            other.candidates.insert(new_slot);
-                            if logging {
-                                assert!(q < 64, "rollback logging supports at most 64 processes");
-                                granted |= 1 << q;
-                            }
-                        }
-                    }
-                }
-                if !logging {
-                    self.position += 2;
-                    return Ok(());
-                }
-                let retired = if fresh { None } else { Some(Box::new(tx)) };
-                UndoEntry::CallCommitted {
-                    process,
-                    tx: retired,
-                    granted,
-                }
             }
+            (Response::Committed, _) => "commit response without pending tryC".to_string(),
         };
-        if logging {
-            self.log.push(entry);
+        let retired = self.retire(tx, fresh);
+        Err(self.fail(process, at, retired, detail))
+    }
+
+    /// Applies a validated committing transaction's writes as the next
+    /// committed state and offers that state to the open transactions.
+    fn commit(&mut self, process: ProcessId, tx: OpenTx, fresh: bool) {
+        let mut next = self.states[self.commits()].clone();
+        for &(x, v) in &tx.writes {
+            Self::apply_write(&mut next, x, v);
         }
-        self.position += 2;
-        Ok(())
+        self.states.push(next);
+        let new_slot = self.commits();
+        // The new state is a candidate serialization point for every
+        // still-open transaction whose reads it satisfies.
+        let mut granted = 0u64;
+        if self.mode == Mode::Opacity {
+            let (state, logging) = (&self.states[new_slot], self.logging);
+            for (q, other) in self.open.iter_mut().enumerate() {
+                let Some(other) = other.as_mut() else {
+                    continue;
+                };
+                if other.reads.iter().all(|&(x, v)| value_at(state, x) == v) {
+                    other.candidates.insert(new_slot);
+                    if logging {
+                        assert!(q < 64, "rollback logging supports at most 64 processes");
+                        granted |= 1 << q;
+                    }
+                }
+            }
+        }
+        let retired = self.retire(tx, fresh);
+        self.record(UndoEntry::Committed {
+            process,
+            tx: retired,
+            granted,
+        });
     }
 
     /// Pushes every event of an iterator, stopping at the first violation.
@@ -1517,6 +1266,14 @@ mod tests {
         let inner = c.checkpoint();
         c.rollback(outer);
         c.rollback(inner);
+    }
+
+    #[test]
+    fn undo_entry_size_is_pinned() {
+        // The explorer logs an entry per tree edge. The largest, a read's
+        // 40-byte prior `SlotSet` with its process id and tag, is 56 bytes
+        // on 64-bit targets; no variant may grow past it.
+        assert!(std::mem::size_of::<UndoEntry>() <= 56);
     }
 
     #[test]

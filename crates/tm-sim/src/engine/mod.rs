@@ -31,9 +31,9 @@
 //!   interning                                 [`memo::Interner`] — the
 //!      │                                      graph checker's node ids
 //!      ▲                ▲                            ▲
-//!   space       [`SearchSpace`] — expand a configuration one process-step
-//!      │        at a time ([`StepRecord`]), checkpoint/rollback the
-//!      │        client (and certifier) state
+//!   space       one stepper — expand a configuration one process-step
+//!      │        at a time ([`StepRecord`]); each checker's space marks
+//!      │        and rewinds its client (and certifier) state
 //!      ▲                ▲                            ▲
 //!   TM pool     [`TmPool`] — allocation-free fork/refork box recycling
 //!               (hoisted into `tm_stm::api`, shared by every walker)
@@ -68,5 +68,5 @@ pub(crate) mod reduction;
 pub mod space;
 
 pub use budget::{Budget, BudgetMeter};
-pub use space::{SearchSpace, StepRecord};
+pub use space::StepRecord;
 pub use tm_stm::TmPool;

@@ -1,15 +1,16 @@
 //! The configuration layer of the exploration kernel: one scheduler
-//! step, recorded; and the [`SearchSpace`] contract both checkers'
-//! search states implement.
+//! step, recorded. Both checkers' search states (the explorer's
+//! `ScheduleSpace`, livecheck's `GraphSpace`) step through the one
+//! stepper, `step_process`, and feed on its [`StepRecord`].
 
 use tm_core::{Event, Invocation, ProcessId, Response};
-use tm_stm::{BoxedTm, Outcome, SteppedTm, TmPool};
+use tm_stm::{BoxedTm, Outcome, SteppedTm};
 use tm_telemetry::{Json, Telemetry};
 
 use crate::workload::{Client, ClientScript};
 
-/// What one scheduler step of one process did, as recorded by
-/// [`SearchSpace::step`]. A step is either the delivery attempt of a
+/// What one scheduler step of one process did, as recorded by the
+/// kernel's stepper. A step is either the delivery attempt of a
 /// withheld response (a poll) or the client's next invocation with the
 /// TM's immediate answer (or lack of one). The record carries everything
 /// either checker derives from a step: the produced events, the
@@ -112,37 +113,6 @@ pub(crate) fn step_process(
     }
 }
 
-/// The kernel's contract for a checker's mutable search state: a
-/// *configuration* that can be expanded one process-step at a time and
-/// unwound in O(1) on backtrack.
-///
-/// The safety explorer's `ScheduleSpace` (clients, schedule path,
-/// history, incremental certifier) and the liveness checker's
-/// `GraphSpace` (clients, fault masks) are the two
-/// instantiations; generic kernel helpers such as `expand_child` (the
-/// pool-fork-then-step expansion every walker shares) drive either.
-pub trait SearchSpace {
-    /// Everything [`SearchSpace::step`] mutates besides the TM, captured
-    /// before a step and restored after its subtree unwinds: client
-    /// cursor, history length, and (for the safety explorer) the
-    /// certifier checkpoint.
-    type Mark;
-
-    /// The branching factor: one successor per process.
-    fn width(&self) -> usize;
-
-    /// Snapshots the state `step(k)` will mutate.
-    fn mark(&mut self, k: usize) -> Self::Mark;
-
-    /// Executes one scheduler step of process `k` against `tm`,
-    /// recording path/history/certifier effects in the space.
-    fn step(&mut self, tm: &mut BoxedTm, k: usize) -> StepRecord;
-
-    /// Unwinds one [`SearchSpace::step`] of process `k`.
-    fn rewind(&mut self, k: usize, mark: Self::Mark);
-}
-
-/// Replays `schedule` from the initial configuration — `tm` fresh from
 /// Identity of the witness a `trace` event annotates: which engine and
 /// event kind it is adjacent to, its index within the run, and (for
 /// lassos) where the repeated cycle begins in the schedule.
@@ -226,21 +196,6 @@ pub(crate) fn emit_trace(
     }
     fields.push(("steps", Json::Arr(steps)));
     telemetry.event("trace", &fields);
-}
-
-/// Branches `parent` through the pool and steps process `k` on the
-/// branch: the kernel's per-tree-edge expansion, shared by every walker
-/// (the last child of a node skips this and consumes the parent's box
-/// directly via [`SearchSpace::step`]).
-pub(crate) fn expand_child<S: SearchSpace>(
-    space: &mut S,
-    pool: &mut TmPool,
-    parent: &BoxedTm,
-    k: usize,
-) -> (BoxedTm, StepRecord) {
-    let mut child = pool.fork_child(parent);
-    let record = space.step(&mut child, k);
-    (child, record)
 }
 
 #[cfg(test)]

@@ -142,11 +142,11 @@
 //!
 //! This explorer is one of two instantiations of the shared search
 //! kernel in [`crate::engine`] (the other is the liveness checker,
-//! [`mod@crate::livecheck`]): its `ScheduleSpace` implements the kernel's
-//! [`SearchSpace`] contract (one stepper, client mark/restore, certifier
-//! checkpoint/rollback), TM branching runs through the shared
-//! [`tm_stm::TmPool`], and the happens-before trace and wakeup trees
-//! live in the kernel's reduction layer.
+//! [`mod@crate::livecheck`]): its `ScheduleSpace` steps through the
+//! kernel's one stepper and marks and rewinds each step (client
+//! mark/restore, certifier checkpoint/rollback), TM branching runs
+//! through the shared [`tm_stm::TmPool`], and the happens-before trace
+//! and wakeup trees live in the kernel's reduction layer.
 
 use tm_core::{Event, History, ProcessId};
 use tm_safety::{check_opacity, Checkpoint, IncrementalChecker, Mode, SafetyVerdict};
@@ -155,9 +155,7 @@ use tm_telemetry::{Counter, Json, Telemetry, Timer};
 
 use crate::engine::budget::{Budget, BudgetMeter};
 use crate::engine::reduction::{self, OptimalDpor, WakeupTree};
-use crate::engine::space::{
-    emit_trace, expand_child, step_process, SearchSpace, StepRecord, TraceWitness,
-};
+use crate::engine::space::{emit_trace, step_process, StepRecord, TraceWitness};
 use crate::faults::{Fault, FaultConfig, FaultPlan, FaultState};
 use crate::workload::{Client, ClientMark, ClientScript};
 
@@ -310,10 +308,9 @@ impl ExploreConfig {
     }
 }
 
-/// The safety explorer's instantiation of the kernel's [`SearchSpace`]:
-/// a schedule-tree configuration — client cursors, the schedule path,
-/// the growing history, and the incremental opacity certifier whose
-/// verdict latches on rejection. The TM itself is threaded through the
+/// The safety explorer's search state: a schedule-tree configuration —
+/// client cursors, the schedule path, the growing history, and the
+/// incremental opacity certifier whose verdict latches on rejection. The TM itself is threaded through the
 /// walk separately (ownership moves along tree edges).
 struct ScheduleSpace {
     clients: Vec<Client>,
@@ -328,7 +325,7 @@ struct ScheduleSpace {
     /// ([`ExploreConfig::record_schedules`]).
     log_schedules: bool,
     /// Crash/parasitic masks of the current branch. Mutated only along
-    /// fault edges (saved/restored by the walker, not via [`Self::Mark`]
+    /// fault edges (saved/restored by the walker, not via [`ScheduleMark`]
     /// — process steps never touch it).
     fstate: FaultState,
     /// The fault transitions taken along the current branch, in order —
@@ -362,15 +359,13 @@ impl ScheduleSpace {
             fault_log: Vec::new(),
         }
     }
-}
 
-impl SearchSpace for ScheduleSpace {
-    type Mark = ScheduleMark;
-
+    /// The branching factor: one successor per process.
     fn width(&self) -> usize {
         self.clients.len()
     }
 
+    /// Snapshots the state `step(k)` will mutate.
     fn mark(&mut self, k: usize) -> ScheduleMark {
         ScheduleMark {
             checkpoint: self.checker.checkpoint(),
@@ -379,6 +374,8 @@ impl SearchSpace for ScheduleSpace {
         }
     }
 
+    /// Executes one scheduler step of process `k` against `tm`,
+    /// recording its path, history and certifier effects.
     fn step(&mut self, tm: &mut BoxedTm, k: usize) -> StepRecord {
         self.steps += 1;
         let started = self.telemetry.timer_start();
@@ -406,6 +403,7 @@ impl SearchSpace for ScheduleSpace {
         record
     }
 
+    /// Unwinds one [`ScheduleSpace::step`] of process `k`.
     fn rewind(&mut self, k: usize, mark: ScheduleMark) {
         self.path.pop();
         self.history.truncate(mark.history_len);
@@ -535,7 +533,8 @@ fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm 
             continue;
         }
         let mark = walk.space.mark(k);
-        let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
+        let mut child = walk.pool.fork_child(&tm);
+        walk.space.step(&mut child, k);
         let recycled = walk_tree(walk, child, remaining - 1);
         walk.pool.put_back(recycled);
         walk.space.rewind(k, mark);
@@ -646,7 +645,8 @@ fn walk_optimal(
             continue;
         }
         let mark = walk.space.mark(k);
-        let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
+        let mut child = walk.pool.fork_child(&tm);
+        walk.space.step(&mut child, k);
         let child_sleep = opt.child_sleep(depth, sleep, k);
         opt.core.push(k, opt.feet(depth)[k]);
         let recycled = walk_optimal(walk, opt, child, remaining - 1, child_sleep, edge.sub);

@@ -212,14 +212,6 @@ impl FaultPlan {
         })
     }
 
-    /// The parasitic fault of `process` triggering exactly at `step`, if
-    /// any.
-    pub fn parasitic_turn_at(&self, process: ProcessId, step: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::Parasitic { .. }) && f.process() == process && f.at_step() == step
-        })
-    }
-
     /// Whether `process` has turned parasitic at or before `step`
     /// (parasitic turns are sticky).
     pub fn is_parasitic(&self, process: ProcessId, step: usize) -> bool {
@@ -318,8 +310,8 @@ mod tests {
     #[test]
     fn parasitic_turn_triggers_once() {
         let plan = FaultPlan::none().parasitic(P2, 5);
-        assert!(plan.parasitic_turn_at(P2, 5));
-        assert!(!plan.parasitic_turn_at(P2, 6));
+        assert!(plan.is_parasitic(P2, 5));
+        assert!(!plan.is_parasitic(P2, 4));
         assert!(plan.is_eventually_parasitic(P2));
         assert!(!plan.is_eventually_parasitic(P1));
     }
@@ -343,7 +335,7 @@ mod tests {
         // A process that turns parasitic and later crashes: both
         // predicates answer independently.
         let plan = FaultPlan::none().parasitic(P1, 2).crash(P1, 5);
-        assert!(plan.parasitic_turn_at(P1, 2));
+        assert!(plan.is_parasitic(P1, 2));
         assert!(plan.is_eventually_parasitic(P1));
         assert!(!plan.is_crashed(P1, 4));
         assert!(plan.is_crashed(P1, 5));
@@ -359,8 +351,8 @@ mod tests {
             for p in [P1, P2] {
                 assert_eq!(forward.is_crashed(p, step), backward.is_crashed(p, step));
                 assert_eq!(
-                    forward.parasitic_turn_at(p, step),
-                    backward.parasitic_turn_at(p, step)
+                    forward.is_parasitic(p, step),
+                    backward.is_parasitic(p, step)
                 );
             }
         }

@@ -36,7 +36,7 @@
 //!   pool while worker threads keep committing
 //!   ([`certify_workload`]);
 //! * [`engine`] — the exploration kernel beneath both model checkers:
-//!   the shared stepper and [`engine::SearchSpace`] contract, TM
+//!   the shared stepper and its [`engine::StepRecord`], TM
 //!   fork/refork pooling ([`tm_stm::TmPool`]), the state interner,
 //!   reduction state, budgets, and a deterministic parallel map.
 //!

@@ -97,13 +97,12 @@
 //!
 //! This checker is the graph-search instantiation of the shared kernel
 //! in [`crate::engine`] (the safety explorer is the tree-search one):
-//! its `GraphSpace` implements the kernel's [`SearchSpace`] contract
-//! over the shared stepper, TM branching runs through the shared
-//! [`tm_stm::TmPool`], configurations are interned through
-//! [`crate::engine::memo::Interner`], and resource caps go through the
-//! kernel's [`BudgetMeter`]. The walk runs on one thread: it beat a
-//! level-parallel frontier on every measured row, and a per-process SCC
-//! fan-out gained nothing.
+//! its `GraphSpace` steps through the kernel's one stepper, TM
+//! branching runs through the shared [`tm_stm::TmPool`], configurations
+//! are interned through [`crate::engine::memo::Interner`], and resource
+//! caps go through the kernel's [`BudgetMeter`]. The walk runs on one
+//! thread: it beat a level-parallel frontier on every measured row, and
+//! a per-process SCC fan-out gained nothing.
 
 use std::collections::VecDeque;
 
@@ -117,7 +116,7 @@ use tm_telemetry::{Counter, Json, Telemetry, Timer};
 
 use crate::engine::budget::{Budget, BudgetMeter};
 use crate::engine::memo::Interner;
-use crate::engine::space::{emit_trace, step_process, SearchSpace, StepRecord, TraceWitness};
+use crate::engine::space::{emit_trace, step_process, StepRecord, TraceWitness};
 use crate::faults::{Fault, FaultConfig, FaultPlan, FaultState};
 use crate::workload::{clients_digest, Client, ClientMark, ClientScript};
 
@@ -509,11 +508,10 @@ impl Explored {
     }
 }
 
-/// The liveness checker's instantiation of the kernel's [`SearchSpace`]:
-/// the client cursors and fault masks of the configuration being
-/// expanded, plus the static parasitic mask the stepper needs. (No
-/// certifier: liveness is decided on the recorded graph, not per
-/// history prefix.)
+/// The liveness checker's search state: the client cursors and fault
+/// masks of the configuration being expanded, plus the static parasitic
+/// mask the stepper needs. (No certifier: liveness is decided on the
+/// recorded graph, not per history prefix.)
 struct GraphSpace {
     clients: Vec<Client>,
     /// Scratch for the stepper's events; each edge keeps its step's
@@ -542,19 +540,18 @@ impl GraphSpace {
             .expect("livecheck requires a fingerprinting TM (SteppedTm::state_digest)");
         (tm_digest, clients_digest(&self.clients), self.fstate.key())
     }
-}
 
-impl SearchSpace for GraphSpace {
-    type Mark = ClientMark;
-
+    /// The branching factor: one successor per process.
     fn width(&self) -> usize {
         self.clients.len()
     }
 
+    /// Snapshots the client cursor `step(k)` will advance.
     fn mark(&mut self, k: usize) -> ClientMark {
         self.clients[k].mark()
     }
 
+    /// Executes one scheduler step of process `k` against `tm`.
     fn step(&mut self, tm: &mut BoxedTm, k: usize) -> StepRecord {
         let parasitic = (self.parasitic | self.fstate.parasitic) & (1 << k) != 0;
         let started = self.telemetry.timer_start();
@@ -564,6 +561,7 @@ impl SearchSpace for GraphSpace {
         record
     }
 
+    /// Unwinds one [`GraphSpace::step`] of process `k`.
     fn rewind(&mut self, k: usize, mark: ClientMark) {
         self.clients[k].restore(mark);
     }

@@ -164,8 +164,8 @@ pub const EVENT_TAGS: &[&str] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Schedule-tree walk steps (`SearchSpace::step` executions in the
-    /// safety explorer, interior nodes included).
+    /// Schedule-tree walk steps (`ScheduleSpace::step` executions in
+    /// the safety explorer, interior nodes included).
     WorkerSteps,
     /// Reversible races the optimal-DPOR analysis detected.
     DporRaces,

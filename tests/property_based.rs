@@ -2,6 +2,9 @@
 //!
 //! * checker soundness: the commit-order certifier never accepts a
 //!   history the exact checker rejects;
+//! * the certifier's fused `push_call` and split `push` entry points
+//!   agree, rollback to a checkpoint replays identically, and a branch
+//!   taken after a rollback matches a fresh certifier;
 //! * opacity ⇒ strict serializability on random histories;
 //! * every STM in the catalogue produces opaque histories under random
 //!   schedules and workloads;
@@ -10,8 +13,9 @@
 //! * the Figure 2 classification lattice holds for random lassos.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-use tm_core::{Event, History, ProcessId, TVarId};
+use tm_core::{Event, EventKind, History, Invocation, ProcessId, Response, TVarId};
 use tm_liveness::{classify, InfiniteHistory, ProcessClass};
 use tm_safety::{
     check_opacity, check_strict_serializability, IncrementalChecker, Mode, SafetyVerdict,
@@ -24,7 +28,12 @@ use tm_stm::{nonblocking_catalog, Recorded, SteppedTm};
 /// response values — deliberately *not* produced by any TM, so both
 /// checker verdicts occur.
 fn arb_history() -> impl Strategy<Value = History> {
-    let op = (0..3usize, 0..2usize, 0..3u64, 0..4u8);
+    arb_history_over(3)
+}
+
+/// [`arb_history`] with read and written values drawn from `0..values`.
+fn arb_history_over(values: u64) -> impl Strategy<Value = History> {
+    let op = (0..3usize, 0..2usize, 0..values, 0..4u8);
     proptest::collection::vec(op, 0..12).prop_map(|ops| {
         let mut h = History::new();
         for (p, x, v, kind) in ops {
@@ -53,6 +62,96 @@ fn arb_history() -> impl Strategy<Value = History> {
     })
 }
 
+/// Pushes `events` one by one, returning each push's verdict.
+fn push_split(c: &mut IncrementalChecker, events: &[Event]) -> Vec<bool> {
+    events.iter().map(|&e| c.push(e).is_ok()).collect()
+}
+
+/// Pushes `events` with `push_call` for each adjacent invocation/response
+/// pair of one process and `push` otherwise (as the explorer does),
+/// returning one verdict per call.
+fn push_fused(c: &mut IncrementalChecker, events: &[Event]) -> Vec<bool> {
+    let mut verdicts = Vec::new();
+    let mut i = 0;
+    while i < events.len() {
+        let e = events[i];
+        match (
+            e.kind,
+            events.get(i + 1).map(|next| (next.process, next.kind)),
+        ) {
+            (EventKind::Invocation(inv), Some((q, EventKind::Response(resp))))
+                if q == e.process =>
+            {
+                verdicts.push(c.push_call(e.process, inv, resp).is_ok());
+                i += 2;
+            }
+            _ => {
+                verdicts.push(c.push(e).is_ok());
+                i += 1;
+            }
+        }
+    }
+    verdicts
+}
+
+/// Certifies `ops` (invocation/response pairs, pushed fused or split)
+/// with every read answered and every write writing both 0 and 1,
+/// depth-first with a checkpoint before each alternative and a rollback
+/// after it, as the explorer walks sibling schedules. At every leaf the
+/// certifier must match a fresh one fed the same history.
+fn walk_alternatives(
+    c: &mut IncrementalChecker,
+    mode: Mode,
+    fused: bool,
+    ops: &[(ProcessId, Invocation, Response)],
+    path: &mut Vec<Event>,
+) -> Result<(), TestCaseError> {
+    let Some((&(p, invocation, response), rest)) = ops.split_first() else {
+        let mut fresh = IncrementalChecker::new(mode);
+        push_split(&mut fresh, path);
+        prop_assert_eq!(certifier_state(c), certifier_state(&fresh));
+        return Ok(());
+    };
+    let alternatives = match (invocation, response) {
+        (_, Response::Value(_)) => vec![
+            (invocation, Response::Value(0)),
+            (invocation, Response::Value(1)),
+        ],
+        (Invocation::Write(x, _), _) => vec![
+            (Invocation::Write(x, 0), response),
+            (Invocation::Write(x, 1), response),
+        ],
+        _ => vec![(invocation, response)],
+    };
+    for (invocation, response) in alternatives {
+        let checkpoint = c.checkpoint();
+        let op = [
+            Event::invocation(p, invocation),
+            Event::response(p, response),
+        ];
+        if fused {
+            let _ = c.push_call(p, invocation, response);
+        } else {
+            push_split(c, &op);
+        }
+        path.extend(op);
+        walk_alternatives(c, mode, fused, rest, path)?;
+        path.truncate(path.len() - 2);
+        c.rollback(checkpoint);
+    }
+    Ok(())
+}
+
+/// What a certifier reports: events pushed, commits and the latched
+/// violation's position and detail.
+fn certifier_state(c: &IncrementalChecker) -> (usize, usize, Option<(usize, String)>) {
+    (
+        c.events_pushed(),
+        c.commits(),
+        c.violation().map(|v| (v.position, v.detail.clone())),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -68,6 +167,36 @@ proptest! {
             // The certifier accepted: the exact checker must agree.
             let exact_agrees = matches!(check_opacity(&h), Ok(SafetyVerdict::Satisfied { .. }));
             prop_assert!(exact_agrees);
+        }
+    }
+
+    #[test]
+    fn fused_and_split_pushes_agree_across_rollback(h in arb_history(), cut in 0usize..32) {
+        let events: Vec<Event> = h.iter().copied().collect();
+        let cut = cut % (events.len() + 1);
+        let (prefix, suffix) = events.split_at(cut);
+        for mode in [Mode::Opacity, Mode::StrictSerializability] {
+            let mut split = IncrementalChecker::new(mode);
+            let mut fused = IncrementalChecker::new(mode);
+            push_split(&mut split, prefix);
+            push_fused(&mut fused, prefix);
+            prop_assert_eq!(certifier_state(&split), certifier_state(&fused));
+            let at_checkpoint = certifier_state(&split);
+            let (split_cp, fused_cp) = (split.checkpoint(), fused.checkpoint());
+
+            let split_first = push_split(&mut split, suffix);
+            let fused_first = push_fused(&mut fused, suffix);
+            prop_assert_eq!(certifier_state(&split), certifier_state(&fused));
+            let at_end = certifier_state(&split);
+
+            split.rollback(split_cp);
+            fused.rollback(fused_cp);
+            prop_assert_eq!(certifier_state(&split), at_checkpoint);
+            prop_assert_eq!(certifier_state(&fused), at_checkpoint);
+            prop_assert_eq!(push_split(&mut split, suffix), split_first);
+            prop_assert_eq!(push_fused(&mut fused, suffix), fused_first);
+            prop_assert_eq!(certifier_state(&split), at_end);
+            prop_assert_eq!(certifier_state(&fused), at_end);
         }
     }
 
@@ -213,6 +342,31 @@ proptest! {
                 prop_assert!(!tm_liveness::is_pending(&h, p));
             }
             ProcessClass::Absent => prop_assert!(false, "p1 appears in the prefix"),
+        }
+    }
+}
+
+proptest! {
+    // Seeded faults in the undo of a read (candidates kept pruned), a
+    // write (write kept) or a commit (granted slot kept) each fail
+    // within the first 100 cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn branches_after_a_rollback_match_a_fresh_certifier(h in arb_history_over(2)) {
+        let ops: Vec<(ProcessId, Invocation, Response)> = h
+            .events()
+            .chunks(2)
+            .map(|op| {
+                let (inv, resp) = (op[0].as_invocation(), op[1].as_response());
+                (op[0].process, inv.expect("an invocation"), resp.expect("its response"))
+            })
+            .collect();
+        for mode in [Mode::Opacity, Mode::StrictSerializability] {
+            for fused in [false, true] {
+                let mut c = IncrementalChecker::new(mode);
+                walk_alternatives(&mut c, mode, fused, &ops, &mut Vec::new())?;
+            }
         }
     }
 }
