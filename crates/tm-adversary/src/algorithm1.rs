@@ -87,8 +87,9 @@ impl Algorithm1 {
 
     /// Binary-domain variant: both processes write `1 − v` instead of
     /// `v + 1`, so the produced run is eventually periodic and the lasso
-    /// detector can recover the infinite history (see the
-    /// `thm1_liveness_bridge` harness).
+    /// detector can recover the infinite history (see
+    /// `every_tms_adversary_run_is_formally_a_local_progress_violation` in
+    /// `tests/extensions.rs`).
     pub fn binary(x: TVarId) -> Self {
         let mut a = Self::new(x);
         a.mode = ValueMode::Binary;

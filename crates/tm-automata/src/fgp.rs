@@ -379,7 +379,7 @@ mod tests {
     use super::*;
     use crate::ioa::Runner;
     use tm_core::{Invocation as Inv, TVarId};
-    use tm_safety::{is_opaque, IncrementalChecker, Mode};
+    use tm_safety::{is_opaque, is_strictly_serializable, IncrementalChecker, Mode};
 
     const P1: ProcessId = ProcessId(0);
     const P2: ProcessId = ProcessId(1);
@@ -525,58 +525,68 @@ mod tests {
 
     #[test]
     fn figure_16_style_history_with_two_tvars() {
-        // Three processes, two t-variables, CpOnly: reconstruct the shape
-        // of the paper's Figure 16 history Hex (the exact interleaving
-        // validated is the step sequence below; the `fig16_fgp_history`
-        // harness in the bench crate renders the full figure).
-        let mut r = runner(3, 2, FgpVariant::CpOnly);
-        // p1: x.read → 0, x.write(1).
-        assert_eq!(
-            r.invoke_and_deliver(P1, Inv::Read(X)).unwrap(),
-            Some(Response::Value(0))
-        );
-        r.invoke_and_deliver(P1, Inv::Write(X, 1)).unwrap();
-        // p3: y.read → 0, y.write(1).
-        assert_eq!(
-            r.invoke_and_deliver(P3, Inv::Read(Y)).unwrap(),
-            Some(Response::Value(0))
-        );
-        r.invoke_and_deliver(P3, Inv::Write(Y, 1)).unwrap();
-        // p1 commits first: p3 (concurrent) is doomed.
-        assert_eq!(
-            r.invoke_and_deliver(P1, Inv::TryCommit).unwrap(),
-            Some(Response::Committed)
-        );
-        // p2 writes y and is aborted? No: p2 starts fresh after the commit,
-        // so it proceeds; p3's pending fate: doomed.
-        assert_eq!(
-            r.invoke_and_deliver(P3, Inv::TryCommit).unwrap(),
-            Some(Response::Aborted)
-        );
-        // p3 retries and commits.
-        assert_eq!(
-            r.invoke_and_deliver(P3, Inv::Read(Y)).unwrap(),
-            Some(Response::Value(0))
-        );
-        r.invoke_and_deliver(P3, Inv::Write(Y, 1)).unwrap();
-        assert_eq!(
-            r.invoke_and_deliver(P3, Inv::TryCommit).unwrap(),
-            Some(Response::Committed)
-        );
-        // p2 reads both committed values.
-        assert_eq!(
-            r.invoke_and_deliver(P2, Inv::Read(Y)).unwrap(),
-            Some(Response::Value(1))
-        );
-        assert_eq!(
-            r.invoke_and_deliver(P2, Inv::Read(X)).unwrap(),
-            Some(Response::Value(1))
-        );
-        assert_eq!(
-            r.invoke_and_deliver(P2, Inv::TryCommit).unwrap(),
-            Some(Response::Committed)
-        );
-        assert!(is_opaque(r.history()));
+        // Three processes, two t-variables, CpOnly: two interleavings with
+        // the per-process shape of the paper's Figure 16 history Hex. p1
+        // commits a write of x, dooming the concurrent p3 (first
+        // interleaving) or p2 and p3 (second); p3 retries and commits a
+        // write of y; p2 reads both committed values and commits. The
+        // second ends with p3 dooming p1's next transaction, so p1 and p2
+        // each abort once, like the figure.
+        use Response::{Aborted, Committed, Value};
+        let ok = Response::Ok;
+        let first = [
+            (P1, Inv::Read(X), Value(0)),
+            (P1, Inv::Write(X, 1), ok),
+            (P3, Inv::Read(Y), Value(0)),
+            (P3, Inv::Write(Y, 1), ok),
+            (P1, Inv::TryCommit, Committed),
+            (P3, Inv::TryCommit, Aborted),
+            (P3, Inv::Read(Y), Value(0)),
+            (P3, Inv::Write(Y, 1), ok),
+            (P3, Inv::TryCommit, Committed),
+            (P2, Inv::Read(Y), Value(1)),
+            (P2, Inv::Read(X), Value(1)),
+            (P2, Inv::TryCommit, Committed),
+        ];
+        let second = [
+            (P1, Inv::Read(X), Value(0)),
+            (P2, Inv::Write(Y, 1), ok),
+            (P3, Inv::Read(Y), Value(0)),
+            (P1, Inv::Write(X, 1), ok),
+            (P1, Inv::TryCommit, Committed),
+            (P2, Inv::TryCommit, Aborted),
+            (P3, Inv::Write(Y, 1), Aborted),
+            (P3, Inv::Read(Y), Value(0)),
+            (P3, Inv::Write(Y, 1), ok),
+            (P3, Inv::TryCommit, Committed),
+            (P2, Inv::Read(Y), Value(1)),
+            (P2, Inv::Read(X), Value(1)),
+            (P2, Inv::TryCommit, Committed),
+            (P1, Inv::Read(Y), Value(1)),
+            (P3, Inv::Read(Y), Value(1)),
+            (P3, Inv::Write(Y, 0), ok),
+            (P3, Inv::TryCommit, Committed),
+            (P1, Inv::TryCommit, Aborted),
+        ];
+        // (steps, commits and aborts per process)
+        let cases: [(&[_], _, _); 2] = [
+            (&first, [1, 1, 1], [0, 0, 1]),
+            (&second, [1, 1, 2], [1, 1, 1]),
+        ];
+        for (steps, commits, aborts) in cases {
+            let mut r = runner(3, 2, FgpVariant::CpOnly);
+            for &(p, inv, want) in steps {
+                let got = r.invoke_and_deliver(p, inv).unwrap();
+                assert_eq!(got, Some(want), "{p}: {inv}");
+            }
+            let h = r.history();
+            assert!(is_opaque(h));
+            assert!(is_strictly_serializable(h));
+            for (k, p) in [P1, P2, P3].into_iter().enumerate() {
+                assert_eq!(h.commit_count(p), commits[k], "{p}");
+                assert_eq!(h.abort_count(p), aborts[k], "{p}");
+            }
+        }
     }
 
     #[test]

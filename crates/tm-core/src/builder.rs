@@ -123,9 +123,8 @@ impl HistoryBuilder {
 ///
 /// Each function returns the *finite* history depicted (or, for the infinite
 /// figures, the canonical finite pattern used by the corresponding lasso in
-/// `tm-liveness`). The figure harness binaries of the `bench` crate
-/// (`fig01_scenario`, `fig16_fgp_history`, ...) check each one against
-/// the paper's stated verdicts.
+/// `tm-liveness`). The `opacity` and `strict_ser` tests of `tm-safety`
+/// check each one against the paper's stated verdicts.
 pub mod figures {
     use super::*;
 

@@ -253,6 +253,38 @@ mod tests {
     }
 
     #[test]
+    fn figure_2_lattice_arrows_hold_over_the_figure_corpus() {
+        let mut seen = Vec::new();
+        for h in crate::figures::all_figures() {
+            for p in h.processes() {
+                seen.push(classify(&h, p));
+                if is_crashed(&h, p) {
+                    assert!(is_faulty(&h, p) && is_pending(&h, p), "{p}");
+                    assert!(!is_parasitic(&h, p), "{p}");
+                }
+                if is_parasitic(&h, p) {
+                    assert!(is_faulty(&h, p), "{p}");
+                }
+                if is_starving(&h, p) {
+                    assert!(is_pending(&h, p) && is_correct(&h, p), "{p}");
+                }
+                if makes_progress(&h, p) {
+                    assert!(is_correct(&h, p) && !is_pending(&h, p), "{p}");
+                }
+            }
+        }
+        // Every class the arrows start from occurs in the corpus.
+        for class in [
+            ProcessClass::Crashed,
+            ProcessClass::Parasitic,
+            ProcessClass::Starving,
+            ProcessClass::Progressing,
+        ] {
+            assert!(seen.contains(&class), "{class}");
+        }
+    }
+
+    #[test]
     fn runs_alone_when_other_processes_faulty() {
         let h = crash_lasso();
         assert!(runs_alone(&h, P1));

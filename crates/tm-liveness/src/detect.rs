@@ -8,8 +8,9 @@
 //! `prefix · cycle^ω` is the infinite history the game would produce if
 //! run forever, and every classification of [`crate::classify()`] applies to
 //! it exactly. This closes the loop between executing a TM and the
-//! paper's formal liveness verdicts (see the `thm1_liveness_bridge`
-//! harness).
+//! paper's formal liveness verdicts (see
+//! `every_tms_adversary_run_is_formally_a_local_progress_violation` in
+//! `tests/extensions.rs`).
 
 use tm_core::{Event, History};
 
@@ -25,7 +26,7 @@ use crate::lasso::{InfiniteHistory, LassoError};
 /// an invocation/response pair across the boundary in an inconsistent
 /// way).
 ///
-/// Complexity: `O(len²)` worst case; intended for harness-scale histories
+/// Complexity: `O(len²)` worst case; intended for test-scale histories
 /// (≲ 10⁵ events).
 ///
 /// # Examples

@@ -90,6 +90,9 @@ mod tests {
         assert!(satisfies_biprogressing_condition(&figures::figure_5()));
         assert!(satisfies_biprogressing_condition(&figures::figure_7()));
         assert!(!satisfies_biprogressing_condition(&figures::figure_6()));
+        // Figure 14 meets the biprogressing condition but not the
+        // nonblocking one (§5.1's table).
+        assert!(satisfies_biprogressing_condition(&figures::figure_14()));
     }
 
     #[test]

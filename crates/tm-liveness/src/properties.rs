@@ -87,8 +87,8 @@ impl TmLivenessProperty for SoloProgress {
 ///
 /// Priority progress is *nonblocking* (a process running alone is the
 /// highest-priority correct one) but not *biprogressing* (it guarantees
-/// one process), so Theorem 2 does not rule it out — yet the
-/// `ext_priority_progress` harness shows the same indistinguishability
+/// one process), so Theorem 2 does not rule it out — yet
+/// `tests/extensions.rs` shows the same indistinguishability
 /// argument defeats it in any fault-prone system: a TM that shields the
 /// top-priority process must block behind it when it crashes or turns
 /// parasitic mid-transaction, starving the *new* top correct process.

@@ -980,7 +980,7 @@ mod tests {
     #[test]
     fn long_adversary_shaped_run_is_linear_time() {
         // 10_000 rounds of the Figure 1 pattern; the certifier must accept
-        // every prefix.
+        // every prefix. Every commit is p2's: T1 (p1) never commits.
         let mut c = IncrementalChecker::new(Mode::Opacity);
         for v in 0..10_000 {
             let round = HistoryBuilder::new()

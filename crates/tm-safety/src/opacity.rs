@@ -116,7 +116,7 @@ mod tests {
     fn figure_8_terminating_suffix_is_not_opaque() {
         // The central claim of Theorem 1's proof: if Algorithm 1 terminated,
         // the resulting history would not be opaque.
-        for v in [0, 1, 7, 41] {
+        for v in [0, 1, 3, 7, 10, 41] {
             assert!(!is_opaque(&figures::figure_8(v)));
         }
     }

@@ -95,7 +95,9 @@ mod tests {
         // Needed for the generalized result (Theorem 2): the adversary's
         // would-be terminating history violates every strictly serializable
         // safety property.
-        assert!(!is_strictly_serializable(&figures::figure_8(0)));
+        for v in [0, 3, 10] {
+            assert!(!is_strictly_serializable(&figures::figure_8(v)));
+        }
     }
 
     #[test]

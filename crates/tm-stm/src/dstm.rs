@@ -11,8 +11,8 @@
 //! * on a write-write conflict the aggressive contention manager **aborts
 //!   the victim** (the current owner) rather than waiting — obstruction
 //!   freedom: a transaction running alone always commits, but two
-//!   contending writers can doom each other forever (livelock), which the
-//!   ABL2 experiment demonstrates;
+//!   contending writers can doom each other forever (livelock), which
+//!   `livelock_under_contention` demonstrates;
 //! * a doomed transaction learns of its fate at its next event: the
 //!   response is `A_k`.
 
@@ -370,7 +370,7 @@ mod tests {
     fn livelock_under_contention() {
         // Two writers in the classic obstruction-freedom livelock schedule:
         // each steals ownership (dooming the other) before the other's
-        // commit attempt, so nobody ever commits (ABL2).
+        // commit attempt, so nobody ever commits.
         let mut tm = Dstm::new(2, 1);
         assert_eq!(resp(&mut tm, P1, Inv::Write(X, 1)), Response::Ok);
         assert_eq!(resp(&mut tm, P2, Inv::Write(X, 2)), Response::Ok); // dooms p1

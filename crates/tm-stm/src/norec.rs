@@ -14,7 +14,7 @@
 //! conflict-detection granularity (one orec for the whole memory) and
 //! because value-based validation gives it a distinctive behaviour under
 //! the paper's adversary: writing the *same* value back lets doomed
-//! readers survive (silent-store tolerance), which the harnesses exercise.
+//! readers survive (silent-store tolerance, see `silent_store_tolerance`).
 
 use std::collections::BTreeMap;
 

@@ -14,8 +14,8 @@
 //! and every lower-priority process aborts forever — so "the
 //! highest-priority **correct** process makes progress" fails in
 //! fault-prone systems even though the property is not biprogressing and
-//! thus outside Theorem 2. The `ext_priority_progress` harness runs both
-//! sides of this trade-off.
+//! thus outside Theorem 2. `tests/extensions.rs` runs both sides of this
+//! trade-off.
 
 use std::collections::BTreeMap;
 

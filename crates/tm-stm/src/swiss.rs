@@ -8,8 +8,9 @@
 //!   write lock at encounter time; on conflict the **greedy** contention
 //!   manager compares transaction ages (global begin timestamps): the
 //!   *older* transaction wins and the younger one is aborted — no
-//!   livelock, unlike DSTM's aggressive CM (the ABL2 harness contrasts
-//!   them);
+//!   livelock, unlike DSTM's aggressive CM (the test
+//!   `no_livelock_under_alternating_steal` runs the schedule that
+//!   livelocks DSTM);
 //! * **read/write conflicts lazily**: writes are buffered (deferred
 //!   update), reads are invisible and validated against a TL2-style global
 //!   version clock, so readers never block writers and vice versa;
@@ -445,8 +446,9 @@ mod tests {
 
     #[test]
     fn no_livelock_under_alternating_steal() {
-        // The ABL2 schedule that livelocks DSTM: with greedy CM the older
-        // transaction always survives, so someone commits every round.
+        // The alternating-steal schedule that livelocks DSTM: with greedy
+        // CM the older transaction always survives, so someone commits
+        // every round.
         let mut tm = SwissTm::new(2, 1);
         let mut commits = 0;
         resp(&mut tm, P1, Inv::Write(X, 1));

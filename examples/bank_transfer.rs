@@ -153,6 +153,7 @@ fn main() {
     println!("Conservation invariant held for every TM. Note: at this");
     println!("micro-transaction granularity the global lock often wins on raw");
     println!("throughput — the STMs pay per-access bookkeeping — while the");
-    println!("liveness difference (a crashed holder starves everyone; see the");
-    println!("ABL1 harness) is what the paper's footnote 1 is really about.");
+    println!("liveness difference (a crashed holder starves everyone; see");
+    println!("tests/liveness_semantics.rs) is what the paper's footnote 1 is");
+    println!("really about.");
 }

@@ -2,16 +2,21 @@
 //! *running* them rather than asserting them.
 //!
 //! * global-lock TM: local progress without faults; total starvation after
-//!   a crash (ABL1);
-//! * TL2 (deferred updates): others progress through crashes;
+//!   a crash (footnote 1's Amdahl argument);
+//! * the non-blocking catalogue under the same crash: deferred-update TMs
+//!   and DSTM's stealing CM keep the survivors committing, while the
+//!   encounter-time locks of TinySTM and SwissTM starve them;
 //! * TinySTM (encounter-time locks): a crashed lock holder starves
 //!   conflicting processes, disjoint ones survive;
-//! * DSTM (obstruction-free): solo progress, but livelock under
-//!   contention (ABL2).
+//! * DSTM (obstruction-free): solo progress, but livelock under the
+//!   alternating-steal schedule, where OSTM and Fgp keep committing.
 
-use tm_core::{ProcessId, TVarId};
+use tm_automata::FgpVariant;
+use tm_core::{Invocation, ProcessId, Response, TVarId};
 use tm_sim::{simulate, Client, ClientScript, FaultPlan, RandomScheduler, RoundRobin, SimConfig};
-use tm_stm::{GlobalLock, TinyStm, Tl2};
+use tm_stm::{
+    nonblocking_catalog, BoxedTm, Dstm, FgpTm, GlobalLock, Ostm, SteppedTm, TinyStm, Tl2,
+};
 
 const P1: ProcessId = ProcessId(0);
 const P2: ProcessId = ProcessId(1);
@@ -76,24 +81,37 @@ fn global_lock_crash_starves_everyone_abl1() {
 }
 
 #[test]
-fn tl2_tolerates_the_same_crash() {
-    let mut tm = Tl2::new(3, 1);
-    let mut clients = increment_clients(3);
-    let mut sched = RoundRobin::new();
-    let faults = FaultPlan::none().crash(P1, 4);
-    let report = simulate(
-        &mut tm,
-        &mut clients,
-        &mut sched,
-        &faults,
-        SimConfig::steps(3_000).check_opacity(),
-    );
-    assert!(report.safety_ok);
-    let survivors_commits: usize = report.commits[1] + report.commits[2];
-    assert!(
-        survivors_commits > 100,
-        "deferred updates: survivors must keep committing (got {survivors_commits})"
-    );
+fn nonblocking_catalog_under_the_same_crash() {
+    // §3.2.3: deferred-update TMs (TL2, NOrec, OSTM, Fgp) shrug the crash
+    // off and DSTM's aggressive CM steals the dead writer's ownership;
+    // TinySTM and SwissTM hold encounter-time write locks, so the crashed
+    // holder orphans them and the conflicting survivors starve.
+    for mut tm in nonblocking_catalog(3, 1) {
+        let mut clients = increment_clients(3);
+        let mut sched = RoundRobin::new();
+        let faults = FaultPlan::none().crash(P1, 4);
+        let report = simulate(
+            tm.as_mut(),
+            &mut clients,
+            &mut sched,
+            &faults,
+            SimConfig::steps(3_000).check_opacity(),
+        );
+        let name = report.tm_name.as_str();
+        assert!(report.safety_ok, "{name}");
+        let survivors_commits: usize = report.commits[1] + report.commits[2];
+        if matches!(name, "tinystm" | "swisstm") {
+            assert_eq!(
+                survivors_commits, 0,
+                "{name}: survivors must starve behind the orphaned lock"
+            );
+        } else {
+            assert!(
+                survivors_commits > 100,
+                "{name}: survivors must keep committing (got {survivors_commits})"
+            );
+        }
+    }
 }
 
 #[test]
@@ -132,7 +150,7 @@ fn tinystm_crashed_lock_holder_starves_conflicting_processes() {
 fn dstm_two_contenders_with_random_schedule_both_progress_sometimes() {
     // Obstruction freedom does not forbid progress — under a random
     // (non-adversarial) schedule contenders usually sneak through.
-    let mut tm = tm_stm::Dstm::new(2, 1);
+    let mut tm = Dstm::new(2, 1);
     let mut clients = increment_clients(2);
     let mut sched = RandomScheduler::new(5);
     let report = simulate(
@@ -145,6 +163,50 @@ fn dstm_two_contenders_with_random_schedule_both_progress_sometimes() {
     assert!(report.safety_ok);
     assert!(report.commits[0] > 0);
     assert!(report.commits[1] > 0);
+}
+
+#[test]
+fn obstruction_freedom_livelocks_where_lock_free_tms_progress() {
+    // The alternating-steal schedule: each process writes x (on DSTM,
+    // stealing ownership and dooming the other) before the other's commit
+    // attempt. DSTM livelocks; OSTM (first committer wins) and Fgp keep
+    // someone committing. Running alone, each commits every transaction.
+    fn resp(tm: &mut dyn SteppedTm, p: ProcessId, inv: Invocation) -> Response {
+        tm.invoke(p, inv).response().expect("non-blocking TM")
+    }
+    let rounds = 1_000;
+    let tms: [(fn() -> BoxedTm, bool); 3] = [
+        (|| Box::new(Dstm::new(2, 1)), true),
+        (|| Box::new(Ostm::new(2, 1)), false),
+        (|| Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)), false),
+    ];
+    for (make, livelocks) in tms {
+        let (mut contended, mut solo) = (make(), make());
+        let (tm, solo) = (contended.as_mut(), solo.as_mut());
+        let name = tm.name();
+        let mut commits = 0;
+        resp(tm, P1, Invocation::Write(X, 1));
+        resp(tm, P2, Invocation::Write(X, 2));
+        for _ in 0..rounds {
+            for (p, v) in [(P1, 1), (P2, 2)] {
+                if resp(tm, p, Invocation::TryCommit) == Response::Committed {
+                    commits += 1;
+                }
+                resp(tm, p, Invocation::Write(X, v));
+            }
+        }
+        if livelocks {
+            assert_eq!(commits, 0, "{name} must livelock");
+        } else {
+            assert!(commits > rounds / 2, "{name}: only {commits} commits");
+        }
+
+        for v in 0..rounds {
+            assert_eq!(resp(solo, P1, Invocation::Read(X)), Response::Value(v));
+            assert_eq!(resp(solo, P1, Invocation::Write(X, v + 1)), Response::Ok);
+            assert_eq!(resp(solo, P1, Invocation::TryCommit), Response::Committed);
+        }
+    }
 }
 
 #[test]

@@ -263,7 +263,7 @@ proptest! {
         let config = WorkloadConfig { tvars: 2, min_ops: 1, max_ops: 3, write_fraction: 0.6, value_range: 4 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for tm in nonblocking_catalog(2, 2) {
-            let mut recorded = Recorded::new(FatBox(tm));
+            let mut recorded = Recorded::new(tm);
             let mut clients: Vec<Client> = (0..2)
                 .map(|_| Client::new(tm_sim::random_script(&config, &mut rng)))
                 .collect();
@@ -437,32 +437,5 @@ proptest! {
             "top-priority process committed nothing: {:?}",
             report.commits
         );
-    }
-}
-
-/// Adapter: `Recorded` needs a sized `SteppedTm`; wrap the boxed TM.
-struct FatBox(tm_stm::BoxedTm);
-
-impl SteppedTm for FatBox {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn process_count(&self) -> usize {
-        self.0.process_count()
-    }
-    fn tvar_count(&self) -> usize {
-        self.0.tvar_count()
-    }
-    fn invoke(&mut self, p: ProcessId, inv: tm_core::Invocation) -> tm_stm::Outcome {
-        self.0.invoke(p, inv)
-    }
-    fn poll(&mut self, p: ProcessId) -> Option<tm_core::Response> {
-        self.0.poll(p)
-    }
-    fn has_pending(&self, p: ProcessId) -> bool {
-        self.0.has_pending(p)
-    }
-    fn fork(&self) -> tm_stm::BoxedTm {
-        Box::new(FatBox(self.0.fork()))
     }
 }

@@ -8,10 +8,11 @@
 
 use tm_adversary::{run_game, Algorithm1, Algorithm2, GameConfig, RotatingStarver, Strategy};
 use tm_core::{ProcessId, TVarId};
-use tm_stm::nonblocking_catalog;
+use tm_stm::{nonblocking_catalog, Recorded};
 
 const X: TVarId = TVarId(0);
 const P1: ProcessId = ProcessId(0);
+const P2: ProcessId = ProcessId(1);
 
 /// Fresh strategy instances (strategies are stateful; every game needs its
 /// own, paired with a fresh TM).
@@ -22,10 +23,11 @@ fn fresh_strategies() -> Vec<Box<dyn Strategy>> {
 #[test]
 fn no_opaque_tm_survives_either_algorithm() {
     for which in 0..2 {
-        for mut tm in nonblocking_catalog(2, 1) {
+        for tm in nonblocking_catalog(2, 1) {
             let mut strategy = fresh_strategies().remove(which);
+            let mut tm = Recorded::new(tm);
             let report = run_game(
-                tm.as_mut(),
+                &mut tm,
                 strategy.as_mut(),
                 GameConfig::steps(10_000).check_opacity(),
             );
@@ -51,6 +53,18 @@ fn no_opaque_tm_survives_either_algorithm() {
                 "{} vs {}: opacity violated: {:?}",
                 report.tm_name, report.strategy_name, report.safety_violation
             );
+            if which == 1 {
+                // Algorithm 2's environment is crash-free: the starving
+                // p1 keeps taking steps.
+                let events = |p| tm.history().project(p).len();
+                assert!(
+                    events(P1) * 5 > events(P2),
+                    "{}: p1 must stay active, {} events vs p2's {}",
+                    report.tm_name,
+                    events(P1),
+                    events(P2)
+                );
+            }
         }
     }
 }
@@ -81,8 +95,18 @@ fn generalized_lemma_holds_for_up_to_eight_processes() {
     for n in 2..=8 {
         for mut tm in nonblocking_catalog(n, 1) {
             let mut strategy = RotatingStarver::new(X, n);
-            let report = run_game(tm.as_mut(), &mut strategy, GameConfig::steps(12_000));
+            let report = run_game(
+                tm.as_mut(),
+                &mut strategy,
+                GameConfig::steps(12_000).check_strict_serializability(),
+            );
             assert_eq!(report.commits[0], 0, "{} n={n}", report.tm_name);
+            assert!(
+                report.aborts[0] > 0,
+                "{} n={n}: p1 is correct",
+                report.tm_name
+            );
+            assert!(report.safety_ok, "{} n={n}", report.tm_name);
             let progressing = report.commits.iter().filter(|&&c| c > 0).count();
             assert_eq!(
                 progressing,

@@ -11,7 +11,8 @@
 use tm_automata::FgpVariant;
 use tm_core::{ProcessId, TVarId};
 use tm_sim::{
-    explore_schedules, simulate, Client, ClientScript, FaultPlan, RandomScheduler, SimConfig,
+    explore_schedules, simulate, Client, ClientScript, FaultPlan, PlannedOp, RandomScheduler,
+    SimConfig,
 };
 use tm_stm::{BoxedTm, FgpTm};
 
@@ -27,6 +28,10 @@ fn fgp_model_checked_opaque_over_all_interleavings() {
         vec![ClientScript::increment(X), ClientScript::increment(X)],
         vec![ClientScript::transfer(X, Y), ClientScript::read_both(X, Y)],
         vec![ClientScript::blind_write(X, 3), ClientScript::increment(X)],
+        vec![
+            ClientScript::increment(X),
+            ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
+        ],
     ];
     for variant in [FgpVariant::Strict, FgpVariant::CpOnly] {
         for scripts in &script_sets {
@@ -62,29 +67,32 @@ fn fgp_model_checked_opaque_at_depth_fourteen() {
 #[test]
 fn fgp_three_processes_model_checked_at_depth_ten() {
     // 3^10 = 59049 interleavings of three processes — far past the
-    // seed's ≲9 guidance for three processes.
-    let scripts = vec![
-        ClientScript::increment(X),
-        ClientScript::increment(X),
-        ClientScript::read_both(X, Y),
+    // seed's ≲9 guidance for three processes — and 3^9 with a transfer.
+    let cases = [
+        (ClientScript::increment(X), 10),
+        (ClientScript::transfer(X, Y), 9),
     ];
-    let result = explore_schedules(
-        || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
-        &scripts,
-        10,
-    );
-    assert_eq!(result.schedules, 3usize.pow(10));
-    assert!(result.all_opaque());
+    for (second, depth) in cases {
+        let scripts = vec![
+            ClientScript::increment(X),
+            second,
+            ClientScript::read_both(X, Y),
+        ];
+        let result = explore_schedules(
+            || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm,
+            &scripts,
+            depth,
+        );
+        assert_eq!(result.schedules, 3usize.pow(depth as u32));
+        assert!(result.all_opaque(), "depth {depth}");
+    }
 }
 
 #[test]
 fn literal_fgp_fails_the_same_model_check() {
     let scripts = vec![
         ClientScript::increment(X),
-        ClientScript::new(vec![
-            tm_sim::PlannedOp::Read(X),
-            tm_sim::PlannedOp::Write(X, 5),
-        ]),
+        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
     ];
     let result = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 10);
     assert!(
@@ -128,36 +136,66 @@ fn fgp_global_progress_under_crash_faults() {
 
 #[test]
 fn fgp_survives_heavy_fault_storms() {
-    // 6 processes; four of them fail in various ways; the two survivors
-    // keep committing.
-    let n = 6;
-    let mut tm = FgpTm::new(n, 3, FgpVariant::CpOnly);
-    let mut clients: Vec<Client> = (0..n)
-        .map(|k| {
-            Client::new(if k % 2 == 0 {
-                ClientScript::increment(X)
-            } else {
-                ClientScript::transfer(X, Y)
+    // Increment and transfer clients under fault storms up to six
+    // processes with four of them failing in various ways: in every
+    // window some correct process commits, and the survivors keep
+    // committing.
+    let p = ProcessId;
+    let storms = [
+        (5, 0xFEED, FaultPlan::none()),
+        (5, 0xFEED, FaultPlan::none().crash(p(1), 500)),
+        (5, 0xFEED, FaultPlan::none().parasitic(p(1), 500)),
+        (
+            5,
+            0xFEED,
+            FaultPlan::none().crash(p(1), 400).parasitic(p(2), 800),
+        ),
+        (
+            5,
+            0xFEED,
+            FaultPlan::none()
+                .crash(p(1), 300)
+                .crash(p(2), 600)
+                .parasitic(p(3), 900),
+        ),
+        (
+            6,
+            99,
+            FaultPlan::none()
+                .crash(p(1), 100)
+                .crash(p(2), 300)
+                .parasitic(p(3), 500)
+                .parasitic(p(4), 700),
+        ),
+    ];
+    for (n, seed, faults) in storms {
+        let mut tm = FgpTm::new(n, 3, FgpVariant::CpOnly);
+        let mut clients: Vec<Client> = (0..n)
+            .map(|k| {
+                Client::new(if k % 2 == 0 {
+                    ClientScript::increment(X)
+                } else {
+                    ClientScript::transfer(X, Y)
+                })
             })
-        })
-        .collect();
-    let faults = FaultPlan::none()
-        .crash(ProcessId(1), 100)
-        .crash(ProcessId(2), 300)
-        .parasitic(ProcessId(3), 500)
-        .parasitic(ProcessId(4), 700);
-    let mut sched = RandomScheduler::new(99);
-    let report = simulate(
-        &mut tm,
-        &mut clients,
-        &mut sched,
-        &faults,
-        SimConfig::steps(10_000).check_opacity(),
-    );
-    assert!(report.safety_ok);
-    let correct = [ProcessId(0), ProcessId(5)];
-    assert!(report.global_progress_in_windows(2_000, &correct));
-    assert!(report.commits[0] + report.commits[5] > 100);
+            .collect();
+        let mut sched = RandomScheduler::new(seed);
+        let report = simulate(
+            &mut tm,
+            &mut clients,
+            &mut sched,
+            &faults,
+            SimConfig::steps(10_000).check_opacity(),
+        );
+        assert!(report.safety_ok, "{faults:?}");
+        let correct = faults.correct_processes(n);
+        assert!(
+            report.global_progress_in_windows(2_000, &correct),
+            "{faults:?}"
+        );
+        let commits: usize = correct.iter().map(|p| report.commits[p.index()]).sum();
+        assert!(commits > 100, "{faults:?}: {commits} commits");
+    }
 }
 
 #[test]
