@@ -20,10 +20,10 @@
 //!      │        degrades the run into a partial report with an explicit
 //!      │        `exhausted` verdict
 //!      ▲                ▲                            ▲
-//!   faults      [`crate::faults::FaultConfig`] widens the branch space with
-//!      │        `crash(p)` / `parasite(p)` scheduler transitions; the
-//!      │        per-branch [`crate::faults::FaultState`] masks fold into
-//!      │        the graph checker's node identities
+//!   faults                                    `FaultConfig` adds
+//!      │                                      `crash(p)`/`parasite(p)`
+//!      │                                      transitions; `FaultState`
+//!      │                                      folds into the node ids
 //!      ▲                ▲                            ▲
 //!   reduction   optimal DPOR: wakeup trees    one expansion per state
 //!      │        (`reduction`, schedule search) (breadth-first, graph search)
@@ -44,13 +44,15 @@
 //!
 //! * [`crate::explore::explore_with`] drives a `ScheduleSpace` (clients +
 //!   schedule path + history + incremental opacity certifier) through the
-//!   schedule tree under optimal-DPOR reduction, or exhaustively when
-//!   faults are quantified; [`crate::explore::explore_schedules`] is the
-//!   exhaustive fault-free reference;
+//!   schedule tree under optimal-DPOR reduction;
+//!   [`crate::explore::explore_schedules`] is the exhaustive reference.
+//!   It quantifies over schedules only;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
 //!   fault masks, no certifier) breadth-first through the interned state
 //!   graph, expanding each configuration once and so executing each
-//!   graph edge once; [`crate::livecheck::livecheck_reference`], the
+//!   graph edge once. It is the one checker that quantifies over the
+//!   crashes and parasitic turns a [`crate::faults::FaultConfig`]
+//!   allows; [`crate::livecheck::livecheck_reference`], the
 //!   depth-budget DFS that re-executes its re-walks, is the differential
 //!   oracle.
 //!

@@ -1,7 +1,8 @@
 //! The configuration layer of the exploration kernel: one scheduler
 //! step, recorded. Both checkers' search states (the explorer's
-//! `ScheduleSpace`, livecheck's `GraphSpace`) step through the one
-//! stepper, `step_process`, and feed on its [`StepRecord`].
+//! `ScheduleSpace`, livecheck's `GraphSpace`) and the simulation loop
+//! ([`crate::runner::simulate`]) step through the one stepper,
+//! `step_process`, and feed on its [`StepRecord`].
 
 use tm_core::{Event, Invocation, ProcessId, Response};
 use tm_stm::{BoxedTm, Outcome, SteppedTm};
@@ -75,15 +76,17 @@ impl StepRecord {
 /// response if one exists, otherwise issue the client's next invocation.
 /// Produced events are appended to `history` and responses are fed to
 /// the client. With `parasitic`, a client about to invoke `tryC` loops
-/// its transaction instead (the paper's §2.3 parasitic processes); the
-/// simulator ([`crate::runner::simulate`]) applies the same rule to a
-/// [`crate::faults::FaultPlan`]'s parasitic turns.
+/// its transaction instead (the paper's §2.3 parasitic processes): the
+/// liveness checker's parasitic branches and a
+/// [`crate::faults::FaultPlan`]'s parasitic turns in the simulator both
+/// take this rule.
 ///
-/// This is the single stepper beneath both checkers: the safety
-/// explorer's certifier feed and the liveness checker's edge labelling
-/// are both derived from the returned [`StepRecord`].
+/// This is the single stepper beneath both checkers and the simulator:
+/// the safety explorer's certifier feed, the liveness checker's edge
+/// labelling and the simulator's progress accounting are all derived
+/// from the returned [`StepRecord`].
 pub(crate) fn step_process(
-    tm: &mut BoxedTm,
+    tm: &mut dyn SteppedTm,
     clients: &mut [Client],
     k: usize,
     parasitic: bool,
@@ -158,7 +161,7 @@ pub(crate) fn emit_trace(
     for (i, &p) in schedule.iter().enumerate() {
         let k = p.0;
         let record = step_process(
-            &mut tm,
+            &mut *tm,
             &mut clients,
             k,
             parasitic & (1 << k) != 0 || plan.is_parasitic(p, i),

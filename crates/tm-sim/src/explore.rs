@@ -9,11 +9,15 @@
 //!
 //! The explorer has two walks over one search space, both sequential.
 //! [`explore_with`], the production entry point, takes the optimal-DPOR
-//! walk on a fault-free run and the exhaustive walk when
-//! [`ExploreConfig::faults`] is enabled. [`explore_schedules`] takes the
-//! exhaustive walk on a fault-free run: it is the reference the reduced
-//! walk is tested against, and it reports exactly what
-//! [`explore_schedules_naive`] reports.
+//! walk. [`explore_schedules`] takes the exhaustive walk: it is the
+//! reference the reduced walk is tested against, and it reports exactly
+//! what [`explore_schedules_naive`] reports.
+//!
+//! The explorer quantifies over schedules only. The paper's crashed and
+//! parasitic processes define its *liveness* model, and only the
+//! liveness checker ([`mod@crate::livecheck`]) branches on them. A crash
+//! adds nothing to safety: the history it leaves is a prefix of one the
+//! explorer already walks, and opacity is prefix-closed.
 //!
 //! # Prefix-sharing DFS
 //!
@@ -46,9 +50,9 @@
 //!
 //! Most interleavings differ only by swaps of **independent** steps and
 //! therefore carry the same verdict; the paper's quantitative results
-//! are themselves stated per Mazurkiewicz equivalence class. A
-//! fault-free [`explore_with`] run visits **one representative schedule
-//! per class** instead of every member, using the optimal dynamic
+//! are themselves stated per Mazurkiewicz equivalence class. An
+//! [`explore_with`] run visits **one representative schedule per
+//! class** instead of every member, using the optimal dynamic
 //! partial-order reduction of Abdulla, Aronis, Jonsson and Sagonas:
 //! wakeup trees of race reversals over sleep sets.
 //!
@@ -125,9 +129,8 @@
 //! count from [`mazurkiewicz_classes`] is thus a ceiling, not an
 //! equality.
 //!
-//! **Composition.** With [`ExploreConfig::faults`] enabled, the run
-//! takes the exhaustive walk (see [`explore_with`]). A [`Budget`] cap
-//! unwinds either walk into a partial report.
+//! **Composition.** A [`Budget`] cap unwinds either walk into a partial
+//! report.
 //!
 //! # Panic containment
 //!
@@ -156,7 +159,7 @@ use tm_telemetry::{Counter, Json, Telemetry, Timer};
 use crate::engine::budget::{Budget, BudgetMeter};
 use crate::engine::reduction::{self, OptimalDpor, WakeupTree};
 use crate::engine::space::{emit_trace, step_process, StepRecord, TraceWitness};
-use crate::faults::{Fault, FaultConfig, FaultPlan, FaultState};
+use crate::faults::FaultPlan;
 use crate::workload::{Client, ClientMark, ClientScript};
 
 /// A definitive safety violation found during exploration.
@@ -171,10 +174,6 @@ pub struct Violation {
     /// Index of the event at which the commit-order certifier first
     /// rejected — the shortest failing prefix of this schedule's branch.
     pub fast_reject_at: usize,
-    /// The concrete fault placements of this branch (`at_step` indexes
-    /// into `schedule`, which carries process steps only). Empty for a
-    /// fault-free run.
-    pub faults: FaultPlan,
 }
 
 /// Outcome of an exploration.
@@ -197,11 +196,6 @@ pub struct Exploration {
     /// it carries is real, but [`Exploration::all_opaque`] is *not* a
     /// certification (the unexplored remainder may violate).
     pub exhausted: Option<String>,
-    /// Processes a `crash(p)` transition was exercised for (bitmask; 0
-    /// for a fault-free run).
-    pub crash_injected: u64,
-    /// Processes a `parasite(p)` transition was exercised for (bitmask).
-    pub parasite_injected: u64,
 }
 
 impl Exploration {
@@ -219,9 +213,8 @@ impl Exploration {
     }
 }
 
-/// Configuration for [`explore_with`]: one sequential walk to `depth`,
-/// optimal DPOR on a fault-free run and exhaustive under
-/// [`ExploreConfig::faults`] (see the module docs).
+/// Configuration for [`explore_with`]: one sequential optimal-DPOR walk
+/// to `depth` (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Schedule length to explore.
@@ -229,15 +222,6 @@ pub struct ExploreConfig {
     /// Record every executed schedule into
     /// [`Exploration::schedule_log`].
     pub record_schedules: bool,
-    /// Fault quantification (see the module docs): with a non-trivial
-    /// config, `crash(p)` / `parasite(p)` become scheduler-level
-    /// transitions of the search, exhaustively explored like any process
-    /// step. Each fault transition consumes one depth unit and leaves
-    /// the TM untouched; every reported [`Violation`] carries the
-    /// concrete [`FaultPlan`] its branch chose. With
-    /// [`FaultConfig::none()`] (the default) the run is fault-free and
-    /// takes the optimal-DPOR walk.
-    pub faults: FaultConfig,
     /// Resource caps ([`Budget`]): when a cap trips, the walk unwinds
     /// and the run returns a *partial* report with
     /// [`Exploration::exhausted`] set instead of running unbounded.
@@ -249,11 +233,10 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The production walk to `depth`: fault-free, so optimal DPOR —
-    /// `schedules` then counts *executed* schedules, one per
-    /// Mazurkiewicz class of the TM's conflict oracle
-    /// ([`tm_stm::SteppedTm::step_footprint`]), typically orders of
-    /// magnitude below `n^depth`. The verdict (`all_opaque`, and every
+    /// The production walk to `depth`, optimal DPOR: `schedules` counts
+    /// *executed* schedules, one per Mazurkiewicz class of the TM's
+    /// conflict oracle ([`tm_stm::SteppedTm::step_footprint`]),
+    /// typically orders of magnitude below `n^depth`. The verdict (`all_opaque`, and every
     /// violation actually reported) is the exhaustive walk's: each
     /// reported violation is a real explored schedule that
     /// [`explore_schedules`] also reports. For TMs that keep the
@@ -263,7 +246,6 @@ impl ExploreConfig {
         ExploreConfig {
             depth,
             record_schedules: false,
-            faults: FaultConfig::none(),
             budget: Budget::unlimited(),
             telemetry: Telemetry::off(),
         }
@@ -275,7 +257,7 @@ impl ExploreConfig {
         self
     }
 
-    /// The identity: optimal DPOR is already the fault-free walk. Kept
+    /// The identity: optimal DPOR is already the production walk. Kept
     /// because existing callers (tmbench) still chain it.
     pub fn with_optimal_dpor(self) -> Self {
         self
@@ -284,12 +266,6 @@ impl ExploreConfig {
     /// Records executed schedules into [`Exploration::schedule_log`].
     pub fn with_schedule_log(mut self) -> Self {
         self.record_schedules = true;
-        self
-    }
-
-    /// Quantifies over crash/parasitic faults ([`FaultConfig`]).
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
         self
     }
 
@@ -310,8 +286,9 @@ impl ExploreConfig {
 
 /// The safety explorer's search state: a schedule-tree configuration —
 /// client cursors, the schedule path, the growing history, and the
-/// incremental opacity certifier whose verdict latches on rejection. The TM itself is threaded through the
-/// walk separately (ownership moves along tree edges).
+/// incremental opacity certifier whose verdict latches on rejection. The
+/// TM itself is threaded through the walk separately (ownership moves
+/// along tree edges).
 struct ScheduleSpace {
     clients: Vec<Client>,
     path: Vec<usize>,
@@ -324,13 +301,6 @@ struct ScheduleSpace {
     /// Record executed schedules at the leaves
     /// ([`ExploreConfig::record_schedules`]).
     log_schedules: bool,
-    /// Crash/parasitic masks of the current branch. Mutated only along
-    /// fault edges (saved/restored by the walker, not via [`ScheduleMark`]
-    /// — process steps never touch it).
-    fstate: FaultState,
-    /// The fault transitions taken along the current branch, in order —
-    /// the concrete [`FaultPlan`] a violation on this branch reports.
-    fault_log: Vec<Fault>,
 }
 
 /// Everything one [`ScheduleSpace`] step mutates, for O(1) backtrack.
@@ -355,8 +325,6 @@ impl ScheduleSpace {
             telemetry,
             steps: 0,
             log_schedules,
-            fstate: FaultState::none(),
-            fault_log: Vec::new(),
         }
     }
 
@@ -380,8 +348,7 @@ impl ScheduleSpace {
         self.steps += 1;
         let started = self.telemetry.timer_start();
         self.path.push(k);
-        let parasitic = self.fstate.parasitic & (1 << k) != 0;
-        let record = step_process(tm, &mut self.clients, k, parasitic, &mut self.history);
+        let record = step_process(&mut **tm, &mut self.clients, k, false, &mut self.history);
         self.telemetry.timer_stop(Timer::Step, started);
         // Feed the certifier from the record; its verdict latches on
         // rejection, so pushes after a reject are deliberate no-ops.
@@ -424,39 +391,26 @@ fn certify_leaf(space: &ScheduleSpace, out: &mut Exploration) {
     let Some(reject) = space.checker.violation() else {
         return;
     };
-    let (path, history) = (&space.path, &space.history);
     out.exact_fallbacks += 1;
-    let fast_reject_at = reject.position;
-    let mut full = History::new();
-    for &event in history {
-        full.push(event);
+    let mut history = History::new();
+    for &event in &space.history {
+        history.push(event);
     }
-    match check_opacity(&full) {
-        Ok(SafetyVerdict::Satisfied { .. }) => {}
-        Ok(SafetyVerdict::Violated) => {
-            out.violations.push(Violation {
-                schedule: path.iter().copied().map(ProcessId).collect(),
-                history: full,
-                detail: "no legal sequential witness exists".to_string(),
-                fast_reject_at,
-                faults: FaultPlan::from_faults(space.fault_log.clone()),
-            });
-        }
-        Err(e) => {
-            out.violations.push(Violation {
-                schedule: path.iter().copied().map(ProcessId).collect(),
-                history: full,
-                detail: format!("exact check infeasible: {e}"),
-                fast_reject_at,
-                faults: FaultPlan::from_faults(space.fault_log.clone()),
-            });
-        }
-    }
+    let detail = match check_opacity(&history) {
+        Ok(SafetyVerdict::Satisfied { .. }) => return,
+        Ok(SafetyVerdict::Violated) => "no legal sequential witness exists".to_string(),
+        Err(e) => format!("exact check infeasible: {e}"),
+    };
+    out.violations.push(Violation {
+        schedule: space.path.iter().copied().map(ProcessId).collect(),
+        history,
+        detail,
+        fast_reject_at: reject.position,
+    });
 }
 
-/// The per-path mutable state of the depth-first walk. The TM is owned
-/// and consumed per call (the last child of a node steals the parent's
-/// instance); everything else unwinds in place through the
+/// The per-path mutable state of the depth-first walks. The TM is owned
+/// and consumed per call; everything else unwinds in place through the
 /// [`ScheduleSpace`] marks.
 struct Walk<'a> {
     /// The kernel search space: clients, path, history, certifier.
@@ -467,27 +421,15 @@ struct Walk<'a> {
     /// (probed once per exploration), so they pay no per-edge
     /// pop/refork-attempt overhead.
     pool: &'a mut TmPool,
-    /// Fault transitions (`crash(p)` / `parasite(p)`) the walk took — a
-    /// plain tally, flushed once per run as
-    /// [`tm_telemetry::Counter::FaultsInjected`].
-    faults_injected: u64,
-    /// The run's fault quantification ([`ExploreConfig::faults`]).
-    faults: FaultConfig,
     /// The run's budget meter: one check per tree node, short-circuited
     /// to a load-free `true` when unlimited.
     meter: &'a BudgetMeter,
 }
 
 /// Exhaustive depth-first walk of the schedule tree below the current
-/// path, certifying each leaf at depth `remaining == 0`. Returns the TM
-/// box for recycling.
-///
-/// With faults enabled ([`Walk::faults`]) each node additionally
-/// branches on every `crash(p)` / `parasite(p)` the config still allows:
-/// fault edges consume one depth unit and leave the TM and the schedule
-/// path untouched, and crashed processes drop out of the eligible set.
-/// With `FaultConfig::none()` the node shape — including which child
-/// consumes the parent's box — is exactly the fault-free walk.
+/// path, certifying each leaf at depth `remaining == 0`. Every child but
+/// the last forks the node's TM; the last consumes it, so a binary tree
+/// performs about one fork per node. Returns the TM box for recycling.
 fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm {
     // Budget gate before any expansion: a tripped meter unwinds the
     // whole walk into a partial report ([`Exploration::exhausted`]).
@@ -499,39 +441,8 @@ fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm 
         walk.meter.note_schedule();
         return tm;
     }
-    let n = walk.space.width();
-    // The fault transitions available at this node, in canonical order
-    // (crashes ascending, then parasitic turns ascending) — empty in
-    // fault-free runs, so the node shape below degenerates exactly to
-    // the fault-free walk.
-    let crashed = walk.space.fstate.crashed;
-    let mut fault_edges: Vec<Fault> = Vec::new();
-    if walk.faults.enabled() {
-        let at_step = walk.space.path.len();
-        for k in 0..n {
-            if walk.space.fstate.can_crash(&walk.faults, k) {
-                let process = ProcessId(k);
-                fault_edges.push(Fault::Crash { process, at_step });
-            }
-        }
-        for k in 0..n {
-            if walk.space.fstate.can_parasite(&walk.faults, k) {
-                let process = ProcessId(k);
-                fault_edges.push(Fault::Parasitic { process, at_step });
-            }
-        }
-    }
-    let last = (0..n)
-        .rev()
-        .find(|k| crashed & (1 << k) == 0)
-        .expect("a live step is always possible");
-    // With fault edges pending, every process child forks and the *last
-    // fault edge* consumes the parent's box instead.
-    let consume_last = fault_edges.is_empty();
-    for k in 0..n {
-        if crashed & (1 << k) != 0 || (consume_last && k == last) {
-            continue;
-        }
+    let last = walk.space.width() - 1;
+    for k in 0..last {
         let mark = walk.space.mark(k);
         let mut child = walk.pool.fork_child(&tm);
         walk.space.step(&mut child, k);
@@ -539,49 +450,15 @@ fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm 
         walk.pool.put_back(recycled);
         walk.space.rewind(k, mark);
     }
-    if consume_last {
-        // The last child consumes the parent's TM instance: no fork.
-        // (Deferring this edge's rollback to an ancestor is semantically
-        // sound but measurably slower — it trades the undo log's tight
-        // LIFO locality for large cold sweeps.)
-        let mark = walk.space.mark(last);
-        walk.space.step(&mut tm, last);
-        let recycled = walk_tree(walk, tm, remaining - 1);
-        walk.space.rewind(last, mark);
-        return recycled;
-    }
-    // Fault branches. A fault edge mutates only the fault state and the
-    // per-branch fault log: the TM is untouched (a crash is the
-    // *absence* of future steps; a parasitic turn reroutes the client at
-    // its next `tryC`), so the box forks unchanged and the last fault
-    // edge consumes it.
-    let count = fault_edges.len();
-    for (i, fault) in fault_edges.into_iter().enumerate() {
-        let saved = walk.space.fstate;
-        let k = fault.process().0;
-        match fault {
-            Fault::Crash { .. } => {
-                walk.space.fstate.crash(k);
-                walk.out.crash_injected |= 1 << k;
-            }
-            Fault::Parasitic { .. } => {
-                walk.space.fstate.parasite(k);
-                walk.out.parasite_injected |= 1 << k;
-            }
-        }
-        walk.faults_injected += 1;
-        walk.space.fault_log.push(fault);
-        if i + 1 == count {
-            tm = walk_tree(walk, tm, remaining - 1);
-        } else {
-            let child = walk.pool.fork_child(&tm);
-            let recycled = walk_tree(walk, child, remaining - 1);
-            walk.pool.put_back(recycled);
-        }
-        walk.space.fault_log.pop();
-        walk.space.fstate = saved;
-    }
-    tm
+    // The last child consumes the parent's TM instance: no fork.
+    // (Deferring this edge's rollback to an ancestor is semantically
+    // sound but measurably slower — it trades the undo log's tight LIFO
+    // locality for large cold sweeps.)
+    let mark = walk.space.mark(last);
+    walk.space.step(&mut tm, last);
+    let recycled = walk_tree(walk, tm, remaining - 1);
+    walk.space.rewind(last, mark);
+    recycled
 }
 
 /// Optimal-DPOR walk (see the module docs): at each node, explore
@@ -665,12 +542,8 @@ fn walk_optimal(
 /// once per streamed violation witness; the tree branches via
 /// [`tm_stm::SteppedTm::fork`]), checking opacity of every produced
 /// history — and, because the certifier is incremental and eager, of
-/// every prefix. A fault-free run takes the optimal-DPOR walk, one
-/// schedule per equivalence class. A run with [`ExploreConfig::faults`]
-/// enabled takes the exhaustive walk: the only sound footprint for a
-/// `crash(p)` / `parasite(p)` transition is the global one (a crash
-/// reshapes every process's future), under which the race analysis
-/// would demand every reversal anyway.
+/// every prefix. The run takes the optimal-DPOR walk, one schedule per
+/// equivalence class.
 ///
 /// A TM that panics mid-walk ends the run in a partial report (see the
 /// module docs' "Panic containment" section).
@@ -683,13 +556,13 @@ pub fn explore_with<F>(factory: F, scripts: &[ClientScript], config: &ExploreCon
 where
     F: Fn() -> BoxedTm,
 {
-    explore(factory, scripts, config, config.faults.enabled())
+    explore(factory, scripts, config, false)
 }
 
 /// Explores every schedule of length `depth` over `scripts.len()`
-/// processes, fault-free: the exhaustive walk, whose reports are
-/// identical to the naive enumerator's. The reference [`explore_with`]'s
-/// reduced walk is tested against.
+/// processes: the exhaustive walk, whose reports are identical to the
+/// naive enumerator's. The reference [`explore_with`]'s reduced walk is
+/// tested against.
 pub fn explore_schedules<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
 where
     F: Fn() -> BoxedTm,
@@ -732,13 +605,6 @@ where
     // The run's budget meter. Its verdict is read once at the end: a
     // tripped cap makes the report partial.
     let meter = BudgetMeter::new(config.budget);
-    // Crashing every process trivially halts the system, so the crash
-    // budget is clamped to n-1: the adversary gains nothing beyond it
-    // and the walk always has a live step to take.
-    let faults = FaultConfig {
-        max_crashes: config.faults.max_crashes.min(n.saturating_sub(1)),
-        ..config.faults
-    };
     let mut space = ScheduleSpace::new(
         scripts,
         config.depth,
@@ -750,8 +616,6 @@ where
         space: &mut space,
         out: &mut out,
         pool: &mut pool,
-        faults_injected: 0,
-        faults,
         meter: &meter,
     };
     let mut opt = OptimalDpor::new(n);
@@ -777,7 +641,6 @@ where
             meter.trip_external();
         }
     }
-    telemetry.add(Counter::FaultsInjected, walk.faults_injected);
     telemetry.add(Counter::DporRaces, opt.core.races);
     telemetry.add(Counter::WakeupInserts, opt.inserts);
     telemetry.add(Counter::WakeupRedundant, opt.redundant);
@@ -802,46 +665,18 @@ where
     telemetry.add(Counter::ExactFallbacks, out.exact_fallbacks as u64);
     telemetry.add(Counter::ViolationsFound, out.violations.len() as u64);
     if telemetry.streams() {
-        // One `fault_injected` event per distinct fault transition the
-        // search exercised — a compact, deterministic digest of the
-        // adversary moves this run quantified over.
-        for k in 0..n {
-            if out.crash_injected & (1 << k) != 0 {
-                telemetry.event(
-                    "fault_injected",
-                    &[
-                        ("engine", Json::str("explore")),
-                        ("kind", Json::str("crash")),
-                        ("process", Json::Int(k as i64)),
-                    ],
-                );
-            }
-        }
-        for k in 0..n {
-            if out.parasite_injected & (1 << k) != 0 {
-                telemetry.event(
-                    "fault_injected",
-                    &[
-                        ("engine", Json::str("explore")),
-                        ("kind", Json::str("parasite")),
-                        ("process", Json::Int(k as i64)),
-                    ],
-                );
-            }
-        }
         for (idx, v) in out.violations.iter().take(8).enumerate() {
-            let mut fields = vec![
-                ("engine", Json::str("explore")),
-                (
-                    "schedule",
-                    Json::Arr(v.schedule.iter().map(|p| Json::Int(p.0 as i64)).collect()),
-                ),
-                ("detail", Json::str(v.detail.as_str())),
-            ];
-            if !v.faults.is_empty() {
-                fields.push(("faults", v.faults.to_json()));
-            }
-            telemetry.event("violation", &fields);
+            telemetry.event(
+                "violation",
+                &[
+                    ("engine", Json::str("explore")),
+                    (
+                        "schedule",
+                        Json::Arr(v.schedule.iter().map(|p| Json::Int(p.0 as i64)).collect()),
+                    ),
+                    ("detail", Json::str(v.detail.as_str())),
+                ],
+            );
             // The witness timeline: a deterministic replay of the
             // violating schedule from a fresh TM, one `trace` event per
             // violation, adjacent to it in the stream.
@@ -856,7 +691,7 @@ where
                 factory(),
                 scripts,
                 0,
-                &v.faults,
+                &FaultPlan::none(),
                 &v.schedule,
             );
         }
@@ -961,7 +796,6 @@ where
                         history: history.clone(),
                         detail: "no legal sequential witness exists".to_string(),
                         fast_reject_at,
-                        faults: FaultPlan::none(),
                     });
                 }
                 Err(e) => {
@@ -970,26 +804,28 @@ where
                         history: history.clone(),
                         detail: format!("exact check infeasible: {e}"),
                         fast_reject_at,
-                        faults: FaultPlan::none(),
                     });
                 }
             }
         }
 
-        // Next schedule in lexicographic order.
-        let mut i = depth;
-        loop {
-            if i == 0 {
-                return exploration;
-            }
-            i -= 1;
-            schedule[i] += 1;
-            if schedule[i] < n {
-                break;
-            }
-            schedule[i] = 0;
+        if !next_schedule(&mut schedule, n) {
+            return exploration;
         }
     }
+}
+
+/// Advances `schedule` to the next schedule over `n` processes in
+/// lexicographic order; `false` once it wraps past the last one.
+fn next_schedule(schedule: &mut [usize], n: usize) -> bool {
+    for slot in schedule.iter_mut().rev() {
+        *slot += 1;
+        if *slot < n {
+            return true;
+        }
+        *slot = 0;
+    }
+    false
 }
 
 /// Lexicographic normal form of the dependence DAG of one executed
@@ -1034,7 +870,7 @@ where
     let mut history = Vec::new();
     for &k in schedule {
         feet.push(reduction::next_footprint(&tm, &clients, k as usize));
-        step_process(&mut tm, &mut clients, k as usize, false, &mut history);
+        step_process(&mut *tm, &mut clients, k as usize, false, &mut history);
         history.clear();
     }
     let widened: Vec<usize> = schedule.iter().map(|&k| k as usize).collect();
@@ -1079,23 +915,12 @@ where
         for &k in &schedule {
             feet.push(reduction::next_footprint(&tm, &clients, k));
             let mut history = Vec::new();
-            step_process(&mut tm, &mut clients, k, false, &mut history);
+            step_process(&mut *tm, &mut clients, k, false, &mut history);
         }
 
         canonical.insert(lex_normal_form(&schedule, &feet));
-
-        // Next schedule in lexicographic order.
-        let mut i = depth;
-        loop {
-            if i == 0 {
-                return canonical.len();
-            }
-            i -= 1;
-            schedule[i] += 1;
-            if schedule[i] < n {
-                break;
-            }
-            schedule[i] = 0;
+        if !next_schedule(&mut schedule, n) {
+            return canonical.len();
         }
     }
 }

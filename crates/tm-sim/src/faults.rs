@@ -16,16 +16,20 @@
 //!
 //! * the concrete simulation loop ([`crate::runner::simulate`]) replays a
 //!   fixed [`FaultPlan`] — one chosen adversary;
-//! * both model checkers quantify over *all* fault placements a
-//!   [`FaultConfig`] allows: `crash(p)` / `parasite(p)` become
-//!   scheduler-level transitions of the search, explored exhaustively
-//!   like any process step, and each witness (a safety
-//!   [`crate::explore::Violation`] or a liveness
-//!   [`crate::livecheck::LassoFinding`]) carries the concrete
+//! * the liveness checker ([`mod@crate::livecheck`]) quantifies over
+//!   *all* fault placements a [`FaultConfig`] allows: `crash(p)` /
+//!   `parasite(p)` become scheduler-level transitions of the search,
+//!   explored exhaustively like any process step, and each
+//!   [`crate::livecheck::LassoFinding`] carries the concrete
 //!   [`FaultPlan`] its branch chose. The per-branch bookkeeping is a
 //!   [`FaultState`] — the crashed/parasitic masks plus the remaining
-//!   crash budget — which folds into the liveness checker's graph-node
-//!   identities so states never merge across fault placements.
+//!   crash budget — which folds into the graph-node identities so states
+//!   never merge across fault placements.
+//!
+//! Only livecheck quantifies faults: crashes and parasitic turns decide
+//! liveness verdicts. The safety explorer ([`mod@crate::explore`])
+//! walks fault-free schedules; a crashed process leaves a prefix of a
+//! fault-free history, and opacity is prefix-closed.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,8 +46,8 @@ pub enum Fault {
         /// The global step at which the process disappears.
         at_step: usize,
     },
-    /// The process never invokes `tryC` again: the simulation and both
-    /// model checkers restart its current transaction each time it
+    /// The process never invokes `tryC` again: the simulation and the
+    /// liveness checker restart its current transaction each time it
     /// reaches `tryC`, so it repeats that transaction's operations.
     Parasitic {
         /// The affected process.
@@ -69,9 +73,10 @@ impl Fault {
     }
 }
 
-/// What fault placements a model-checking run quantifies over.
+/// What fault placements a liveness-checking run
+/// ([`crate::livecheck::LivecheckConfig::faults`]) quantifies over.
 ///
-/// `FaultConfig::none()` (the default) keeps both checkers byte-identical
+/// `FaultConfig::none()` (the default) keeps livecheck byte-identical
 /// to fault-free exploration: no fault transitions exist and no fault
 /// state is folded into any key. With `max_crashes > 0` the scheduler
 /// gains a `crash(p)` transition per live process while the crash budget
@@ -86,7 +91,7 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// No faults: the checkers explore exactly the fault-free space.
+    /// No faults: livecheck explores exactly the fault-free space.
     pub fn none() -> Self {
         FaultConfig::default()
     }
@@ -181,7 +186,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A plan from an explicit fault list — how the checkers package the
+    /// A plan from an explicit fault list — how livecheck packages the
     /// fault transitions of a witness branch (`at_step` indexes into the
     /// witness schedule, which carries process steps only).
     pub fn from_faults(faults: Vec<Fault>) -> Self {

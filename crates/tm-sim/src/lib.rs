@@ -22,10 +22,11 @@
 //!   taxonomy, decided mechanically) by one breadth-first walk that
 //!   executes each graph transition once, with
 //!   [`livecheck_reference`] as its differential oracle;
-//! * [`FaultConfig`] — fault-*prone* model checking: crash and
-//!   parasitic-turn transitions quantified exhaustively inside both
-//!   checkers (every fault placement the budget admits, not one scripted
-//!   plan), with witnesses carrying their concrete [`FaultPlan`];
+//! * [`FaultConfig`] — fault-*prone* liveness checking: crash and
+//!   parasitic-turn transitions quantified exhaustively inside
+//!   livecheck (every fault placement the budget admits, not one
+//!   scripted plan), with witnesses carrying their concrete
+//!   [`FaultPlan`];
 //! * [`Budget`] — graceful degradation: state/schedule/wall-clock caps
 //!   that stop the search and downgrade the result to an explicit
 //!   partial verdict instead of running unbounded;

@@ -555,7 +555,13 @@ impl GraphSpace {
     fn step(&mut self, tm: &mut BoxedTm, k: usize) -> StepRecord {
         let parasitic = (self.parasitic | self.fstate.parasitic) & (1 << k) != 0;
         let started = self.telemetry.timer_start();
-        let record = step_process(tm, &mut self.clients, k, parasitic, &mut self.history);
+        let record = step_process(
+            &mut **tm,
+            &mut self.clients,
+            k,
+            parasitic,
+            &mut self.history,
+        );
         self.telemetry.timer_stop(Timer::Step, started);
         self.history.clear();
         record

@@ -1,18 +1,20 @@
 //! The simulation loop: TM × clients × scheduler × faults.
 //!
-//! Each step, the scheduler picks an eligible (non-crashed) process; the
-//! process either polls its withheld response (blocking TMs) or issues its
-//! client's next invocation. Faults from the [`FaultPlan`] are applied at
-//! their trigger steps. The report carries per-process commit/abort
+//! Each step, the scheduler picks an eligible (non-crashed) process, and
+//! the checkers' own stepper steps it: the process either polls its
+//! withheld response (blocking TMs) or issues its client's next
+//! invocation. Faults from the [`FaultPlan`] are applied at their
+//! trigger steps. The report carries per-process commit/abort
 //! counts, a commit log for progress-over-time analysis, and an optional
 //! online opacity certificate.
 
 use serde::{Deserialize, Serialize};
 
-use tm_core::{Event, Invocation, ProcessId, Response};
+use tm_core::{ProcessId, Response};
 use tm_safety::{IncrementalChecker, Mode};
-use tm_stm::{Outcome, SteppedTm};
+use tm_stm::SteppedTm;
 
+use crate::engine::space::{step_process, StepRecord};
 use crate::faults::FaultPlan;
 use crate::scheduler::Scheduler;
 use crate::workload::Client;
@@ -113,8 +115,8 @@ pub fn simulate(
     let mut stalls = vec![0usize; n];
     let mut commit_log: Vec<(usize, ProcessId)> = Vec::new();
     let mut checker = config.check.map(IncrementalChecker::new);
-    let mut safety_ok = true;
     let mut safety_violation: Option<String> = None;
+    let mut events = Vec::with_capacity(2);
     let mut steps_done = 0;
 
     for step in 0..config.steps {
@@ -128,59 +130,19 @@ pub fn simulate(
         steps_done = step + 1;
         let p = scheduler.pick(step, &eligible);
         let k = p.index();
-
-        if tm.has_pending(p) {
-            match tm.poll(p) {
-                Some(response) => {
-                    if let Some(c) = &mut checker {
-                        if safety_ok {
-                            if let Err(v) = c.push(Event::response(p, response)) {
-                                safety_ok = false;
-                                safety_violation = Some(v.to_string());
-                            }
-                        }
-                    }
-                    if response == Response::Committed {
-                        commit_log.push((step, p));
-                    }
-                    clients[k].observe(response);
-                }
-                None => stalls[k] += 1,
-            }
-            continue;
+        let record = step_process(tm, clients, k, faults.is_parasitic(p, step), &mut events);
+        if record == StepRecord::Polled(None) {
+            stalls[k] += 1;
         }
-
-        // A parasitic process never invokes tryC: it restarts its
-        // transaction instead, exactly as the checkers' stepper does.
-        if faults.is_parasitic(p, step) && clients[k].next_invocation() == Invocation::TryCommit {
-            clients[k].restart_transaction();
+        if record.response() == Some(Response::Committed) {
+            commit_log.push((step, p));
         }
-        let invocation = clients[k].next_invocation();
-        if let Some(c) = &mut checker {
-            if safety_ok {
-                if let Err(v) = c.push(Event::invocation(p, invocation)) {
-                    safety_ok = false;
-                    safety_violation = Some(v.to_string());
-                }
+        if let Some(c) = checker.as_mut().filter(|_| safety_violation.is_none()) {
+            if let Err(v) = c.push_all(events.iter().copied()) {
+                safety_violation = Some(v.to_string());
             }
         }
-        match tm.invoke(p, invocation) {
-            Outcome::Response(response) => {
-                if let Some(c) = &mut checker {
-                    if safety_ok {
-                        if let Err(v) = c.push(Event::response(p, response)) {
-                            safety_ok = false;
-                            safety_violation = Some(v.to_string());
-                        }
-                    }
-                }
-                if response == Response::Committed {
-                    commit_log.push((step, p));
-                }
-                clients[k].observe(response);
-            }
-            Outcome::Pending => {}
-        }
+        events.clear();
     }
 
     SimReport {
@@ -190,7 +152,7 @@ pub fn simulate(
         aborts: clients.iter().map(|c| c.aborts).collect(),
         stalls,
         commit_log,
-        safety_ok,
+        safety_ok: safety_violation.is_none(),
         safety_violation,
     }
 }
@@ -200,8 +162,8 @@ mod tests {
     use super::*;
     use crate::scheduler::{RandomScheduler, RoundRobin};
     use crate::workload::ClientScript;
-    use tm_core::TVarId;
-    use tm_stm::{GlobalLock, Tl2};
+    use tm_core::{Invocation, TVarId};
+    use tm_stm::{GlobalLock, Outcome, Tl2};
 
     const P1: ProcessId = ProcessId(0);
     const P2: ProcessId = ProcessId(1);

@@ -93,7 +93,7 @@
 //! | `trace` | `engine`, `kind` (`"violation"` \| `"lasso"`), `idx` (witness index within the run), `schedule` (process index array), `cycle_start` (lasso only: step index where the repeated cycle begins), `steps` (per-step objects `{"p","op","resp","digest"}`: process, operation, TM response — `null` while withheld — and the canonical state fingerprint after the step, present when the TM implements `state_digest`) |
 //! | `verdict` | `engine`, `tm`, plus the engine's headline result (`all_opaque` + `schedules`, or `starvation_free` + `states`/`edges`/`lassos`; the online certifier reuses `all_opaque` + `ops`/`epochs`/`chunks`/`max_lag_epochs`) — or, for a budget-exhausted/partial run, `partial: true` + `reason` and **no** boolean headline |
 //! | `counter_snapshot` | `label`, `counters` (object of non-zero counters), `timers` (object of log2 bucket arrays, only with timing) |
-//! | `fault_injected` | `engine`, `kind` (`"crash"` \| `"parasite"`), `process` — one event per distinct fault transition the fault-aware search exercised |
+//! | `fault_injected` | `engine` (always `"livecheck"`: only the liveness checker quantifies faults), `kind` (`"crash"` \| `"parasite"`), `process` — one event per distinct fault transition the fault-prone search exercised |
 //! | `budget_exhausted` | `engine`, `reason` (which cap tripped) — the run degrades to a partial report; its `verdict` carries `partial: true` |
 //!
 //! Consumers must ignore unknown fields and unknown `ev` tags within a
@@ -203,8 +203,8 @@ pub enum Counter {
     /// asleep head and dropped before executing anything (optimal
     /// DPOR).
     WakeupRedundant,
-    /// Fault transitions (`crash(p)` / `parasite(p)`) the fault-aware
-    /// search executed as scheduler-level branches.
+    /// Fault transitions (`crash(p)` / `parasite(p)`) livecheck's
+    /// fault-prone search executed as scheduler-level branches.
     FaultsInjected,
     /// Transactions committed by an `atomically*` retry loop (one per
     /// successful loop exit; workload-determined).

@@ -10,7 +10,7 @@
 use tm_core::TVarId;
 use tm_sim::{
     explore_schedules, explore_schedules_naive, explore_with, ClientScript, Exploration,
-    ExploreConfig, FaultConfig, PlannedOp,
+    ExploreConfig, PlannedOp,
 };
 use tm_stm::{BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SwissTm, TinyStm, Tl2};
 
@@ -248,32 +248,30 @@ fn telemetry_snapshot_is_identical_across_thread_counts() {
 #[test]
 fn executed_schedule_counter_matches_the_report_across_the_catalogue() {
     // `Counter::SchedulesExecuted` must agree with the report's leaf
-    // count for every TM on both walks — optimal DPOR fault-free, the
-    // exhaustive walk with a crash quantified — the anchor that ties the
-    // telemetry stream to the exploration it narrates.
+    // count for every TM on the production walk — the anchor that ties
+    // the telemetry stream to the exploration it narrates.
     use tm_telemetry::{Counter, Telemetry};
     let scripts = vec![
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
     ];
     for (name, factory) in full_catalogue_factories(2, 1) {
-        for config in [
-            ExploreConfig::new(8),
-            ExploreConfig::new(8).with_faults(FaultConfig::with_crashes(1)),
-        ] {
-            let telemetry = Telemetry::counters();
-            let report = explore_with(&*factory, &scripts, &config.with_telemetry(&telemetry));
-            let snap = telemetry.snapshot();
-            assert_eq!(
-                snap.get(Counter::SchedulesExecuted),
-                report.schedules as u64,
-                "{name}: executed-schedule counter diverged from the report"
-            );
-            assert_eq!(
-                snap.get(Counter::ViolationsFound),
-                report.violations.len() as u64,
-                "{name}: violation counter diverged from the report"
-            );
-        }
+        let telemetry = Telemetry::counters();
+        let report = explore_with(
+            &*factory,
+            &scripts,
+            &ExploreConfig::new(8).with_telemetry(&telemetry),
+        );
+        let snap = telemetry.snapshot();
+        assert_eq!(
+            snap.get(Counter::SchedulesExecuted),
+            report.schedules as u64,
+            "{name}: executed-schedule counter diverged from the report"
+        );
+        assert_eq!(
+            snap.get(Counter::ViolationsFound),
+            report.violations.len() as u64,
+            "{name}: violation counter diverged from the report"
+        );
     }
 }
