@@ -49,8 +49,9 @@
 //!   It quantifies over schedules only;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
 //!   fault masks, no certifier) breadth-first through the interned state
-//!   graph, expanding each configuration once and so executing each
-//!   graph edge once. It is the one checker that quantifies over the
+//!   graph, expanding each node once and executing each TM transition
+//!   once (a transition memo shares it across fault masks). It is the
+//!   one checker that quantifies over the
 //!   crashes and parasitic turns a [`crate::faults::FaultConfig`]
 //!   allows; [`crate::livecheck::livecheck_reference`], the
 //!   depth-budget DFS that re-executes its re-walks, is the differential

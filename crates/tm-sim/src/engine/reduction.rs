@@ -74,16 +74,24 @@
 //! - **Dominance skip.** [`HbTrace::push`] scans newest-first and skips
 //!   every step whose own component the clock being built already
 //!   covers: that step happens-before one already joined.
+//! - **Guard while building.** Each reversal sequence is built under the
+//!   weak-initials guard with a running union of its footprints so far:
+//!   a step conflicts with the union iff it conflicts with some earlier
+//!   step (footprint conflict distributes over `merge`), so each initial
+//!   test, and the weak test of each sleeper outside the sequence, is
+//!   one `conflicts` call, and the build stops at the first sleeping
+//!   initial. The guard is linear in the sequence's length, and most
+//!   redundant reversals are never built in full.
 //! - **Allocation.** Each reversal sequence is built in one scratch
-//!   buffer owned by [`OptimalDpor`], the weak-initials guard reads it in
-//!   place, and [`WakeupTree::insert`] consumes steps by rotating them
-//!   out of a shrinking slice. A race allocates only when its sequence
-//!   is appended as a fresh chain. Next-step footprints are stored once
-//!   per path node, `n` wide, and read from there by the walk.
+//!   buffer owned by [`OptimalDpor`], and [`WakeupTree::insert`]
+//!   consumes steps by rotating them out of a shrinking slice. A race
+//!   allocates only when its sequence is appended as a fresh chain.
+//!   Next-step footprints are stored once per path node, `n` wide, and
+//!   read from there by the walk.
 //!
 //! The liveness checker needs no such layer: its breadth-first walk
-//! expands each state once, so it executes each state-graph edge once
-//! (see [`crate::livecheck`]).
+//! expands each node once and executes each TM transition once (see
+//! [`crate::livecheck`]).
 
 use tm_core::ProcessId;
 use tm_stm::{BoxedTm, StepFootprint, SteppedTm};
@@ -530,25 +538,10 @@ impl OptimalDpor {
                 continue;
             }
             self.core.races += 1;
-            let core = &self.core;
-            self.reversal.clear();
-            self.reversal
-                .extend(
-                    (e + 1..len)
-                        .filter(|&j| !core.hb_steps(e, j))
-                        .map(|j| WakeupStep {
-                            proc: core.steps[j].proc,
-                            foot: core.steps[j].foot,
-                        }),
-                );
-            self.reversal.push(WakeupStep {
-                proc: u8::try_from(k).expect("≤ 64 processes"),
-                foot: *fp,
-            });
             // Redundant when an explored or sleeping branch covers it
             // (the guard) or a pending branch subsumes it (the insertion).
-            let inserted = self.weak_initials(e, &self.reversal) & self.sleeps[e] == 0
-                && self.wuts[e].insert(&mut self.reversal);
+            let inserted =
+                self.guarded_reversal(e, k, fp) && self.wuts[e].insert(&mut self.reversal);
             if inserted {
                 self.inserts += 1;
             } else {
@@ -559,33 +552,50 @@ impl OptimalDpor {
         }
     }
 
-    /// `WI(v)` at the node at depth `e`: initials of `v`, plus processes
-    /// outside `v` whose next step at that node is independent of all of
-    /// `v` (the weak part — executing such a step first commutes with
-    /// the whole reversal).
-    fn weak_initials(&self, e: usize, v: &[WakeupStep]) -> u64 {
-        let mut wi = 0u64;
+    /// Builds the reversal `v = notdep(e, E) · k` of the race at trace
+    /// index `e` into the scratch buffer, under the weak-initials guard:
+    /// returns `false`, possibly before `v` is complete, once `WI(v)` —
+    /// the initials of `v`, plus the processes outside `v` whose next
+    /// step at `e` is independent of all of `v` (executing such a step
+    /// first commutes with the whole reversal) — meets `e`'s sleep set.
+    /// A running union of the footprints built so far stands for "some
+    /// earlier step of `v`" (a footprint conflicts with a union iff it
+    /// conflicts with one of its parts), so each step's initial test and
+    /// each sleeper's weak test is one `conflicts` call: the guard is
+    /// linear in `|v|`, and the build stops at the first sleeping
+    /// initial.
+    fn guarded_reversal(&mut self, e: usize, k: usize, fp: &StepFootprint) -> bool {
+        let sleep = self.sleeps[e];
+        let core = &self.core;
+        let last = WakeupStep {
+            proc: u8::try_from(k).expect("≤ 64 processes"),
+            foot: *fp,
+        };
+        let v = (e + 1..core.steps.len())
+            .filter(|&j| !core.hb_steps(e, j))
+            .map(|j| WakeupStep {
+                proc: core.steps[j].proc,
+                foot: core.steps[j].foot,
+            })
+            .chain(std::iter::once(last));
+        self.reversal.clear();
+        let mut union = StepFootprint::local();
         let mut procs = 0u64;
-        for (i, s) in v.iter().enumerate() {
-            let bit = 1u64 << s.proc;
+        for step in v {
+            let bit = 1u64 << step.proc;
             if procs & bit == 0 {
-                procs |= bit;
-                if is_initial(v, i) {
-                    wi |= bit;
+                if sleep & bit != 0 && !step.foot.conflicts(&union) {
+                    return false;
                 }
+                procs |= bit;
             }
+            union.merge(&step.foot);
+            self.reversal.push(step);
         }
-        for q in 0..self.n {
-            let bit = 1u64 << q;
-            if procs & bit != 0 {
-                continue;
-            }
-            let foot = &self.feet[e * self.n + q];
-            if v.iter().all(|s| !foot.conflicts(&s.foot)) {
-                wi |= bit;
-            }
-        }
-        wi
+        let feet = &self.feet[e * self.n..][..self.n];
+        feet.iter()
+            .enumerate()
+            .all(|(q, foot)| sleep & !procs & (1 << q) == 0 || foot.conflicts(&union))
     }
 }
 
@@ -730,6 +740,34 @@ mod tests {
         true
     }
 
+    /// `WI(v)` at the node at depth `e`, computed pairwise: initials of
+    /// `v`, plus processes outside `v` whose next step at that node is
+    /// independent of every step of `v`.
+    fn weak_initials(o: &OptimalDpor, e: usize, v: &[WakeupStep]) -> u64 {
+        let mut wi = 0u64;
+        let mut procs = 0u64;
+        for (i, s) in v.iter().enumerate() {
+            let bit = 1u64 << s.proc;
+            if procs & bit == 0 {
+                procs |= bit;
+                if is_initial(v, i) {
+                    wi |= bit;
+                }
+            }
+        }
+        for q in 0..o.n {
+            let bit = 1u64 << q;
+            if procs & bit != 0 {
+                continue;
+            }
+            let foot = &o.feet[e * o.n + q];
+            if v.iter().all(|s| !foot.conflicts(&s.foot)) {
+                wi |= bit;
+            }
+        }
+        wi
+    }
+
     /// The oracle's race detection: a naive scan of `lo..`, a fresh
     /// reversal `Vec` per race.
     fn naive_detect(o: &mut OptimalDpor, k: usize, fp: &StepFootprint, lo: usize) {
@@ -748,8 +786,8 @@ mod tests {
                 proc: u8::try_from(k).unwrap(),
                 foot: *fp,
             });
-            let inserted =
-                o.weak_initials(e, &v) & o.sleeps[e] == 0 && naive_insert(&mut o.wuts[e], v, false);
+            let inserted = weak_initials(o, e, &v) & o.sleeps[e] == 0
+                && naive_insert(&mut o.wuts[e], v, false);
             if inserted {
                 o.inserts += 1;
             } else {

@@ -161,17 +161,6 @@ impl FaultState {
     pub fn parasite(&mut self, k: usize) {
         self.parasitic |= 1 << k;
     }
-
-    /// A 64-bit key folding both masks, for memo keys and digests. Zero
-    /// iff fault-free, so fault-free runs hash exactly as before.
-    pub fn key(&self) -> u64 {
-        // The masks are ≤ 64-process wide; rotate one so the pair packs
-        // injectively for any realistic process count (n ≤ 32 gives a
-        // perfect pack; beyond that the rotation still separates all
-        // states reachable under distinct masks in practice, and the
-        // clients digest disambiguates parasitic cursors anyway).
-        self.crashed ^ self.parasitic.rotate_left(32)
-    }
 }
 
 /// A set of faults to inject into a run.
@@ -426,7 +415,5 @@ mod tests {
         assert!(state.can_parasite(&config, 1));
         state.parasite(1);
         assert!(!state.can_parasite(&config, 1));
-        assert_ne!(state.key(), FaultState::none().key());
-        assert_eq!(FaultState::none().key(), 0);
     }
 }

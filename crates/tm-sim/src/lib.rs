@@ -20,7 +20,7 @@
 //!   over the canonical state graph, classifying which processes a TM
 //!   can starve, block, or keep progressing (the paper's Figure 2
 //!   taxonomy, decided mechanically) by one breadth-first walk that
-//!   executes each graph transition once, with
+//!   executes each TM transition once, with
 //!   [`livecheck_reference`] as its differential oracle;
 //! * [`FaultConfig`] — fault-*prone* liveness checking: crash and
 //!   parasitic-turn transitions quantified exhaustively inside

@@ -12,33 +12,62 @@
 //!
 //! # The canonical state graph
 //!
-//! A *configuration* is `(TM state, client cursors, fault masks)`; it
-//! determines every future response and invocation, so the bounded run
-//! graph is exactly the graph over configurations with one edge per
-//! scheduler transition. Configurations are interned by their canonical
-//! digests — [`tm_stm::SteppedTm::state_digest`] (whose per-algorithm
-//! canonicalization contract normalizes unbounded version clocks into
-//! rank patterns, making recurrence *possible* at all) and
+//! A *configuration* is `(TM state, client cursors)`, and a graph *node*
+//! is a configuration under a pair of fault masks (crashed and parasitic
+//! processes). A node determines every future response and invocation,
+//! so the bounded run graph is exactly the graph over nodes with one
+//! edge per scheduler transition. Configurations are interned by their
+//! canonical digests — [`tm_stm::SteppedTm::state_digest`] (whose
+//! per-algorithm canonicalization contract normalizes unbounded version
+//! clocks into rank patterns, making recurrence *possible* at all) and
 //! [`crate::workload::Client::cursor`] (which excludes the commit/abort
-//! tallies for the same reason).
+//! tallies for the same reason) — and nodes by `(configuration id,
+//! fault-state id)`, the fault masks interned whole.
 //!
-//! The walk is one breadth-first worklist. It expands every
-//! configuration whose shortest distance from the initial one is below
-//! [`LivecheckConfig::depth`] exactly once (stepping each live process,
-//! then each fault transition, and recording one edge per transition
-//! with its events), and it interns, but does not expand, those at
-//! distance `depth`. Each node keeps the edge that first reached it: its
-//! breadth-first *stem*.
+//! The walk is one breadth-first worklist. It expands every node whose
+//! shortest distance from the initial one is below
+//! [`LivecheckConfig::depth`] exactly once (each live process's step,
+//! then each fault transition, one edge per transition with its events),
+//! and it interns, but does not expand, those at distance `depth`. Each
+//! node keeps the edge that first reached it: its breadth-first *stem*.
+//!
+//! # Each TM transition once: the transition memo
+//!
+//! In the paper's fault model (§2.3) a crash or a parasitic turn is an
+//! adversary move that leaves the TM and the clients alone: a crashed
+//! process stops taking steps, a parasitic one never invokes `tryC`. So
+//! a step of process `k` depends on its node's fault masks only through
+//! whether `k` is parasitic. The walk keeps one representative TM box
+//! and its client marks per configuration (those of the first node that
+//! reached it) and a memo `(configuration, process, parasitic) →
+//! (target configuration, step record)`. The first time a transition is
+//! needed, the walk forks the representative, steps it and digests the
+//! result; every later node of that configuration, under any fault
+//! masks, reads the transition from the memo with no TM work. A fault
+//! edge keeps its source's configuration, so it forks and digests
+//! nothing. Fault-free, every node has its own configuration and every
+//! step edge executes once; fault-prone, each TM transition executes
+//! once however many fault masks reach it.
+//!
+//! The memo is sound by the digest contract the interner already relies
+//! on: two TM states with equal digests and equal client cursors have
+//! the same futures, which is what lets one node stand for every path
+//! that reaches it. The memo extends that assumption from one fault mask
+//! to all of them: a configuration reached under another mask is the
+//! same configuration. [`livecheck_reference`] steps every edge on its
+//! own concrete TM and re-checks every re-walked edge against the
+//! recorded one, so the differential tests hold the memo to the
+//! contract too.
 //!
 //! # Why breadth-first
 //!
-//! Breadth-first order reaches every configuration first along a
-//! shortest path, so one expansion per configuration covers exactly the
-//! states and edges a depth-budget DFS reaches, without the DFS's
-//! re-walks of subtrees that a shorter path reaches again with a larger
-//! remaining budget. That DFS is kept as [`livecheck_reference`], the
-//! differential oracle: it re-executes every re-walked edge and checks
-//! it against the recorded one, the digest contract one step deep.
+//! Breadth-first order reaches every node first along a shortest path,
+//! so one expansion per node covers exactly the states and edges a
+//! depth-budget DFS reaches, without the DFS's re-walks of subtrees that
+//! a shorter path reaches again with a larger remaining budget. That DFS
+//! is kept as [`livecheck_reference`], the differential oracle: it
+//! re-executes every re-walked edge and checks it against the recorded
+//! one, the digest contract one step deep.
 //!
 //! # Certified verdicts: the SCC pass
 //!
@@ -134,9 +163,9 @@ pub struct LivecheckConfig {
     parasitic: u64,
     /// Fault quantification: with a non-trivial config, `crash(p)` /
     /// `parasite(p)` become scheduler-level transitions of the graph
-    /// search, exhaustively explored. Fault state folds into node
-    /// identities (same TM state under different crash masks is a
-    /// different configuration) and each lasso finding carries the
+    /// search, exhaustively explored. Fault masks are part of node
+    /// identity (one configuration under different crash masks is a
+    /// different node) and each lasso finding carries the
     /// concrete [`FaultPlan`] its stem chose. With
     /// [`FaultConfig::none()`] (the default) reports are byte-identical
     /// to fault-free checking.
@@ -254,13 +283,17 @@ pub struct LivecheckReport {
     pub tm: String,
     /// The exploration bound used.
     pub depth: usize,
-    /// Distinct configurations interned (including frontier nodes).
+    /// Distinct nodes — configurations under fault masks — interned
+    /// (including frontier nodes).
     pub states: usize,
     /// Edges of the explored graph.
     pub edges: usize,
     /// Process steps executed against a TM. [`livecheck`] executes each
-    /// step edge once; [`livecheck_reference`] also counts its re-walks.
-    /// Fault edges execute nothing.
+    /// TM transition — `(configuration, process, parasitic)` — once and
+    /// reads every other step edge from its transition memo, so it
+    /// executes each step edge once fault-free and fewer steps than step
+    /// edges fault-prone; [`livecheck_reference`] executes every step
+    /// edge it walks, re-walks included. Fault edges execute nothing.
     pub steps: usize,
     /// Witness cycles rejected by lasso validation — always 0 unless a
     /// TM's fingerprint canonicalization is unsound.
@@ -399,6 +432,14 @@ struct Edge {
 }
 
 impl Edge {
+    fn new(target: u32, k: usize, kind: EdgeKind) -> Self {
+        Edge {
+            target,
+            process: u8::try_from(k).expect("≤ 64 processes"),
+            kind,
+        }
+    }
+
     /// The edge as the certification graph sees it; `None` for a fault
     /// edge.
     fn cycle_edge(&self) -> Option<CycleEdge> {
@@ -435,6 +476,14 @@ enum Move {
     Step(usize),
     Crash(usize),
     Parasite(usize),
+}
+
+impl Move {
+    /// The process the transition steps or faults.
+    fn process(self) -> usize {
+        let (Move::Step(k) | Move::Crash(k) | Move::Parasite(k)) = self;
+        k
+    }
 }
 
 /// The explored graph as both walks hand it to the report: nodes in id
@@ -509,9 +558,9 @@ impl Explored {
 }
 
 /// The liveness checker's search state: the client cursors and fault
-/// masks of the configuration being expanded, plus the static parasitic
-/// mask the stepper needs. (No certifier: liveness is decided on the
-/// recorded graph, not per history prefix.)
+/// masks of the node being expanded, plus the static parasitic mask the
+/// stepper needs. (No certifier: liveness is decided on the recorded
+/// graph, not per history prefix.)
 struct GraphSpace {
     clients: Vec<Client>,
     /// Scratch for the stepper's events; each edge keeps its step's
@@ -521,29 +570,32 @@ struct GraphSpace {
     /// fault-induced parasitism lives in [`GraphSpace::fstate`] and the
     /// stepper honours the union of both.
     parasitic: u64,
-    /// Crash/parasitic masks of the current configuration, changed only
-    /// by fault transitions.
+    /// Crash/parasitic masks of the current node, changed only by fault
+    /// transitions.
     fstate: FaultState,
     telemetry: Telemetry,
 }
 
 impl GraphSpace {
     /// The canonical configuration key — `(TM state digest, clients
-    /// digest, fault-state key)`. Equal keys mean observationally
-    /// equivalent configurations (every future invocation and response
-    /// coincides); this is what the node interner hashes. The same
-    /// TM/client state under different crash/parasitic masks has
-    /// different futures and must be a different node.
-    fn config_key(&self, tm: &BoxedTm) -> (u64, u64, u64) {
+    /// digest)`. Equal keys mean observationally equivalent
+    /// configurations (every future invocation and response coincides);
+    /// this is what the configuration interner hashes.
+    fn config_key(&self, tm: &BoxedTm) -> (u64, u64) {
         let tm_digest = tm
             .state_digest()
             .expect("livecheck requires a fingerprinting TM (SteppedTm::state_digest)");
-        (tm_digest, clients_digest(&self.clients), self.fstate.key())
+        (tm_digest, clients_digest(&self.clients))
     }
 
     /// The branching factor: one successor per process.
     fn width(&self) -> usize {
         self.clients.len()
+    }
+
+    /// Whether process `k` steps parasitically under the current masks.
+    fn is_parasitic(&self, k: usize) -> bool {
+        (self.parasitic | self.fstate.parasitic) & (1 << k) != 0
     }
 
     /// Snapshots the client cursor `step(k)` will advance.
@@ -553,7 +605,7 @@ impl GraphSpace {
 
     /// Executes one scheduler step of process `k` against `tm`.
     fn step(&mut self, tm: &mut BoxedTm, k: usize) -> StepRecord {
-        let parasitic = (self.parasitic | self.fstate.parasitic) & (1 << k) != 0;
+        let parasitic = self.is_parasitic(k);
         let started = self.telemetry.timer_start();
         let record = step_process(
             &mut **tm,
@@ -573,17 +625,25 @@ impl GraphSpace {
     }
 }
 
-/// The state both walks share: the configuration being expanded, the
-/// node table and the run's tallies.
+/// The state both walks share: the fault masks of the node being
+/// expanded, the two interners, the node table and the run's tallies.
 struct Walker<'a> {
     space: GraphSpace,
-    ids: Interner<(u64, u64, u64)>,
+    /// `(state digest, clients digest)` → configuration id.
+    configs: Interner<(u64, u64)>,
+    /// Fault masks → fault-state id, and the masks of each id.
+    fault_ids: Interner<FaultState>,
+    fault_states: Vec<FaultState>,
+    /// `(configuration id, fault-state id)` → node id.
+    ids: Interner<(u32, u32)>,
     nodes: Vec<Node>,
     pool: TmPool,
     /// The run's fault quantification, crash budget pre-clamped to n−1.
     faults: FaultConfig,
     meter: &'a BudgetMeter,
     steps: usize,
+    /// Step edges the production walk read from its transition memo.
+    memo_hits: u64,
     /// Fault transitions exercised, as process bitmasks (for the
     /// `fault_injected` events and the report).
     crash_injected: u64,
@@ -592,24 +652,40 @@ struct Walker<'a> {
 }
 
 impl Walker<'_> {
-    /// Interns the current configuration, first reached along `stem`.
-    /// Returns its id and whether it is new.
+    /// Interns `tm`'s configuration under the current fault masks, first
+    /// reached along `stem`. Returns the node id and whether it is new.
     fn intern(&mut self, tm: &BoxedTm, stem: Option<(u32, u32)>) -> (u32, bool) {
-        let (id, fresh) = self.ids.intern(self.space.config_key(tm));
+        let (config, _) = self.configs.intern(self.space.config_key(tm));
+        let fault = self.fault_id();
+        self.intern_node(config, fault, stem)
+    }
+
+    /// The id of the current fault masks.
+    fn fault_id(&mut self) -> u32 {
+        let (id, fresh) = self.fault_ids.intern(self.space.fstate);
+        if fresh {
+            self.fault_states.push(self.space.fstate);
+        }
+        id
+    }
+
+    /// Interns configuration `config` under the fault masks of id `fault`.
+    fn intern_node(&mut self, config: u32, fault: u32, stem: Option<(u32, u32)>) -> (u32, bool) {
+        let (id, fresh) = self.ids.intern((config, fault));
         if fresh {
             self.nodes.push(Node {
-                crashed: self.space.fstate.crashed,
+                crashed: self.fault_states[fault as usize].crashed,
                 stem,
             });
         }
         (id, fresh)
     }
 
-    /// The transitions out of the current configuration, in canonical
-    /// order: live process steps ascending, then crashes ascending, then
-    /// parasitic turns ascending. Statically parasitic processes get no
-    /// parasitic turn: it would change the node identity without
-    /// changing any future behaviour.
+    /// The transitions out of the current node, in canonical order: live
+    /// process steps ascending, then crashes ascending, then parasitic
+    /// turns ascending. Statically parasitic processes get no parasitic
+    /// turn: it would change the node identity without changing any
+    /// future behaviour.
     fn moves(&self) -> Vec<Move> {
         let fstate = &self.space.fstate;
         let n = self.space.width();
@@ -634,10 +710,29 @@ impl Walker<'_> {
         moves
     }
 
+    /// Takes fault transition `mv` on the current fault masks; the TM and
+    /// the clients are untouched.
+    fn inject(&mut self, mv: Move) -> EdgeKind {
+        self.faults_injected += 1;
+        match mv {
+            Move::Crash(k) => {
+                self.space.fstate.crash(k);
+                self.crash_injected |= 1 << k;
+                EdgeKind::Crash
+            }
+            Move::Parasite(k) => {
+                self.space.fstate.parasite(k);
+                self.parasite_injected |= 1 << k;
+                EdgeKind::Parasite
+            }
+            Move::Step(_) => unreachable!("a process step is not a fault"),
+        }
+    }
+
     /// Takes `mv` from node `source` on `tm`, whose box is the child's:
     /// steps the process (or moves the fault masks) and interns the
     /// target. Returns the edge, whether its target is new, and what
-    /// [`Walker::undo`] needs to restore the source configuration.
+    /// [`Walker::undo`] needs to restore the source node.
     fn take(
         &mut self,
         tm: &mut BoxedTm,
@@ -645,37 +740,20 @@ impl Walker<'_> {
         slot: usize,
         mv: Move,
     ) -> (Edge, bool, (ClientMark, FaultState)) {
-        let (Move::Step(k) | Move::Crash(k) | Move::Parasite(k)) = mv;
+        let k = mv.process();
         let saved = (self.space.mark(k), self.space.fstate);
         let kind = match mv {
             Move::Step(_) => {
                 self.steps += 1;
                 EdgeKind::Step(self.space.step(tm, k))
             }
-            Move::Crash(_) => {
-                self.space.fstate.crash(k);
-                self.crash_injected |= 1 << k;
-                self.faults_injected += 1;
-                EdgeKind::Crash
-            }
-            Move::Parasite(_) => {
-                self.space.fstate.parasite(k);
-                self.parasite_injected |= 1 << k;
-                self.faults_injected += 1;
-                EdgeKind::Parasite
-            }
+            fault => self.inject(fault),
         };
-        let slot = u32::try_from(slot).expect("≤ 64 processes");
-        let (target, fresh) = self.intern(tm, Some((source, slot)));
-        let edge = Edge {
-            target,
-            process: u8::try_from(k).expect("≤ 64 processes"),
-            kind,
-        };
-        (edge, fresh, saved)
+        let (target, fresh) = self.intern(tm, stem(source, slot));
+        (Edge::new(target, k, kind), fresh, saved)
     }
 
-    /// Restores the source configuration after [`Walker::take`].
+    /// Restores the source node after [`Walker::take`].
     fn undo(&mut self, edge: &Edge, (mark, fstate): (ClientMark, FaultState)) {
         self.space.rewind(edge.process as usize, mark);
         self.space.fstate = fstate;
@@ -693,43 +771,130 @@ impl Walker<'_> {
     }
 }
 
+/// The stem of a node first reached by out-edge `slot` of `source`.
+fn stem(source: u32, slot: usize) -> Option<(u32, u32)> {
+    Some((source, u32::try_from(slot).expect("≤ 64 processes")))
+}
+
+/// The production walk's per-configuration tables (see the module docs'
+/// "Each TM transition once" section), indexed by configuration id.
+struct Transitions {
+    width: usize,
+    /// The representative box of each configuration; `None` for one
+    /// first reached at the depth bound, which no node expands.
+    tms: Vec<Option<BoxedTm>>,
+    /// The representative's client marks, `width` per configuration.
+    marks: Vec<ClientMark>,
+    /// `memo[(config · width + k) · 2 + parasitic]`: the target
+    /// configuration and record of that step, once executed.
+    memo: Vec<Option<(u32, StepRecord)>>,
+}
+
+impl Transitions {
+    fn new(width: usize) -> Self {
+        Transitions {
+            width,
+            tms: Vec::new(),
+            marks: Vec::new(),
+            memo: Vec::new(),
+        }
+    }
+
+    /// Adds the next configuration, represented by `tm` and `clients`.
+    fn push(&mut self, tm: Option<BoxedTm>, clients: &[Client]) {
+        self.tms.push(tm);
+        self.marks.extend(clients.iter().map(Client::mark));
+        self.memo.resize(self.memo.len() + 2 * self.width, None);
+    }
+
+    fn slot(&self, config: u32, k: usize, parasitic: bool) -> usize {
+        (config as usize * self.width + k) * 2 + usize::from(parasitic)
+    }
+}
+
 impl Walker<'_> {
-    /// The production walk: expands every configuration at distance
-    /// below `depth` once, breadth-first, and interns those at `depth`.
-    /// Each worklist entry holds a configuration's distance, TM and fault
-    /// masks; its client marks wait in `marks`, one per process, in the
-    /// same order. Configurations are expanded in the order they were
-    /// interned, so node `u` is the `u`-th expanded.
+    /// The production walk: expands every node at distance below `depth`
+    /// once, breadth-first, and interns those at `depth`. Each worklist
+    /// entry is a node's distance, configuration and fault-state id; its TM
+    /// and clients are its configuration's representative. Nodes are
+    /// expanded in the order they were interned, so node `u` is the
+    /// `u`-th expanded.
     fn walk_levels(&mut self, graph: &mut Explored, root: BoxedTm, depth: usize) {
-        let mut queue = VecDeque::from([(0, root, self.space.fstate)]);
-        let mut marks: VecDeque<ClientMark> = self.space.clients.iter().map(Client::mark).collect();
-        while let Some((distance, tm, fstate)) = queue.pop_front() {
+        let mut table = Transitions::new(self.space.width());
+        table.push(Some(root), &self.space.clients);
+        let mut queue = VecDeque::from([(0, 0, 0)]);
+        while let Some((distance, config, fault)) = queue.pop_front() {
             if !self.meter.note_state() {
                 return;
             }
             let source = u32::try_from(graph.offsets.len() - 1).expect("u32 nodes");
-            for client in &mut self.space.clients {
-                client.restore(marks.pop_front().expect("one mark per process"));
-            }
+            let expand = distance + 1 < depth;
+            let fstate = self.fault_states[fault as usize];
             self.space.fstate = fstate;
-            let moves = self.moves();
-            let mut parent = Some(tm);
-            for (i, &mv) in moves.iter().enumerate() {
-                let mut tm = self.child_box(&mut parent, i, moves.len());
-                let (edge, fresh, saved) = self.take(&mut tm, source, i, mv);
-                graph.edges.push(edge);
-                if fresh && distance + 1 < depth {
-                    queue.push_back((distance + 1, tm, self.space.fstate));
-                    marks.extend(self.space.clients.iter().map(Client::mark));
-                } else {
-                    self.pool.put_back(tm);
+            for (i, mv) in self.moves().into_iter().enumerate() {
+                let (target, target_fault, kind) = match mv {
+                    Move::Step(k) => {
+                        let (target, record) = self.transition(&mut table, config, k, expand);
+                        (target, fault, EdgeKind::Step(record))
+                    }
+                    _ => {
+                        let kind = self.inject(mv);
+                        (config, self.fault_id(), kind)
+                    }
+                };
+                let (node, fresh) = self.intern_node(target, target_fault, stem(source, i));
+                graph.edges.push(Edge::new(node, mv.process(), kind));
+                if fresh && expand {
+                    queue.push_back((distance + 1, target, target_fault));
                 }
-                self.undo(&edge, saved);
+                self.space.fstate = fstate;
             }
             graph
                 .offsets
                 .push(u32::try_from(graph.edges.len()).expect("graph exceeds u32 edges"));
         }
+    }
+
+    /// The step of process `k` from configuration `config` under the
+    /// current fault masks: read from the memo or, the first time, run
+    /// on a fork of the configuration's representative, its target
+    /// interned as a configuration. A fresh target keeps the stepped box
+    /// as its representative when `expand` says its node is expanded.
+    fn transition(
+        &mut self,
+        table: &mut Transitions,
+        config: u32,
+        k: usize,
+        expand: bool,
+    ) -> (u32, StepRecord) {
+        let slot = table.slot(config, k, self.space.is_parasitic(k));
+        if let Some(hit) = table.memo[slot] {
+            self.memo_hits += 1;
+            return hit;
+        }
+        self.steps += 1;
+        let n = table.width;
+        let marks = &table.marks[config as usize * n..][..n];
+        for (client, &mark) in self.space.clients.iter_mut().zip(marks) {
+            client.restore(mark);
+        }
+        let representative = table.tms[config as usize]
+            .as_ref()
+            .expect("an expanded configuration keeps its representative");
+        let mut tm = self.pool.fork_child(representative);
+        let record = self.space.step(&mut tm, k);
+        let (target, fresh) = self.configs.intern(self.space.config_key(&tm));
+        let kept = if fresh && expand {
+            Some(tm)
+        } else {
+            self.pool.put_back(tm);
+            None
+        };
+        if fresh {
+            table.push(kept, &self.space.clients);
+        }
+        table.memo[slot] = Some((target, record));
+        (target, record)
     }
 }
 
@@ -833,12 +998,16 @@ where
             fstate: FaultState::none(),
             telemetry: config.telemetry.clone(),
         },
+        configs: Interner::new(),
+        fault_ids: Interner::new(),
+        fault_states: Vec::new(),
         ids: Interner::new(),
         nodes: Vec::new(),
         pool: TmPool::for_tm(&tm).instrument(&config.telemetry),
         faults,
         meter,
         steps: 0,
+        memo_hits: 0,
         crash_injected: 0,
         parasite_injected: 0,
         faults_injected: 0,
@@ -1008,6 +1177,7 @@ fn into_report(
     telemetry.add(Counter::GraphNodes, report.states as u64);
     telemetry.add(Counter::GraphEdges, report.edges as u64);
     telemetry.add(Counter::StepsExecuted, report.steps as u64);
+    telemetry.add(Counter::MemoHits, walker.memo_hits);
     telemetry.add(Counter::LassosFound, report.lassos.len() as u64);
     telemetry.add(Counter::FaultsInjected, walker.faults_injected);
     if telemetry.streams() {

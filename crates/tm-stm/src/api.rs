@@ -512,6 +512,50 @@ impl SteppedTm for BoxedTm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random footprint over four variables (so conflicts are neither
+    /// rare nor certain), or one of the two extremes.
+    fn random_foot(rng: &mut StdRng) -> StepFootprint {
+        match rng.gen_range(0..8u8) {
+            0 => StepFootprint::global(),
+            1 => StepFootprint::local(),
+            _ => StepFootprint {
+                var_reads: rng.gen_range(0..16u64),
+                var_writes: rng.gen_range(0..16u64) & rng.gen_range(0..16u64),
+                global_read: rng.gen_bool(0.2),
+                global_write: rng.gen_bool(0.1),
+                ends: rng.gen_bool(0.3),
+                begins: rng.gen_bool(0.3),
+            },
+        }
+    }
+
+    /// Conflict distributes over `merge`: a footprint conflicts with the
+    /// union of a set iff it conflicts with some member, in either
+    /// argument order. Optimal DPOR's reversal guard tests each step
+    /// against the union of the steps before it on this lemma.
+    #[test]
+    fn conflict_with_a_union_is_conflict_with_some_part() {
+        let mut outcomes = [0usize; 2];
+        for seed in 0..2_000 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = random_foot(&mut rng);
+            let parts: Vec<StepFootprint> = (0..rng.gen_range(0..6usize))
+                .map(|_| random_foot(&mut rng))
+                .collect();
+            let mut union = StepFootprint::local();
+            for b in &parts {
+                union.merge(b);
+            }
+            let any = parts.iter().any(|b| a.conflicts(b));
+            assert_eq!(a.conflicts(&union), any, "seed {seed}: {a:?} vs {parts:?}");
+            assert_eq!(union.conflicts(&a), any, "seed {seed}: symmetry");
+            outcomes[usize::from(any)] += 1;
+        }
+        assert!(outcomes.iter().all(|&n| n > 200), "{outcomes:?}");
+    }
 
     #[test]
     fn outcome_accessors() {

@@ -52,11 +52,13 @@
 //!   safety explorer certifies (it equals the report's `schedules`
 //!   field), and
 //!   [`Counter::StepsExecuted`] is every process step the liveness
-//!   checker executes (each step edge of its graph exactly once).
+//!   checker executes (each TM transition once).
 //! * **pruned** counts search the engine proved redundant and skipped
 //!   entirely: [`Counter::SchedulesPruned`] (leaves of the full
-//!   `n^depth` tree minus executed leaves, saturating) and
-//!   [`Counter::WakeupRedundant`] (race reversals proved covered).
+//!   `n^depth` tree minus executed leaves, saturating),
+//!   [`Counter::WakeupRedundant`] (race reversals proved covered) and
+//!   [`Counter::MemoHits`] (step edges the liveness checker read from
+//!   its transition memo instead of executing).
 //!
 //! **Exception — the online-pipeline counters.** The streaming
 //! certifier (`tm_sim::online`) runs real OS threads against real
@@ -184,9 +186,16 @@ pub enum Counter {
     GraphNodes,
     /// Edges of the explored liveness state graph.
     GraphEdges,
-    /// Process steps the liveness checker executed (each step edge of
-    /// its graph exactly once).
+    /// Process steps the liveness checker executed against a TM: each
+    /// TM transition — `(configuration, process, parasitic)` — once.
+    /// Fault-free that is each step edge of its graph once; fault-prone,
+    /// the step edges of the other fault masks count in
+    /// [`Counter::MemoHits`].
     StepsExecuted,
+    /// Step edges the liveness checker read from its transition memo
+    /// with no TM work: `steps_executed + memo_hits` is the step-edge
+    /// count of the graph.
+    MemoHits,
     /// Lasso findings stored (at most one per certified plain
     /// progressing, starving or parasitic verdict).
     LassosFound,
@@ -229,7 +238,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the snapshot array length).
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 22;
 
     /// Every counter, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -242,6 +251,7 @@ impl Counter {
         Counter::GraphNodes,
         Counter::GraphEdges,
         Counter::StepsExecuted,
+        Counter::MemoHits,
         Counter::LassosFound,
         Counter::TmForks,
         Counter::TmReforks,
@@ -269,6 +279,7 @@ impl Counter {
             Counter::GraphNodes => "graph_nodes",
             Counter::GraphEdges => "graph_edges",
             Counter::StepsExecuted => "steps_executed",
+            Counter::MemoHits => "memo_hits",
             Counter::LassosFound => "lassos_found",
             Counter::TmForks => "tm_forks",
             Counter::TmReforks => "tm_reforks",

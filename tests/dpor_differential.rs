@@ -393,7 +393,7 @@ fn livecheck_matches_its_reference_across_the_catalogue() {
     // The liveness checker's bar is stricter than the safety explorer's:
     // the production walk must reach the reference walk's state graph
     // and certify the same verdicts, with a witness for the same
-    // verdicts, while executing each edge once.
+    // verdicts, while executing each TM transition once.
     let scripts = vec![
         ClientScript::new(vec![PlannedOp::Write(X, 1)]),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 2)]),

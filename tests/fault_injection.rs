@@ -173,6 +173,28 @@ fn normalize_stream(raw: &str) -> String {
 /// search trees have exactly the pre-fault shape, no new events, no new
 /// fields, no partial verdicts.
 #[test]
+fn every_fault_mask_is_its_own_node_beyond_32_processes() {
+    // A node is a configuration under both fault masks, kept whole: with
+    // 34 processes, crashing p32 and turning p0 parasitic leave the root
+    // configuration under different masks, so they are different nodes.
+    // At depth 1 every edge out of the root reaches a node of its own:
+    // one per process step (each takes the lock), crash and parasitic
+    // turn.
+    let n = 34;
+    let scripts: Vec<ClientScript> = (0..n)
+        .map(|_| ClientScript::new(vec![PlannedOp::Write(X, 1)]))
+        .collect();
+    let config = LivecheckConfig::new(1).with_faults(FaultConfig::with_crashes(1).and_parasitic());
+    let report = livecheck(
+        || Box::new(GlobalLock::new(n, 1)) as BoxedTm,
+        &scripts,
+        &config,
+    );
+    assert_eq!(report.edges, 3 * n);
+    assert_eq!(report.states, 1 + 3 * n, "fault masks merged");
+}
+
+#[test]
 fn fault_config_none_is_byte_identical_across_the_catalogue() {
     let run_all = |explicit: bool, path: &std::path::Path| -> Vec<String> {
         let telemetry = Telemetry::to_path(path).expect("open stream");

@@ -252,7 +252,7 @@ fn production_livecheck_matches_the_reference_across_the_catalog() {
     // Production-vs-oracle identity across the whole fingerprinting
     // catalogue, blocking global-lock TM included. Only the walk
     // differs: the reference re-executes every re-walked edge, the
-    // production walk executes each edge once.
+    // production walk executes each TM transition once.
     for (name, factory) in fingerprinting_catalog() {
         let (production, check) =
             assert_matches_reference(name, &*factory, &contended(), &LivecheckConfig::new(11));
@@ -318,6 +318,48 @@ fn digest_contract_holds_one_step_deep_across_the_catalogue() {
         }
     }
     assert!(rechecked > 50_000, "only {rechecked} edges re-executed");
+}
+
+/// Step accounting of the production walk's transition memo across the
+/// catalogue at three processes. The step edges are the edges minus the
+/// fault edges (`faults_injected`). Fault-free, every node has its own
+/// configuration, so every step edge executes once and nothing is read
+/// from the memo. Fault-prone, each TM transition executes once however
+/// many fault masks reach it, so fewer steps execute than there are step
+/// edges; every other step edge is a memo hit.
+#[test]
+fn the_transition_memo_executes_each_tm_transition_once() {
+    use tm_telemetry::{Counter, Telemetry};
+    let scripts = three_process_scripts();
+    for tm in full_catalog(3, 2) {
+        let name = tm.name();
+        let factory = || {
+            full_catalog(3, 2)
+                .into_iter()
+                .find(|t| t.name() == name)
+                .expect("catalogue TM")
+        };
+        for faults in [
+            FaultConfig::none(),
+            FaultConfig::with_crashes(1).and_parasitic(),
+        ] {
+            let telemetry = Telemetry::counters();
+            let config = LivecheckConfig::new(9)
+                .with_faults(faults)
+                .with_telemetry(&telemetry);
+            let report = livecheck(factory, &scripts, &config);
+            let counters = telemetry.snapshot();
+            let step_edges = report.edges - counters.get(Counter::FaultsInjected) as usize;
+            let hits = counters.get(Counter::MemoHits) as usize;
+            assert_eq!(report.steps + hits, step_edges, "{name} {faults:?}");
+            if faults.enabled() {
+                assert!(report.steps < step_edges, "{name}: no memo hit");
+            } else {
+                assert_eq!(report.steps, report.edges, "{name}: fault-free");
+                assert_eq!(hits, 0, "{name}: fault-free");
+            }
+        }
+    }
 }
 
 /// Replays `schedule` through the simulator from a fresh TM, with the
