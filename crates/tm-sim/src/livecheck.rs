@@ -21,8 +21,9 @@
 //! per-algorithm canonicalization contract normalizes unbounded version
 //! clocks into rank patterns, making recurrence *possible* at all) and
 //! [`crate::workload::Client::cursor`] (which excludes the commit/abort
-//! tallies for the same reason) — and nodes by `(configuration id,
-//! fault-state id)`, the fault masks interned whole.
+//! tallies for the same reason). Fault states are interned whole to
+//! dense ids, and a node is identified by `(configuration id,
+//! fault-state id)`.
 //!
 //! The walk is one breadth-first worklist. It expands every node whose
 //! shortest distance from the initial one is below
@@ -58,6 +59,40 @@
 //! own concrete TM and re-checks every re-walked edge against the
 //! recorded one, so the differential tests hold the memo to the
 //! contract too.
+//!
+//! A representative is returned to the TM pool as soon as every memo
+//! slot a node can ask of its configuration is filled: a process's
+//! parasitic slot can be asked only when parasitic turns are quantified
+//! or the process is statically parasitic, its plain slot only when it
+//! is not statically parasitic. After that no miss can fork it.
+//!
+//! # Dense product-graph indexing
+//!
+//! The graph is the product of configurations and fault states, and
+//! both factors already have dense ids, so the production walk indexes
+//! it with no hashed node key, no per-node allocation and no copied
+//! step records:
+//!
+//! * **Node rows.** Node ids live in one `Vec<u32>` row per fault-state
+//!   id, indexed by configuration id, with a sentinel for "no node".
+//!   Ids are assigned in first-seen order, as an interner would. A row
+//!   grows only to the largest configuration id reached under its fault
+//!   state, so the rows hold at most fault states × configurations
+//!   cells: tmbench `liveness`'s fault-prone swisstm graph, 175,213
+//!   nodes over 11,056 configurations and 32 fault states, takes 285,344
+//!   cells, 1.1 MB (1.6 MB allocated), where a hash table of its nodes
+//!   takes 262,144 buckets of a 12-byte entry and a control byte each
+//!   (3.4 MB).
+//! * **Move lists.** A node's scheduler transitions depend on its fault
+//!   masks alone (and the run's fixed static parasitic mask), so each
+//!   fault state lists its moves once, each fault move with its target
+//!   fault-state id. Both walks read these lists; a fault edge hashes no
+//!   fault masks.
+//! * **Record table.** An edge is 12 bytes: its target node, its process
+//!   and the `u32` id of its step record in one table, or a sentinel for
+//!   a crash or a parasitic turn. The production walk pushes a record
+//!   once per memo miss and the memo keeps its id, so every step edge of
+//!   one TM transition shares one record.
 //!
 //! # Why breadth-first
 //!
@@ -128,12 +163,14 @@
 //! in [`crate::engine`] (the safety explorer is the tree-search one):
 //! its `GraphSpace` steps through the kernel's one stepper, TM
 //! branching runs through the shared [`tm_stm::TmPool`], configurations
-//! are interned through [`crate::engine::memo::Interner`], and resource
+//! and fault states are interned through [`crate::engine::memo::Interner`]
+//! (nodes are indexed by the two ids, see above), and resource
 //! caps go through the kernel's [`BudgetMeter`]. The walk runs on one
 //! thread: it beat a level-parallel frontier on every measured row, and
 //! a per-process SCC fan-out gained nothing.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use tm_core::{Event, ProcessId};
 use tm_liveness::{
@@ -423,27 +460,66 @@ enum EdgeKind {
     Parasite,
 }
 
-/// One edge of the explored configuration graph.
+/// [`Edge::record`] of a crash edge.
+const CRASH: u32 = u32::MAX;
+/// [`Edge::record`] of a parasitic-turn edge.
+const PARASITE: u32 = u32::MAX - 1;
+
+impl EdgeKind {
+    /// The kind as an [`Edge::record`]: a fault's sentinel, or the id of
+    /// a step's record once pushed onto `records`.
+    fn record(self, records: &mut Vec<StepRecord>) -> u32 {
+        match self {
+            EdgeKind::Step(record) => push_record(records, record),
+            EdgeKind::Crash => CRASH,
+            EdgeKind::Parasite => PARASITE,
+        }
+    }
+}
+
+/// Pushes `record` onto the record table and returns its id.
+fn push_record(records: &mut Vec<StepRecord>, record: StepRecord) -> u32 {
+    let id = u32::try_from(records.len())
+        .ok()
+        .filter(|&id| id < PARASITE)
+        .expect("graph exceeds u32 step records");
+    records.push(record);
+    id
+}
+
+/// One edge of the explored configuration graph (see the module docs'
+/// "Dense product-graph indexing" section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Edge {
     target: u32,
+    /// The id of the step's record in [`Explored::records`], or
+    /// [`CRASH`] or [`PARASITE`] for a fault edge.
+    record: u32,
     process: u8,
-    kind: EdgeKind,
 }
 
 impl Edge {
-    fn new(target: u32, k: usize, kind: EdgeKind) -> Self {
+    fn new(target: u32, k: usize, record: u32) -> Self {
         Edge {
             target,
+            record,
             process: u8::try_from(k).expect("≤ 64 processes"),
-            kind,
+        }
+    }
+
+    /// What the edge did, its step record read from `records`.
+    fn kind(&self, records: &[StepRecord]) -> EdgeKind {
+        match self.record {
+            CRASH => EdgeKind::Crash,
+            PARASITE => EdgeKind::Parasite,
+            id => EdgeKind::Step(records[id as usize]),
         }
     }
 
     /// The edge as the certification graph sees it; `None` for a fault
     /// edge.
-    fn cycle_edge(&self) -> Option<CycleEdge> {
-        let EdgeKind::Step(record) = self.kind else {
+    fn cycle_edge(&self, records: &[StepRecord]) -> Option<CycleEdge> {
+        let EdgeKind::Step(record) = self.kind(records) else {
             return None;
         };
         let response = record.response();
@@ -487,11 +563,13 @@ impl Move {
 }
 
 /// The explored graph as both walks hand it to the report: nodes in id
-/// order, node `u`'s out-edges at `edges[offsets[u]..offsets[u + 1]]`.
+/// order, node `u`'s out-edges at `edges[offsets[u]..offsets[u + 1]]`,
+/// and the step records the edges point into.
 struct Explored {
     nodes: Vec<Node>,
     offsets: Vec<u32>,
     edges: Vec<Edge>,
+    records: Vec<StepRecord>,
 }
 
 impl Explored {
@@ -519,7 +597,7 @@ impl Explored {
         for edge in stem.iter().rev() {
             let process = ProcessId(edge.process as usize);
             let at_step = schedule_prefix.len();
-            match edge.kind {
+            match edge.kind(&self.records) {
                 EdgeKind::Step(record) => {
                     prefix.extend(record.events(process).into_iter().flatten());
                     schedule_prefix.push(process);
@@ -533,7 +611,7 @@ impl Explored {
             let record = self
                 .out_edges(u as usize)
                 .iter()
-                .find_map(|e| match e.kind {
+                .find_map(|e| match e.kind(&self.records) {
                     EdgeKind::Step(record) if e.process == q => Some(record),
                     _ => None,
                 })
@@ -570,8 +648,8 @@ struct GraphSpace {
     /// fault-induced parasitism lives in [`GraphSpace::fstate`] and the
     /// stepper honours the union of both.
     parasitic: u64,
-    /// Crash/parasitic masks of the current node, changed only by fault
-    /// transitions.
+    /// Crash/parasitic masks of the current node, read from the fault
+    /// state table.
     fstate: FaultState,
     telemetry: Telemetry,
 }
@@ -625,17 +703,98 @@ impl GraphSpace {
     }
 }
 
-/// The state both walks share: the fault masks of the node being
-/// expanded, the two interners, the node table and the run's tallies.
+/// The fault states a run reaches, interned whole to dense ids, each
+/// with its scheduler transitions listed once and its row of node ids
+/// (see the module docs' "Dense product-graph indexing" section).
+struct FaultStates {
+    ids: Interner<FaultState>,
+    /// The masks of each fault-state id.
+    masks: Vec<FaultState>,
+    /// Fault state `f`'s transitions are `moves[spans[f]]`, each with
+    /// its target fault-state id; `None` until first listed.
+    spans: Vec<Option<Range<usize>>>,
+    moves: Vec<(Move, u32)>,
+    /// `rows[f][config]`: the node id of configuration `config` under
+    /// fault state `f`, or [`NO_NODE`].
+    rows: Vec<Vec<u32>>,
+}
+
+impl FaultStates {
+    /// The table of a run, holding the fault-free state as id 0.
+    fn new() -> Self {
+        let mut states = FaultStates {
+            ids: Interner::new(),
+            masks: Vec::new(),
+            spans: Vec::new(),
+            moves: Vec::new(),
+            rows: Vec::new(),
+        };
+        states.intern(FaultState::none());
+        states
+    }
+
+    fn intern(&mut self, masks: FaultState) -> u32 {
+        let (id, fresh) = self.ids.intern(masks);
+        if fresh {
+            self.masks.push(masks);
+            self.spans.push(None);
+            self.rows.push(Vec::new());
+        }
+        id
+    }
+
+    /// The indices into `moves` of the transitions out of any node of
+    /// fault state `fault`, in canonical order: live process steps
+    /// ascending, then crashes ascending, then parasitic turns ascending.
+    /// Statically parasitic processes (`parasitic`) get no parasitic
+    /// turn: it would change the node identity without changing any
+    /// future behaviour.
+    fn moves(
+        &mut self,
+        fault: u32,
+        faults: &FaultConfig,
+        parasitic: u64,
+        width: usize,
+    ) -> Range<usize> {
+        if let Some(span) = &self.spans[fault as usize] {
+            return span.clone();
+        }
+        let masks = self.masks[fault as usize];
+        let start = self.moves.len();
+        for k in (0..width).filter(|&k| !masks.is_crashed(k)) {
+            self.moves.push((Move::Step(k), fault));
+        }
+        if faults.enabled() {
+            for k in (0..width).filter(|&k| masks.can_crash(faults, k)) {
+                let mut target = masks;
+                target.crash(k);
+                let target = self.intern(target);
+                self.moves.push((Move::Crash(k), target));
+            }
+            for k in
+                (0..width).filter(|&k| masks.can_parasite(faults, k) && parasitic & (1 << k) == 0)
+            {
+                let mut target = masks;
+                target.parasite(k);
+                let target = self.intern(target);
+                self.moves.push((Move::Parasite(k), target));
+            }
+        }
+        self.spans[fault as usize] = Some(start..self.moves.len());
+        start..self.moves.len()
+    }
+}
+
+/// A node-row cell with no node.
+const NO_NODE: u32 = u32::MAX;
+
+/// The state both walks share: the configuration interner, the fault
+/// states with their node rows, the node table and the run's tallies.
 struct Walker<'a> {
     space: GraphSpace,
     /// `(state digest, clients digest)` → configuration id.
     configs: Interner<(u64, u64)>,
-    /// Fault masks → fault-state id, and the masks of each id.
-    fault_ids: Interner<FaultState>,
-    fault_states: Vec<FaultState>,
-    /// `(configuration id, fault-state id)` → node id.
-    ids: Interner<(u32, u32)>,
+    fault_states: FaultStates,
     nodes: Vec<Node>,
     pool: TmPool,
     /// The run's fault quantification, crash budget pre-clamped to n−1.
@@ -652,76 +811,57 @@ struct Walker<'a> {
 }
 
 impl Walker<'_> {
-    /// Interns `tm`'s configuration under the current fault masks, first
+    /// Interns `tm`'s configuration under fault state `fault`, first
     /// reached along `stem`. Returns the node id and whether it is new.
-    fn intern(&mut self, tm: &BoxedTm, stem: Option<(u32, u32)>) -> (u32, bool) {
+    fn intern(&mut self, tm: &BoxedTm, fault: u32, stem: Option<(u32, u32)>) -> (u32, bool) {
         let (config, _) = self.configs.intern(self.space.config_key(tm));
-        let fault = self.fault_id();
         self.intern_node(config, fault, stem)
     }
 
-    /// The id of the current fault masks.
-    fn fault_id(&mut self) -> u32 {
-        let (id, fresh) = self.fault_ids.intern(self.space.fstate);
-        if fresh {
-            self.fault_states.push(self.space.fstate);
-        }
-        id
-    }
-
-    /// Interns configuration `config` under the fault masks of id `fault`.
+    /// The node of configuration `config` under fault state `fault`,
+    /// assigned the next id on first sight along `stem`. Returns the node
+    /// id and whether it is new.
     fn intern_node(&mut self, config: u32, fault: u32, stem: Option<(u32, u32)>) -> (u32, bool) {
-        let (id, fresh) = self.ids.intern((config, fault));
-        if fresh {
-            self.nodes.push(Node {
-                crashed: self.fault_states[fault as usize].crashed,
-                stem,
-            });
+        let (config, fault) = (config as usize, fault as usize);
+        let row = &mut self.fault_states.rows[fault];
+        if row.len() <= config {
+            row.resize(config + 1, NO_NODE);
         }
-        (id, fresh)
+        if row[config] != NO_NODE {
+            return (row[config], false);
+        }
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != NO_NODE)
+            .expect("state graph exceeds u32 nodes");
+        row[config] = id;
+        self.nodes.push(Node {
+            crashed: self.fault_states.masks[fault].crashed,
+            stem,
+        });
+        (id, true)
     }
 
-    /// The transitions out of the current node, in canonical order: live
-    /// process steps ascending, then crashes ascending, then parasitic
-    /// turns ascending. Statically parasitic processes get no parasitic
-    /// turn: it would change the node identity without changing any
-    /// future behaviour.
-    fn moves(&self) -> Vec<Move> {
-        let fstate = &self.space.fstate;
-        let n = self.space.width();
-        let mut moves: Vec<Move> = (0..n)
-            .filter(|&k| !fstate.is_crashed(k))
-            .map(Move::Step)
-            .collect();
-        if self.faults.enabled() {
-            moves.extend(
-                (0..n)
-                    .filter(|&k| fstate.can_crash(&self.faults, k))
-                    .map(Move::Crash),
-            );
-            moves.extend(
-                (0..n)
-                    .filter(|&k| {
-                        fstate.can_parasite(&self.faults, k) && self.space.parasitic & (1 << k) == 0
-                    })
-                    .map(Move::Parasite),
-            );
-        }
-        moves
+    /// The indices into `fault_states.moves` of the transitions out of a
+    /// node of fault state `fault`.
+    fn moves(&mut self, fault: u32) -> Range<usize> {
+        self.fault_states.moves(
+            fault,
+            &self.faults,
+            self.space.parasitic,
+            self.space.width(),
+        )
     }
 
-    /// Takes fault transition `mv` on the current fault masks; the TM and
-    /// the clients are untouched.
-    fn inject(&mut self, mv: Move) -> EdgeKind {
+    /// Counts fault transition `mv` for the report and returns its kind.
+    fn tally(&mut self, mv: Move) -> EdgeKind {
         self.faults_injected += 1;
         match mv {
             Move::Crash(k) => {
-                self.space.fstate.crash(k);
                 self.crash_injected |= 1 << k;
                 EdgeKind::Crash
             }
             Move::Parasite(k) => {
-                self.space.fstate.parasite(k);
                 self.parasite_injected |= 1 << k;
                 EdgeKind::Parasite
             }
@@ -729,34 +869,31 @@ impl Walker<'_> {
         }
     }
 
-    /// Takes `mv` from node `source` on `tm`, whose box is the child's:
-    /// steps the process (or moves the fault masks) and interns the
-    /// target. Returns the edge, whether its target is new, and what
-    /// [`Walker::undo`] needs to restore the source node.
+    /// Takes `mv` into fault state `fault` from node `source` on `tm`,
+    /// whose box is the child's: steps the process (or moves the fault
+    /// masks) and interns the target. Returns the target node, what the
+    /// edge did, and the client mark that restores the source node.
     fn take(
         &mut self,
         tm: &mut BoxedTm,
         source: u32,
         slot: usize,
-        mv: Move,
-    ) -> (Edge, bool, (ClientMark, FaultState)) {
+        (mv, fault): (Move, u32),
+    ) -> (u32, EdgeKind, ClientMark) {
         let k = mv.process();
-        let saved = (self.space.mark(k), self.space.fstate);
+        let mark = self.space.mark(k);
         let kind = match mv {
             Move::Step(_) => {
                 self.steps += 1;
                 EdgeKind::Step(self.space.step(tm, k))
             }
-            fault => self.inject(fault),
+            _ => {
+                self.space.fstate = self.fault_states.masks[fault as usize];
+                self.tally(mv)
+            }
         };
-        let (target, fresh) = self.intern(tm, stem(source, slot));
-        (Edge::new(target, k, kind), fresh, saved)
-    }
-
-    /// Restores the source node after [`Walker::take`].
-    fn undo(&mut self, edge: &Edge, (mark, fstate): (ClientMark, FaultState)) {
-        self.space.rewind(edge.process as usize, mark);
-        self.space.fstate = fstate;
+        let (target, _) = self.intern(tm, fault, stem(source, slot));
+        (target, kind, mark)
     }
 
     /// The box for child `i` of `moves` children: a pool fork of the
@@ -780,23 +917,41 @@ fn stem(source: u32, slot: usize) -> Option<(u32, u32)> {
 /// "Each TM transition once" section), indexed by configuration id.
 struct Transitions {
     width: usize,
+    /// How many of a configuration's `2 · width` memo slots some node can
+    /// ask (see [`Transitions::new`]).
+    askable: u8,
     /// The representative box of each configuration; `None` for one
-    /// first reached at the depth bound, which no node expands.
+    /// first reached at the depth bound, which no node expands, and
+    /// once all its askable memo slots are filled.
     tms: Vec<Option<BoxedTm>>,
     /// The representative's client marks, `width` per configuration.
     marks: Vec<ClientMark>,
     /// `memo[(config · width + k) · 2 + parasitic]`: the target
-    /// configuration and record of that step, once executed.
-    memo: Vec<Option<(u32, StepRecord)>>,
+    /// configuration and record id of that step, once executed.
+    memo: Vec<Option<(u32, u32)>>,
+    /// Memo slots filled, per configuration.
+    filled: Vec<u8>,
 }
 
 impl Transitions {
-    fn new(width: usize) -> Self {
+    /// The tables of a run over `width` processes with static parasitic
+    /// mask `parasitic`. A process's plain slot can be asked unless it is
+    /// statically parasitic; its parasitic slot only if it is, or if
+    /// `parasitic_turns` quantifies parasitic turns.
+    fn new(width: usize, parasitic: u64, parasitic_turns: bool) -> Self {
+        let askable = (0..width)
+            .map(|k| match parasitic & (1 << k) != 0 {
+                true => 1,
+                false => 1 + u8::from(parasitic_turns),
+            })
+            .sum();
         Transitions {
             width,
+            askable,
             tms: Vec::new(),
             marks: Vec::new(),
             memo: Vec::new(),
+            filled: Vec::new(),
         }
     }
 
@@ -805,10 +960,24 @@ impl Transitions {
         self.tms.push(tm);
         self.marks.extend(clients.iter().map(Client::mark));
         self.memo.resize(self.memo.len() + 2 * self.width, None);
+        self.filled.push(0);
     }
 
     fn slot(&self, config: u32, k: usize, parasitic: bool) -> usize {
         (config as usize * self.width + k) * 2 + usize::from(parasitic)
+    }
+
+    /// Fills memo slot `slot` of configuration `config`. Returns the
+    /// configuration's representative once no miss can ask for it.
+    fn fill(&mut self, config: u32, slot: usize, entry: (u32, u32)) -> Option<BoxedTm> {
+        self.memo[slot] = Some(entry);
+        let filled = &mut self.filled[config as usize];
+        *filled += 1;
+        if *filled == self.askable {
+            self.tms[config as usize].take()
+        } else {
+            None
+        }
     }
 }
 
@@ -820,7 +989,8 @@ impl Walker<'_> {
     /// expanded in the order they were interned, so node `u` is the
     /// `u`-th expanded.
     fn walk_levels(&mut self, graph: &mut Explored, root: BoxedTm, depth: usize) {
-        let mut table = Transitions::new(self.space.width());
+        let width = self.space.width();
+        let mut table = Transitions::new(width, self.space.parasitic, self.faults.allow_parasitic);
         table.push(Some(root), &self.space.clients);
         let mut queue = VecDeque::from([(0, 0, 0)]);
         while let Some((distance, config, fault)) = queue.pop_front() {
@@ -829,25 +999,22 @@ impl Walker<'_> {
             }
             let source = u32::try_from(graph.offsets.len() - 1).expect("u32 nodes");
             let expand = distance + 1 < depth;
-            let fstate = self.fault_states[fault as usize];
-            self.space.fstate = fstate;
-            for (i, mv) in self.moves().into_iter().enumerate() {
-                let (target, target_fault, kind) = match mv {
+            self.space.fstate = self.fault_states.masks[fault as usize];
+            let moves = self.moves(fault);
+            for i in moves.clone() {
+                let (mv, target_fault) = self.fault_states.moves[i];
+                let (target, record) = match mv {
                     Move::Step(k) => {
-                        let (target, record) = self.transition(&mut table, config, k, expand);
-                        (target, fault, EdgeKind::Step(record))
+                        self.transition(&mut table, &mut graph.records, config, k, expand)
                     }
-                    _ => {
-                        let kind = self.inject(mv);
-                        (config, self.fault_id(), kind)
-                    }
+                    _ => (config, self.tally(mv).record(&mut graph.records)),
                 };
-                let (node, fresh) = self.intern_node(target, target_fault, stem(source, i));
-                graph.edges.push(Edge::new(node, mv.process(), kind));
+                let (node, fresh) =
+                    self.intern_node(target, target_fault, stem(source, i - moves.start));
+                graph.edges.push(Edge::new(node, mv.process(), record));
                 if fresh && expand {
                     queue.push_back((distance + 1, target, target_fault));
                 }
-                self.space.fstate = fstate;
             }
             graph
                 .offsets
@@ -856,17 +1023,20 @@ impl Walker<'_> {
     }
 
     /// The step of process `k` from configuration `config` under the
-    /// current fault masks: read from the memo or, the first time, run
-    /// on a fork of the configuration's representative, its target
-    /// interned as a configuration. A fresh target keeps the stepped box
-    /// as its representative when `expand` says its node is expanded.
+    /// current fault masks, as its target configuration and record id:
+    /// read from the memo or, the first time, run on a fork of the
+    /// configuration's representative, its record pushed onto `records`
+    /// and its target interned as a configuration. A fresh target keeps
+    /// the stepped box as its representative when `expand` says its node
+    /// is expanded.
     fn transition(
         &mut self,
         table: &mut Transitions,
+        records: &mut Vec<StepRecord>,
         config: u32,
         k: usize,
         expand: bool,
-    ) -> (u32, StepRecord) {
+    ) -> (u32, u32) {
         let slot = table.slot(config, k, self.space.is_parasitic(k));
         if let Some(hit) = table.memo[slot] {
             self.memo_hits += 1;
@@ -893,16 +1063,20 @@ impl Walker<'_> {
         if fresh {
             table.push(kept, &self.space.clients);
         }
-        table.memo[slot] = Some((target, record));
-        (target, record)
+        let entry = (target, push_record(records, record));
+        if let Some(done) = table.fill(config, slot, entry) {
+            self.pool.put_back(done);
+        }
+        entry
     }
 }
 
 /// The reference walk's own bookkeeping: per-node edge lists (it expands
-/// nodes out of id order) and the largest remaining budget each node was
-/// expanded with (0 = never).
+/// nodes out of id order), the records they point into, and the largest
+/// remaining budget each node was expanded with (0 = never).
 struct Reference {
     edges: Vec<Vec<Edge>>,
+    records: Vec<StepRecord>,
     budget: Vec<usize>,
     check: DigestCheck,
 }
@@ -911,13 +1085,14 @@ impl Walker<'_> {
     /// The reference walk: a DFS bounded by the remaining budget, which
     /// re-expands a node whenever it is reached with a larger budget than
     /// before and re-executes every edge of that re-expansion. A
-    /// re-executed edge is compared with the recorded one. Returns the
+    /// re-executed edge is compared with the recorded one. `u` is a node
+    /// of fault state `fault`, whose masks the space holds. Returns the
     /// box of `u` for recycling, when it was not consumed.
     fn walk_budget(
         &mut self,
         reference: &mut Reference,
         tm: BoxedTm,
-        u: u32,
+        (u, fault): (u32, u32),
         remaining: usize,
     ) -> Option<BoxedTm> {
         if !self.meter.note_state() {
@@ -925,28 +1100,35 @@ impl Walker<'_> {
         }
         let first = reference.budget[u as usize] == 0;
         reference.budget[u as usize] = remaining;
-        let moves = self.moves();
+        let moves = self.moves(fault);
         let mut parent = Some(tm);
         let mut kept = None;
-        for (i, &mv) in moves.iter().enumerate() {
+        for (i, index) in moves.clone().enumerate() {
+            let mv = self.fault_states.moves[index];
             let mut tm = self.child_box(&mut parent, i, moves.len());
-            let (edge, _, saved) = self.take(&mut tm, u, i, mv);
+            let (target, kind, mark) = self.take(&mut tm, u, i, mv);
+            let k = mv.0.process();
             reference.edges.resize_with(self.nodes.len(), Vec::new);
             reference.budget.resize(self.nodes.len(), 0);
             if first {
-                reference.edges[u as usize].push(edge);
+                let record = kind.record(&mut reference.records);
+                reference.edges[u as usize].push(Edge::new(target, k, record));
             } else {
                 reference.check.rechecked += 1;
-                if reference.edges[u as usize][i] != edge {
+                let recorded = reference.edges[u as usize][i];
+                if (recorded.target, recorded.process as usize) != (target, k)
+                    || recorded.kind(&reference.records) != kind
+                {
                     reference.check.mismatches += 1;
                 }
             }
-            let tm = if remaining > 1 && reference.budget[edge.target as usize] < remaining - 1 {
-                self.walk_budget(reference, tm, edge.target, remaining - 1)
+            let tm = if remaining > 1 && reference.budget[target as usize] < remaining - 1 {
+                self.walk_budget(reference, tm, (target, mv.1), remaining - 1)
             } else {
                 Some(tm)
             };
-            self.undo(&edge, saved);
+            self.space.rewind(k, mark);
+            self.space.fstate = self.fault_states.masks[fault as usize];
             match tm {
                 Some(tm) if i + 1 == moves.len() => kept = Some(tm),
                 Some(tm) => self.pool.put_back(tm),
@@ -999,9 +1181,7 @@ where
             telemetry: config.telemetry.clone(),
         },
         configs: Interner::new(),
-        fault_ids: Interner::new(),
-        fault_states: Vec::new(),
-        ids: Interner::new(),
+        fault_states: FaultStates::new(),
         nodes: Vec::new(),
         pool: TmPool::for_tm(&tm).instrument(&config.telemetry),
         faults,
@@ -1012,7 +1192,7 @@ where
         parasite_injected: 0,
         faults_injected: 0,
     };
-    walker.intern(&tm, None);
+    walker.intern(&tm, 0, None);
     (tm, walker, name)
 }
 
@@ -1053,6 +1233,7 @@ where
         nodes: Vec::new(),
         offsets: vec![0],
         edges: Vec::new(),
+        records: Vec::new(),
     };
     contained(config, &meter, || {
         walker.walk_levels(&mut graph, tm, config.depth);
@@ -1085,11 +1266,12 @@ where
     let trace_seed = config.telemetry.streams().then(|| tm.fork());
     let mut reference = Reference {
         edges: vec![Vec::new()],
+        records: Vec::new(),
         budget: vec![0],
         check: DigestCheck::default(),
     };
     contained(config, &meter, || {
-        walker.walk_budget(&mut reference, tm, 0, config.depth);
+        walker.walk_budget(&mut reference, tm, (0, 0), config.depth);
     });
     let nodes = std::mem::take(&mut walker.nodes);
     reference.edges.resize_with(nodes.len(), Vec::new);
@@ -1102,6 +1284,7 @@ where
         nodes,
         offsets,
         edges: reference.edges.concat(),
+        records: std::mem::take(&mut reference.records),
     };
     let check = reference.check;
     (
@@ -1135,7 +1318,10 @@ fn into_report(
     for (u, node) in graph.nodes.iter().enumerate() {
         cycles.push_node(
             node.crashed,
-            graph.out_edges(u).iter().filter_map(Edge::cycle_edge),
+            graph
+                .out_edges(u)
+                .iter()
+                .filter_map(|e| e.cycle_edge(&graph.records)),
         );
     }
     let telemetry = config.telemetry.clone();
@@ -1484,6 +1670,14 @@ mod tests {
             .lassos
             .iter()
             .any(|l| l.parasitic().contains(&ProcessId(0))));
+    }
+
+    #[test]
+    fn edge_size_is_pinned() {
+        // The production walk stores one edge per transition: its
+        // target, its process and its step record's id, 12 bytes on
+        // every target. No field may grow it past that.
+        assert!(std::mem::size_of::<Edge>() <= 12);
     }
 
     #[test]

@@ -280,8 +280,9 @@ fn three_process_scripts() -> Vec<ClientScript> {
 /// recorded edge (target node, process, kind and events). A mismatch
 /// would mean a `state_digest` merged configurations with different
 /// futures. Checked across the catalogue at two and three processes,
-/// fault-free, fault-prone and with a static parasite, together with
-/// the production walk's agreement with the reference.
+/// fault-free, fault-prone, with a static parasite and with a static
+/// parasite fault-prone, together with the production walk's agreement
+/// with the reference.
 #[test]
 fn digest_contract_holds_one_step_deep_across_the_catalogue() {
     let fault_prone = FaultConfig::with_crashes(1).and_parasitic();
@@ -309,11 +310,22 @@ fn digest_contract_holds_one_step_deep_across_the_catalogue() {
                     "parasitic p1",
                     LivecheckConfig::new(depth).with_parasitic(P1),
                 ),
+                // A static parasite gets no parasitic turn: its fault
+                // state lists none, under every crash mask.
+                (
+                    "parasitic p1, fault-prone",
+                    LivecheckConfig::new(faulty_depth)
+                        .with_parasitic(P1)
+                        .with_faults(fault_prone),
+                ),
             ] {
                 let label = format!("{name} {processes}p {what}");
-                rechecked += assert_matches_reference(&label, &factory, &scripts, &config)
-                    .1
-                    .rechecked;
+                let (production, check) =
+                    assert_matches_reference(&label, &factory, &scripts, &config);
+                if what.starts_with("parasitic p1") {
+                    assert_eq!(production.parasite_injected & 1, 0, "{label}");
+                }
+                rechecked += check.rechecked;
             }
         }
     }
