@@ -44,9 +44,9 @@
 //!
 //! * [`crate::explore::explore_with`] drives a `ScheduleSpace` (clients +
 //!   schedule path + history + incremental opacity certifier) through the
-//!   schedule tree under optimal-DPOR reduction;
-//!   [`crate::explore::explore_schedules`] is the exhaustive reference.
-//!   It quantifies over schedules only;
+//!   schedule tree under optimal-DPOR reduction. It quantifies over
+//!   schedules only; its oracle, the from-scratch enumerator
+//!   [`crate::explore::explore_schedules`], uses none of this stack;
 //! * [`crate::livecheck::livecheck`] drives a `GraphSpace` (clients +
 //!   fault masks, no certifier) breadth-first through the interned state
 //!   graph, expanding each node once and executing each TM transition

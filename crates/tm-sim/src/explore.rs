@@ -7,11 +7,11 @@
 //! commit-order certifier and falls back to the exact witness search on
 //! rejection, so every reported violation is definitive.
 //!
-//! The explorer has two walks over one search space, both sequential.
-//! [`explore_with`], the production entry point, takes the optimal-DPOR
-//! walk. [`explore_schedules`] takes the exhaustive walk: it is the
-//! reference the reduced walk is tested against, and it reports exactly
-//! what [`explore_schedules_naive`] reports.
+//! The explorer has one walk and one oracle. [`explore_with`], the
+//! production entry point, takes the sequential optimal-DPOR walk.
+//! [`explore_schedules`] is the from-scratch enumerator it is tested
+//! against: it replays every schedule on a fresh TM and certifies each
+//! history from event zero, sharing none of the walk's machinery.
 //!
 //! The explorer quantifies over schedules only. The paper's crashed and
 //! parasitic processes define its *liveness* model, and only the
@@ -23,13 +23,12 @@
 //!
 //! Schedules of length `d` over `n` processes form the complete `n`-ary
 //! tree of depth `d`; two schedules with a common prefix reach the *same*
-//! intermediate state. The explorer therefore walks that tree depth-first
-//! and extends the parent state by **one step per edge** instead of
-//! replaying each of the `n^d` schedules from scratch:
+//! intermediate state. The walk therefore goes depth-first through the
+//! part of that tree it visits and extends the parent state by **one
+//! step per edge** instead of replaying each schedule from scratch:
 //!
-//! * the TM branches via [`tm_stm::SteppedTm::fork`] (all but a node's
-//!   last child fork; the last child consumes the parent's instance, so a
-//!   binary tree performs about one fork per node, not two);
+//! * the TM branches via [`tm_stm::SteppedTm::fork`], recycled through
+//!   the shared [`tm_stm::TmPool`];
 //! * the client that stepped backtracks via an O(1)
 //!   [`Client::mark`]/[`Client::restore`] snapshot;
 //! * the commit-order certifier advances one event at a time and unwinds
@@ -38,13 +37,11 @@
 //!   violation in [`Violation::fast_reject_at`]).
 //!
 //! Per-edge cost is thereby amortized O(1) TM/client/certifier work plus
-//! one TM fork, versus the naive enumerator's O(depth) replay and
-//! O(history) re-certification per schedule — the asymptotic gap grows
-//! linearly with depth. The naive enumerator survives as
-//! [`explore_schedules_naive`] for differential testing; it and
-//! [`explore_schedules`] produce *identical* [`Exploration`] reports
-//! (same schedule counts, fallback counts and violation lists, in the
-//! same lexicographic order).
+//! one TM fork, versus the enumerator's O(depth) replay and O(history)
+//! re-certification per schedule. The enumerator stays the oracle
+//! precisely because it shares neither the stepper, the certifier
+//! rollback nor the pool with the walk: a fault in any of them shows up
+//! on one side of the differential tests only.
 //!
 //! # Optimal DPOR: one schedule per equivalence class
 //!
@@ -111,7 +108,7 @@
 //! independent steps, each swap preserves the leaf verdict (above), and
 //! the incremental certifier never accepts a violating history — so
 //! `all_opaque` is preserved exactly, and every violation the walk
-//! reports is one the exhaustive explorer reports verbatim.
+//! reports is one [`explore_schedules`] reports verbatim.
 //!
 //! **Optimality, with two caveats.** The walk never starts a schedule it
 //! abandons as redundant: an edge whose head has fallen asleep is
@@ -129,7 +126,7 @@
 //! count from [`mazurkiewicz_classes`] is thus a ceiling, not an
 //! equality.
 //!
-//! **Composition.** A [`Budget`] cap unwinds either walk into a partial
+//! **Composition.** A [`Budget`] cap unwinds the walk into a partial
 //! report.
 //!
 //! # Panic containment
@@ -139,7 +136,8 @@
 //! report — [`Exploration::exhausted`] set to `"TM step panicked"`
 //! ([`BudgetMeter::trip_external`]) — carrying the schedules certified
 //! so far. The walk is a single thread, so containment costs nothing
-//! per step.
+//! per step. The enumerator [`explore_schedules`] is a test oracle and
+//! has no containment: a panicking TM panics it.
 //!
 //! # The exploration kernel
 //!
@@ -203,14 +201,6 @@ impl Exploration {
     pub fn all_opaque(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// The *report* portion of the exploration — schedule count, exact
-    /// fallback count and violations. Search diagnostics (the schedule
-    /// log) are excluded: two explorations "report identically" iff
-    /// these match.
-    pub fn report(&self) -> (usize, usize, &[Violation]) {
-        (self.schedules, self.exact_fallbacks, &self.violations)
-    }
 }
 
 /// Configuration for [`explore_with`]: one sequential optimal-DPOR walk
@@ -236,10 +226,11 @@ impl ExploreConfig {
     /// The production walk to `depth`, optimal DPOR: `schedules` counts
     /// *executed* schedules, one per Mazurkiewicz class of the TM's
     /// conflict oracle ([`tm_stm::SteppedTm::step_footprint`]),
-    /// typically orders of magnitude below `n^depth`. The verdict (`all_opaque`, and every
-    /// violation actually reported) is the exhaustive walk's: each
-    /// reported violation is a real explored schedule that
-    /// [`explore_schedules`] also reports. For TMs that keep the
+    /// typically orders of magnitude below `n^depth`. The verdict
+    /// (`all_opaque`, and every violation actually reported) is the one
+    /// over all `n^depth` schedules: each reported violation is a real
+    /// explored schedule that the enumerator [`explore_schedules`] also
+    /// reports. For TMs that keep the
     /// conservative default oracle every step conflicts, and the walk
     /// soundly degenerates to full exploration.
     pub fn new(depth: usize) -> Self {
@@ -379,9 +370,9 @@ impl ScheduleSpace {
     }
 }
 
-/// Certify a completed schedule exactly as the naive enumerator does:
-/// count it, and when the (latched) fast certifier rejected somewhere on
-/// this branch, fall back to the exact checker on the full history.
+/// Certifies a completed schedule as [`explore_schedules`] does: count
+/// it, and when the (latched) fast certifier rejected somewhere on this
+/// branch, fall back to the exact checker on the full history.
 fn certify_leaf(space: &ScheduleSpace, out: &mut Exploration) {
     out.schedules += 1;
     if space.log_schedules {
@@ -409,56 +400,24 @@ fn certify_leaf(space: &ScheduleSpace, out: &mut Exploration) {
     });
 }
 
-/// The per-path mutable state of the depth-first walks. The TM is owned
-/// and consumed per call; everything else unwinds in place through the
-/// [`ScheduleSpace`] marks.
-struct Walk<'a> {
+/// The walk's mutable state. The TM is owned and consumed per call;
+/// the search space unwinds in place through the [`ScheduleSpace`]
+/// marks.
+struct Walk {
     /// The kernel search space: clients, path, history, certifier.
-    space: &'a mut ScheduleSpace,
-    out: &'a mut Exploration,
+    space: ScheduleSpace,
+    out: Exploration,
     /// The shared fork/refork recycling pool ([`tm_stm::TmPool`]): left
     /// non-recycling for TMs without the `refork_from` fast path
     /// (probed once per exploration), so they pay no per-edge
     /// pop/refork-attempt overhead.
-    pool: &'a mut TmPool,
+    pool: TmPool,
     /// The run's budget meter: one check per tree node, short-circuited
     /// to a load-free `true` when unlimited.
-    meter: &'a BudgetMeter,
-}
-
-/// Exhaustive depth-first walk of the schedule tree below the current
-/// path, certifying each leaf at depth `remaining == 0`. Every child but
-/// the last forks the node's TM; the last consumes it, so a binary tree
-/// performs about one fork per node. Returns the TM box for recycling.
-fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm {
-    // Budget gate before any expansion: a tripped meter unwinds the
-    // whole walk into a partial report ([`Exploration::exhausted`]).
-    if !walk.meter.note_state() {
-        return tm;
-    }
-    if remaining == 0 {
-        certify_leaf(walk.space, walk.out);
-        walk.meter.note_schedule();
-        return tm;
-    }
-    let last = walk.space.width() - 1;
-    for k in 0..last {
-        let mark = walk.space.mark(k);
-        let mut child = walk.pool.fork_child(&tm);
-        walk.space.step(&mut child, k);
-        let recycled = walk_tree(walk, child, remaining - 1);
-        walk.pool.put_back(recycled);
-        walk.space.rewind(k, mark);
-    }
-    // The last child consumes the parent's TM instance: no fork.
-    // (Deferring this edge's rollback to an ancestor is semantically
-    // sound but measurably slower — it trades the undo log's tight LIFO
-    // locality for large cold sweeps.)
-    let mark = walk.space.mark(last);
-    walk.space.step(&mut tm, last);
-    let recycled = walk_tree(walk, tm, remaining - 1);
-    walk.space.rewind(last, mark);
-    recycled
+    meter: BudgetMeter,
+    /// The reduction's bookkeeping: happens-before trace, per-node
+    /// footprints, sleep sets and wakeup trees.
+    opt: OptimalDpor,
 }
 
 /// Optimal-DPOR walk (see the module docs): at each node, explore
@@ -468,8 +427,7 @@ fn walk_tree(walk: &mut Walk<'_>, mut tm: BoxedTm, remaining: usize) -> BoxedTm 
 /// is empty. `wut` is the pending subtree the parent's popped edge
 /// handed down. Returns the TM box for recycling.
 fn walk_optimal(
-    walk: &mut Walk<'_>,
-    opt: &mut OptimalDpor,
+    walk: &mut Walk,
     tm: BoxedTm,
     remaining: usize,
     mut sleep: u64,
@@ -479,8 +437,9 @@ fn walk_optimal(
         return tm;
     }
     let n = walk.space.width();
-    let depth = opt.core.steps.len();
-    opt.push_feet((0..n).map(|q| reduction::next_footprint(&tm, &walk.space.clients, q)));
+    let depth = walk.opt.core.steps.len();
+    walk.opt
+        .push_feet((0..n).map(|q| reduction::next_footprint(&tm, &walk.space.clients, q)));
     // Race detection at *every* node for *every* process's next step,
     // leaves included: at the depth frontier the racing step never
     // executes. Rescans happen exactly for the process that stepped and
@@ -488,23 +447,23 @@ fn walk_optimal(
     // causal floor; every other process checks the newest step only.
     // Reversals insert into *ancestor* nodes' wakeup trees (this node's
     // own tree is pushed below, after detection).
-    opt.detect_node_races();
+    walk.opt.detect_node_races();
     if remaining == 0 {
-        opt.pop_feet();
-        certify_leaf(walk.space, walk.out);
+        walk.opt.pop_feet();
+        certify_leaf(&walk.space, &mut walk.out);
         walk.meter.note_schedule();
         return tm;
     }
-    opt.push_node(sleep, wut);
+    walk.opt.push_node(sleep, wut);
     // Free seeding: only a node no pending reversal targets picks an
     // arbitrary first representative. A node entered with a non-empty
     // pending tree explores exactly those branches.
-    if opt.wut_is_empty(depth) {
+    if walk.opt.wut_is_empty(depth) {
         if let Some(first) = (0..n).find(|q| sleep & (1 << q) == 0) {
-            opt.seed(depth, first);
+            walk.opt.seed(depth, first);
         }
     }
-    while let Some(edge) = opt.pop_edge(depth) {
+    while let Some(edge) = walk.opt.pop_edge(depth) {
         let k = edge.proc as usize;
         if sleep & (1 << k) != 0 {
             // Late-detected redundancy. Footprints are state-dependent,
@@ -518,22 +477,22 @@ fn walk_optimal(
             // sub-tree included. Drop it before executing anything: the
             // schedule never starts, so this is a redundant reversal,
             // not an abandoned execution.
-            opt.redundant += 1;
+            walk.opt.redundant += 1;
             continue;
         }
         let mark = walk.space.mark(k);
         let mut child = walk.pool.fork_child(&tm);
         walk.space.step(&mut child, k);
-        let child_sleep = opt.child_sleep(depth, sleep, k);
-        opt.core.push(k, opt.feet(depth)[k]);
-        let recycled = walk_optimal(walk, opt, child, remaining - 1, child_sleep, edge.sub);
+        let child_sleep = walk.opt.child_sleep(depth, sleep, k);
+        walk.opt.core.push(k, walk.opt.feet(depth)[k]);
+        let recycled = walk_optimal(walk, child, remaining - 1, child_sleep, edge.sub);
         walk.pool.put_back(recycled);
-        opt.core.pop();
+        walk.opt.core.pop();
         walk.space.rewind(k, mark);
-        opt.sleep_child(depth, k);
+        walk.opt.sleep_child(depth, k);
         sleep |= 1 << k;
     }
-    opt.pop_node();
+    walk.opt.pop_node();
     tm
 }
 
@@ -543,7 +502,7 @@ fn walk_optimal(
 /// [`tm_stm::SteppedTm::fork`]), checking opacity of every produced
 /// history — and, because the certifier is incremental and eager, of
 /// every prefix. The run takes the optimal-DPOR walk, one schedule per
-/// equivalence class.
+/// equivalence class, then flushes the report into the telemetry handle.
 ///
 /// A TM that panics mid-walk ends the run in a partial report (see the
 /// module docs' "Panic containment" section).
@@ -553,32 +512,6 @@ fn walk_optimal(
 /// Panics if `scripts` is empty, has more than 64 entries, or does not
 /// match the factory's process count.
 pub fn explore_with<F>(factory: F, scripts: &[ClientScript], config: &ExploreConfig) -> Exploration
-where
-    F: Fn() -> BoxedTm,
-{
-    explore(factory, scripts, config, false)
-}
-
-/// Explores every schedule of length `depth` over `scripts.len()`
-/// processes: the exhaustive walk, whose reports are identical to the
-/// naive enumerator's. The reference [`explore_with`]'s reduced walk is
-/// tested against.
-pub fn explore_schedules<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
-where
-    F: Fn() -> BoxedTm,
-{
-    explore(factory, scripts, &ExploreConfig::new(depth), true)
-}
-
-/// The one driver behind [`explore_with`] and [`explore_schedules`]:
-/// runs the exhaustive walk when `exhaustive` holds and the optimal-DPOR
-/// walk otherwise, then flushes the report into the telemetry handle.
-fn explore<F>(
-    factory: F,
-    scripts: &[ClientScript],
-    config: &ExploreConfig,
-    exhaustive: bool,
-) -> Exploration
 where
     F: Fn() -> BoxedTm,
 {
@@ -598,49 +531,41 @@ where
             ("processes", Json::Int(n as i64)),
         ],
     );
-    // Probe refork support once ([`TmPool::for_tm`]): TMs without it
-    // keep the spare pool empty rather than paying a failed dynamic
-    // refork per tree edge.
-    let mut pool = TmPool::for_tm(&tm).instrument(&telemetry);
-    // The run's budget meter. Its verdict is read once at the end: a
-    // tripped cap makes the report partial.
-    let meter = BudgetMeter::new(config.budget);
-    let mut space = ScheduleSpace::new(
-        scripts,
-        config.depth,
-        telemetry.clone(),
-        config.record_schedules,
-    );
-    let mut out = Exploration::default();
     let mut walk = Walk {
-        space: &mut space,
-        out: &mut out,
-        pool: &mut pool,
-        meter: &meter,
+        space: ScheduleSpace::new(
+            scripts,
+            config.depth,
+            telemetry.clone(),
+            config.record_schedules,
+        ),
+        out: Exploration::default(),
+        // Probe refork support once ([`TmPool::for_tm`]): TMs without it
+        // keep the spare pool empty rather than paying a failed dynamic
+        // refork per tree edge.
+        pool: TmPool::for_tm(&tm).instrument(&telemetry),
+        // The run's budget meter. Its verdict is read once at the end: a
+        // tripped cap makes the report partial.
+        meter: BudgetMeter::new(config.budget),
+        opt: OptimalDpor::new(n),
     };
-    let mut opt = OptimalDpor::new(n);
     {
         let _span = telemetry.phase("explore", "walk");
         // A panicking TM step unwinds out of the walk; the schedules
         // certified so far still make a sound partial report.
         let walked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if exhaustive {
-                walk_tree(&mut walk, tm, config.depth);
-            } else {
-                walk_optimal(
-                    &mut walk,
-                    &mut opt,
-                    tm,
-                    config.depth,
-                    0,
-                    WakeupTree::default(),
-                );
-            }
+            walk_optimal(&mut walk, tm, config.depth, 0, WakeupTree::default())
         }));
         if walked.is_err() {
-            meter.trip_external();
+            walk.meter.trip_external();
         }
     }
+    let Walk {
+        space,
+        mut out,
+        mut pool,
+        meter,
+        opt,
+    } = walk;
     telemetry.add(Counter::DporRaces, opt.core.races);
     telemetry.add(Counter::WakeupInserts, opt.inserts);
     telemetry.add(Counter::WakeupRedundant, opt.redundant);
@@ -743,11 +668,20 @@ where
     out
 }
 
-/// The seed enumerator: replays every one of the `processes^depth`
-/// schedules from scratch and certifies each complete history from event
-/// zero. Quadratically wasteful — kept (not exported to the prelude) as
-/// the differential-testing baseline for [`explore_with`].
-pub fn explore_schedules_naive<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
+/// The from-scratch enumerator, the oracle [`explore_with`] is tested
+/// against: replays every one of the `processes^depth` schedules on a
+/// fresh TM from `factory` and certifies each complete history from
+/// event zero, falling back to the exact checker on rejection. It shares
+/// no stepper, certifier rollback, TM pool, budget or panic containment
+/// with the walk, and streams no telemetry. Violations come in
+/// schedule-lexicographic order. Quadratically wasteful by design; only
+/// tests and examples call it.
+///
+/// # Panics
+///
+/// Panics if `scripts` is empty or does not match the factory's process
+/// count.
+pub fn explore_schedules<F>(factory: F, scripts: &[ClientScript], depth: usize) -> Exploration
 where
     F: Fn() -> BoxedTm,
 {
@@ -930,7 +864,7 @@ mod tests {
     use super::*;
     use tm_automata::FgpVariant;
     use tm_core::TVarId;
-    use tm_stm::{Dstm, FgpTm, GlobalLock, NOrec, Ostm, TinyStm, Tl2};
+    use tm_stm::FgpTm;
 
     const X: TVarId = TVarId(0);
 
@@ -975,24 +909,17 @@ mod tests {
         }
     }
 
-    type Factory = Box<dyn Fn() -> BoxedTm>;
-
     #[test]
     fn every_catalog_tm_is_opaque_at_depth_eight() {
-        let factories: Vec<(&str, Factory)> = vec![
-            ("tl2", Box::new(|| Box::new(Tl2::new(2, 1)) as BoxedTm)),
-            ("tiny", Box::new(|| Box::new(TinyStm::new(2, 1)) as BoxedTm)),
-            ("norec", Box::new(|| Box::new(NOrec::new(2, 1)) as BoxedTm)),
-            ("ostm", Box::new(|| Box::new(Ostm::new(2, 1)) as BoxedTm)),
-            ("dstm", Box::new(|| Box::new(Dstm::new(2, 1)) as BoxedTm)),
-            (
-                "global-lock",
-                Box::new(|| Box::new(GlobalLock::new(2, 1)) as BoxedTm),
-            ),
-        ];
-        for (name, factory) in factories {
-            let result = explore_schedules(&*factory, &two_increments(), 8);
-            assert!(result.all_opaque(), "{name}: {:?}", result.violations);
+        for tm in tm_stm::full_catalog(2, 1) {
+            // A fork of a fresh TM is a fresh TM.
+            let result = explore_schedules(|| tm.fork(), &two_increments(), 8);
+            assert!(
+                result.all_opaque(),
+                "{}: {:?}",
+                tm.name(),
+                result.violations
+            );
         }
     }
 
@@ -1010,37 +937,6 @@ mod tests {
         );
         assert_eq!(result.schedules, 3usize.pow(7));
         assert!(result.all_opaque());
-    }
-
-    #[test]
-    fn dfs_matches_naive_exactly_on_an_opaque_tm() {
-        let scripts = two_increments();
-        let naive = explore_schedules_naive(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            8,
-        );
-        let dfs = explore_schedules(
-            || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)),
-            &scripts,
-            8,
-        );
-        assert_eq!(naive, dfs);
-    }
-
-    #[test]
-    fn dfs_matches_naive_exactly_on_the_buggy_tm() {
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::new(vec![
-                crate::workload::PlannedOp::Read(X),
-                crate::workload::PlannedOp::Write(X, 5),
-            ]),
-        ];
-        let naive = explore_schedules_naive(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
-        let dfs = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
-        assert!(!naive.all_opaque());
-        assert_eq!(naive, dfs);
     }
 
     #[test]
@@ -1063,42 +959,5 @@ mod tests {
             full.schedules
         );
         assert_eq!(full.all_opaque(), dpor.all_opaque());
-    }
-
-    #[test]
-    fn dpor_still_catches_the_buggy_tm_with_a_subset_of_violations() {
-        let scripts = vec![
-            ClientScript::increment(X),
-            ClientScript::new(vec![
-                crate::workload::PlannedOp::Read(X),
-                crate::workload::PlannedOp::Write(X, 5),
-            ]),
-        ];
-        let full = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
-        let dpor = explore_with(
-            || tm_stm::literal_fgp(2, 1),
-            &scripts,
-            &ExploreConfig::new(9),
-        );
-        assert!(!full.all_opaque() && !dpor.all_opaque());
-        // Every DPOR violation is a real schedule the exhaustive explorer
-        // also reports, verbatim.
-        for v in &dpor.violations {
-            assert!(full.violations.contains(v), "unknown violation {v:?}");
-        }
-    }
-
-    #[test]
-    fn dpor_degenerates_to_full_exploration_for_conservative_oracles() {
-        // The global-lock TM's audited oracle conflicts on every pair,
-        // so DPOR must visit every schedule — same report as plain DFS.
-        let scripts = two_increments();
-        let full = explore_schedules(|| Box::new(GlobalLock::new(2, 1)), &scripts, 8);
-        let dpor = explore_with(
-            || Box::new(GlobalLock::new(2, 1)),
-            &scripts,
-            &ExploreConfig::new(8),
-        );
-        assert_eq!(full, dpor);
     }
 }

@@ -13,9 +13,11 @@
 //!   run, with retry-on-abort;
 //! * [`simulate`] — the simulation loop, with per-process progress
 //!   accounting and optional online opacity certification;
-//! * [`explore_schedules`] — bounded-exhaustive enumeration of all
-//!   interleavings, the executable analogue of Theorem 3's "every finite
-//!   history of `Fgp` is opaque";
+//! * [`explore_with`] — bounded-exhaustive opacity checking over all
+//!   interleavings by one optimal-DPOR walk, the executable analogue of
+//!   Theorem 3's "every finite history of `Fgp` is opaque", with the
+//!   from-scratch enumerator [`explore_schedules`] as its differential
+//!   oracle;
 //! * [`livecheck`](livecheck()) — bounded *liveness* model checking: lasso detection
 //!   over the canonical state graph, classifying which processes a TM
 //!   can starve, block, or keep progressing (the paper's Figure 2
@@ -77,8 +79,8 @@ pub mod workload;
 
 pub use engine::{Budget, BudgetMeter};
 pub use explore::{
-    explore_schedules, explore_schedules_naive, explore_with, mazurkiewicz_classes,
-    schedule_normal_form, Exploration, ExploreConfig, Violation,
+    explore_schedules, explore_with, mazurkiewicz_classes, schedule_normal_form, Exploration,
+    ExploreConfig, Violation,
 };
 pub use faults::{Fault, FaultConfig, FaultPlan, FaultState};
 pub use livecheck::{

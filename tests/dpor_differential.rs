@@ -1,10 +1,11 @@
 //! Differential suite for optimal DPOR: the wakeup-tree explorer must
-//! agree with the exhaustive prefix-sharing DFS on every **verdict**
-//! across the whole catalogue, at two and three processes — including
-//! the seeded-buggy literal `Fgp`, where each reported violation must be
-//! a schedule the exhaustive explorer reports verbatim — while executing
-//! strictly fewer schedules wherever a TM's conflict oracle admits any
-//! independence, and at most one schedule per Mazurkiewicz class. The
+//! agree with the from-scratch enumerator `explore_schedules` on every
+//! **verdict** across the whole catalogue, at two and three processes —
+//! including the seeded-buggy literal `Fgp`, where each reported
+//! violation must be a schedule the enumerator reports verbatim — while
+//! executing strictly fewer schedules wherever a TM's conflict oracle
+//! admits any independence, and at most one schedule per Mazurkiewicz
+//! class. The explorer's telemetry counters are held to its report. The
 //! liveness checker's reduction is held to the stronger bar:
 //! byte-identical graphs, lassos and starvation verdicts.
 
@@ -13,7 +14,7 @@ use tm_sim::{
     explore_schedules, explore_with, livecheck, livecheck_reference, ClientScript, ExploreConfig,
     LivecheckConfig, LivecheckReport, PlannedOp,
 };
-use tm_stm::{BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SwissTm, TinyStm, Tl2};
+use tm_stm::{BoxedTm, FgpTm, GlobalLock};
 use tm_telemetry::{Counter, Telemetry};
 
 use tm_automata::FgpVariant;
@@ -26,51 +27,14 @@ type Factory = Box<dyn Fn() -> BoxedTm>;
 /// The **whole** catalogue (every refined conflict oracle, including
 /// the intricate ones: TinySTM's undo-log rollback, SwissTM's greedy-CM
 /// ages, OSTM's per-object versions), the blocking global-lock TM, and
-/// the seeded-buggy literal `Fgp`.
+/// the seeded-buggy literal `Fgp`, each labelled with its name. A fork of
+/// a fresh TM is a fresh TM, so each factory forks its catalogue entry.
 fn factories(processes: usize, tvars: usize) -> Vec<(&'static str, Factory)> {
-    vec![
-        (
-            "fgp",
-            Box::new(move || Box::new(FgpTm::new(processes, tvars, FgpVariant::CpOnly)) as BoxedTm)
-                as Factory,
-        ),
-        (
-            "fgp-strict",
-            Box::new(move || Box::new(FgpTm::new(processes, tvars, FgpVariant::Strict)) as BoxedTm),
-        ),
-        (
-            "tl2",
-            Box::new(move || Box::new(Tl2::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "norec",
-            Box::new(move || Box::new(NOrec::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "tinystm",
-            Box::new(move || Box::new(TinyStm::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "swisstm",
-            Box::new(move || Box::new(SwissTm::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "ostm",
-            Box::new(move || Box::new(Ostm::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "dstm",
-            Box::new(move || Box::new(Dstm::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "global-lock",
-            Box::new(move || Box::new(GlobalLock::new(processes, tvars)) as BoxedTm),
-        ),
-        (
-            "fgp-literal",
-            Box::new(move || tm_stm::literal_fgp(processes, tvars)),
-        ),
-    ]
+    let mut tms = tm_stm::full_catalog(processes, tvars);
+    tms.push(tm_stm::literal_fgp(processes, tvars));
+    tms.into_iter()
+        .map(|tm| (tm.name(), Box::new(move || tm.fork()) as Factory))
+        .collect()
 }
 
 fn contended_scripts() -> Vec<ClientScript> {
@@ -83,7 +47,7 @@ fn contended_scripts() -> Vec<ClientScript> {
 #[test]
 fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
     // The headline reduction claim: at 3 processes the class structure is
-    // rich enough that optimal DPOR must beat the exhaustive walk
+    // rich enough that optimal DPOR must beat the enumerator
     // strictly, for every TM whose oracle admits any independence.
     let scripts = vec![
         ClientScript::increment(X),
@@ -98,7 +62,7 @@ fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
         let dpor = explore_with(&*factory, &scripts, &ExploreConfig::new(7));
         assert!(
             dpor.schedules < plain.schedules,
-            "{name}: DPOR ({}) must beat the exhaustive walk ({})",
+            "{name}: DPOR ({}) must beat the enumerator ({})",
             dpor.schedules,
             plain.schedules
         );
@@ -114,7 +78,7 @@ fn dpor_executes_strictly_fewer_schedules_at_three_processes() {
 fn optimal_dpor_runs_ten_times_fewer_schedules_on_fgp_at_three_processes() {
     // The reduction's headline floor on the paper's TM: at 3 processes,
     // depth 8, the wakeup-tree walk executes at least 10× fewer
-    // schedules than the exhaustive walk (3^8 = 6561), same verdict.
+    // schedules than the enumerator (3^8 = 6561), same verdict.
     let factory = || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm;
     let scripts = vec![
         ClientScript::increment(X),
@@ -137,7 +101,7 @@ fn optimal_dpor_runs_ten_times_fewer_schedules_on_fgp_at_three_processes() {
 fn conservative_oracles_degenerate_to_report_identical_full_exploration() {
     // The global-lock TM's audited oracle conflicts on every pair of
     // steps, so the DPOR walk must visit every schedule and reproduce
-    // the exhaustive report byte for byte, at three processes.
+    // the enumerator's report byte for byte, at three processes.
     let scripts = vec![
         ClientScript::increment(X),
         ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 5)]),
@@ -186,10 +150,10 @@ fn dpor_catches_the_leak_on_disjoint_variables_too() {
 
 #[test]
 fn optimal_dpor_verdicts_and_violation_subset_across_the_catalogue() {
-    // Verdict parity with the exhaustive walk on the whole catalogue
-    // plus the seeded-buggy literal Fgp, at two and three processes,
-    // and a verbatim violation subset: every schedule optimal DPOR
-    // reports, the exhaustive explorer reports too.
+    // Verdict parity with the enumerator on the whole catalogue plus
+    // the seeded-buggy literal Fgp, at two and three processes, and a
+    // verbatim violation subset: every schedule optimal DPOR reports,
+    // the enumerator reports too.
     let shapes = [
         (2, 1, 8, contended_scripts()),
         (
@@ -243,7 +207,7 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
     // executed and reduce it to its class's canonical normal form — the
     // images must be pairwise distinct (at most one execution per
     // Mazurkiewicz class), bounded by the brute-force class count, and
-    // no larger than the exhaustive walk's count. The absolute counts
+    // no larger than the enumerator's count. The absolute counts
     // are pinned so a regression in either direction (lost coverage or
     // lost reduction) fails loudly.
     use std::collections::HashSet;
@@ -292,7 +256,7 @@ fn optimal_dpor_executes_at_most_one_schedule_per_class() {
         let plain = explore_schedules(factory, &scripts, depth);
         assert!(
             optimal.schedules <= plain.schedules,
-            "{procs}p depth {depth}: optimal ({}) exceeded the exhaustive walk ({})",
+            "{procs}p depth {depth}: optimal ({}) exceeded the enumerator ({})",
             optimal.schedules,
             plain.schedules
         );
@@ -316,9 +280,9 @@ fn optimal_dpor_bookkeeping_counters_are_pinned_across_the_catalogue() {
         ("fgp", 812, 1_841, 811, 1_030),
         ("fgp-strict", 1_227, 3_040, 1_226, 1_814),
         ("tl2", 5, 8, 4, 4),
-        ("norec", 5, 8, 4, 4),
         ("tinystm", 6_236, 20_586, 6_235, 14_351),
         ("swisstm", 16_050, 39_034, 16_049, 22_985),
+        ("norec", 5, 8, 4, 4),
         ("ostm", 5, 8, 4, 4),
         ("dstm", 4_788, 12_418, 4_787, 7_631),
         ("global-lock", 16_384, 32_766, 16_383, 16_383),
@@ -377,7 +341,7 @@ fn optimal_dpor_is_deterministic_across_rayon_thread_counts() {
 #[test]
 fn optimal_dpor_degenerates_to_full_exploration_for_conservative_oracles() {
     // The global-lock TM's audited oracle conflicts on every pair, so
-    // wakeup trees must reproduce the exhaustive report byte for byte.
+    // wakeup trees must reproduce the enumerator's report byte for byte.
     let scripts = contended_scripts();
     let plain = explore_schedules(|| Box::new(GlobalLock::new(2, 1)) as BoxedTm, &scripts, 8);
     let optimal = explore_with(
@@ -450,4 +414,99 @@ fn parasitic_starvation_analysis_survives_both_reductions() {
     assert!(report.parasitic_processes().contains(&ProcessId(0)));
     // Paths merge: more edges than a tree over the states.
     assert!(report.edges > report.states - 1);
+}
+
+#[test]
+fn violations_carry_their_shortest_failing_prefix() {
+    // Both the walk, whose certifier latches its rejection on the
+    // branch and rolls back, and the enumerator, which certifies each
+    // history from event zero, report where the certifier first
+    // rejected: inside the history, with a clean prefix before it.
+    let scripts = contended_scripts();
+    let enumerated = explore_schedules(|| tm_stm::literal_fgp(2, 1), &scripts, 9);
+    let walked = explore_with(
+        || tm_stm::literal_fgp(2, 1),
+        &scripts,
+        &ExploreConfig::new(9),
+    );
+    for report in [&enumerated, &walked] {
+        assert!(!report.violations.is_empty());
+        for v in &report.violations {
+            assert!(
+                v.fast_reject_at < v.history.len(),
+                "the certifier rejected inside the history"
+            );
+            let mut checker = tm_safety::IncrementalChecker::new(tm_safety::Mode::Opacity);
+            for &event in v.history.events().iter().take(v.fast_reject_at) {
+                checker
+                    .push(event)
+                    .expect("prefix before rejection is clean");
+            }
+        }
+    }
+}
+
+#[test]
+fn telemetry_snapshot_is_identical_across_thread_counts() {
+    // The counter-determinism contract (see tm_telemetry's module docs):
+    // counters flush at the end of the walk from deterministic tallies,
+    // so the snapshot cannot depend on the ambient rayon pool size.
+    let scripts = vec![ClientScript::increment(X), ClientScript::increment(X)];
+    let snap_at = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        let telemetry = Telemetry::counters();
+        let report = pool.install(|| {
+            explore_with(
+                || Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm,
+                &scripts,
+                &ExploreConfig::new(10).with_telemetry(&telemetry),
+            )
+        });
+        (telemetry.snapshot(), report)
+    };
+    let (baseline, report) = snap_at(1);
+    assert!(!baseline.is_empty(), "the instrumented run must count");
+    assert_eq!(
+        baseline.get(Counter::SchedulesExecuted),
+        report.schedules as u64
+    );
+    assert!(baseline.get(Counter::WorkerSteps) > 0);
+    for threads in [2usize, 4] {
+        let (snap, parallel_report) = snap_at(threads);
+        assert_eq!(report, parallel_report, "report diverged");
+        assert_eq!(
+            baseline, snap,
+            "telemetry snapshot diverged at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn executed_schedule_counter_matches_the_report_across_the_catalogue() {
+    // `Counter::SchedulesExecuted` must agree with the report's leaf
+    // count for every TM on the production walk — the anchor that ties
+    // the telemetry stream to the exploration it narrates.
+    let scripts = contended_scripts();
+    for (name, factory) in factories(2, 1) {
+        let telemetry = Telemetry::counters();
+        let report = explore_with(
+            &*factory,
+            &scripts,
+            &ExploreConfig::new(8).with_telemetry(&telemetry),
+        );
+        let snap = telemetry.snapshot();
+        assert_eq!(
+            snap.get(Counter::SchedulesExecuted),
+            report.schedules as u64,
+            "{name}: executed-schedule counter diverged from the report"
+        );
+        assert_eq!(
+            snap.get(Counter::ViolationsFound),
+            report.violations.len() as u64,
+            "{name}: violation counter diverged from the report"
+        );
+    }
 }

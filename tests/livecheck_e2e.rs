@@ -10,9 +10,7 @@ use tm_sim::{
     livecheck, livecheck_reference, simulate, Client, ClientScript, DigestCheck, FaultConfig,
     FaultPlan, FixedSchedule, LassoFinding, LivecheckConfig, LivecheckReport, PlannedOp, SimConfig,
 };
-use tm_stm::{
-    full_catalog, BoxedTm, Dstm, FgpTm, GlobalLock, NOrec, Ostm, SteppedTm, SwissTm, TinyStm, Tl2,
-};
+use tm_stm::{full_catalog, BoxedTm, FgpTm, GlobalLock, SteppedTm, SwissTm, TinyStm, Tl2};
 
 const X: TVarId = TVarId(0);
 const P1: ProcessId = ProcessId(0);
@@ -29,38 +27,18 @@ fn contended() -> Vec<ClientScript> {
     ]
 }
 
-fn fingerprinting_catalog() -> Vec<(&'static str, Factory)> {
-    vec![
-        (
-            "fgp",
-            Box::new(|| Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm) as Factory,
-        ),
-        (
-            "fgp-strict",
-            Box::new(|| Box::new(FgpTm::new(2, 1, FgpVariant::Strict)) as BoxedTm),
-        ),
-        ("tl2", Box::new(|| Box::new(Tl2::new(2, 1)) as BoxedTm)),
-        ("norec", Box::new(|| Box::new(NOrec::new(2, 1)) as BoxedTm)),
-        (
-            "tinystm",
-            Box::new(|| Box::new(TinyStm::new(2, 1)) as BoxedTm),
-        ),
-        (
-            "swisstm",
-            Box::new(|| Box::new(SwissTm::new(2, 1)) as BoxedTm),
-        ),
-        ("ostm", Box::new(|| Box::new(Ostm::new(2, 1)) as BoxedTm)),
-        ("dstm", Box::new(|| Box::new(Dstm::new(2, 1)) as BoxedTm)),
-        (
-            "global-lock",
-            Box::new(|| Box::new(GlobalLock::new(2, 1)) as BoxedTm),
-        ),
-    ]
+/// The full 9-TM catalogue, each TM labelled with its name. A fork of a
+/// fresh TM is a fresh TM, so each factory forks its catalogue entry.
+fn catalogue(processes: usize, tvars: usize) -> Vec<(&'static str, Factory)> {
+    full_catalog(processes, tvars)
+        .into_iter()
+        .map(|tm| (tm.name(), Box::new(move || tm.fork()) as Factory))
+        .collect()
 }
 
 #[test]
 fn every_catalog_tm_fingerprints_deterministically() {
-    for (name, factory) in fingerprinting_catalog() {
+    for (name, factory) in catalogue(2, 1) {
         let tm = factory();
         let d0 = tm
             .state_digest()
@@ -81,7 +59,7 @@ fn canonicalization_is_sound_across_the_catalog() {
     // Every detected cycle must validate as an InfiniteHistory: a
     // rejection means a fingerprint merged two states with different
     // pending structure — a canonicalization bug.
-    for (name, factory) in fingerprinting_catalog() {
+    for (name, factory) in catalogue(2, 1) {
         let report = livecheck(&*factory, &contended(), &LivecheckConfig::new(10));
         assert_eq!(report.rejected_cycles, 0, "{name}: {report:?}");
         assert!(report.states > 0 && report.edges > 0, "{name}");
@@ -169,7 +147,7 @@ fn lasso_witnesses_agree_with_certified_verdicts() {
     // Soundness cross-check: every stored witness's starving/parasitic
     // classification must be certified by the SCC pass (the witness
     // cycle is a subgraph of the recorded graph).
-    for (name, factory) in fingerprinting_catalog() {
+    for (name, factory) in catalogue(2, 1) {
         let report = livecheck(&*factory, &contended(), &LivecheckConfig::new(10));
         let starving = report.starving_processes();
         let parasitic = report.parasitic_processes();
@@ -253,7 +231,7 @@ fn production_livecheck_matches_the_reference_across_the_catalog() {
     // catalogue, blocking global-lock TM included. Only the walk
     // differs: the reference re-executes every re-walked edge, the
     // production walk executes each TM transition once.
-    for (name, factory) in fingerprinting_catalog() {
+    for (name, factory) in catalogue(2, 1) {
         let (production, check) =
             assert_matches_reference(name, &*factory, &contended(), &LivecheckConfig::new(11));
         assert!(check.rechecked > 0, "{name}: the reference never re-walked");
@@ -292,14 +270,7 @@ fn digest_contract_holds_one_step_deep_across_the_catalogue() {
     ];
     let mut rechecked = 0;
     for (processes, scripts, depth, faulty_depth) in shapes {
-        for tm in full_catalog(processes, 2) {
-            let name = tm.name();
-            let factory = || {
-                full_catalog(processes, 2)
-                    .into_iter()
-                    .find(|t| t.name() == name)
-                    .expect("catalogue TM")
-            };
+        for (name, factory) in catalogue(processes, 2) {
             for (what, config) in [
                 ("fault-free", LivecheckConfig::new(depth)),
                 (
@@ -321,7 +292,7 @@ fn digest_contract_holds_one_step_deep_across_the_catalogue() {
             ] {
                 let label = format!("{name} {processes}p {what}");
                 let (production, check) =
-                    assert_matches_reference(&label, &factory, &scripts, &config);
+                    assert_matches_reference(&label, &*factory, &scripts, &config);
                 if what.starts_with("parasitic p1") {
                     assert_eq!(production.parasite_injected & 1, 0, "{label}");
                 }
@@ -343,14 +314,7 @@ fn digest_contract_holds_one_step_deep_across_the_catalogue() {
 fn the_transition_memo_executes_each_tm_transition_once() {
     use tm_telemetry::{Counter, Telemetry};
     let scripts = three_process_scripts();
-    for tm in full_catalog(3, 2) {
-        let name = tm.name();
-        let factory = || {
-            full_catalog(3, 2)
-                .into_iter()
-                .find(|t| t.name() == name)
-                .expect("catalogue TM")
-        };
+    for (name, factory) in catalogue(3, 2) {
         for faults in [
             FaultConfig::none(),
             FaultConfig::with_crashes(1).and_parasitic(),
@@ -359,7 +323,7 @@ fn the_transition_memo_executes_each_tm_transition_once() {
             let config = LivecheckConfig::new(9)
                 .with_faults(faults)
                 .with_telemetry(&telemetry);
-            let report = livecheck(factory, &scripts, &config);
+            let report = livecheck(&*factory, &scripts, &config);
             let counters = telemetry.snapshot();
             let step_edges = report.edges - counters.get(Counter::FaultsInjected) as usize;
             let hits = counters.get(Counter::MemoHits) as usize;
@@ -406,7 +370,7 @@ fn replay(
 #[test]
 fn witnesses_replay_to_their_entry_configuration() {
     let fault_prone = FaultConfig::with_crashes(1).and_parasitic();
-    for (name, factory) in fingerprinting_catalog() {
+    for (name, factory) in catalogue(2, 1) {
         for config in [
             LivecheckConfig::new(10),
             LivecheckConfig::new(8).with_faults(fault_prone),

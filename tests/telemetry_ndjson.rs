@@ -8,7 +8,7 @@
 use tm_automata::FgpVariant;
 use tm_core::TVarId;
 use tm_sim::{explore_with, livecheck, ClientScript, ExploreConfig, LivecheckConfig, PlannedOp};
-use tm_stm::{BoxedTm, FgpTm, GlobalLock, NOrec, Tl2};
+use tm_stm::{BoxedTm, FgpTm};
 use tm_telemetry::{Json, Telemetry, EVENT_TAGS};
 
 const X: TVarId = TVarId(0);
@@ -22,19 +22,14 @@ fn contended() -> Vec<ClientScript> {
     ]
 }
 
+/// A four-TM slice of the catalogue, in catalogue order: the greedy
+/// automaton TM first, the blocking global-lock TM last.
 fn catalog() -> Vec<(&'static str, Factory)> {
-    vec![
-        (
-            "fgp",
-            Box::new(|| Box::new(FgpTm::new(2, 1, FgpVariant::CpOnly)) as BoxedTm) as Factory,
-        ),
-        ("tl2", Box::new(|| Box::new(Tl2::new(2, 1)) as BoxedTm)),
-        ("norec", Box::new(|| Box::new(NOrec::new(2, 1)) as BoxedTm)),
-        (
-            "global-lock",
-            Box::new(|| Box::new(GlobalLock::new(2, 1)) as BoxedTm),
-        ),
-    ]
+    tm_stm::full_catalog(2, 1)
+        .into_iter()
+        .filter(|tm| ["fgp", "tl2", "norec", "global-lock"].contains(&tm.name()))
+        .map(|tm| (tm.name(), Box::new(move || tm.fork()) as Factory))
+        .collect()
 }
 
 /// Parses every line of the stream, asserting the envelope contract,
