@@ -2,10 +2,12 @@
 //! canary.
 //!
 //! [`ConcurrentBuggy`] is a global-lock TM with one seeded defect: the
-//! `drop_at`-th commit *reports success but silently discards its
-//! writes* (a lost update). Every earlier and later commit is applied
-//! faithfully, so the defect is a single event, not noise — and it is
-//! guaranteed to surface: the store diverges from the history's
+//! first commit from the `drop_at`-th on whose writes would change the
+//! store *reports success but silently discards its writes* (a lost
+//! update). A commit that only writes back the values already stored is
+//! passed over, since dropping it would lose nothing. Every other commit
+//! is applied faithfully, so the defect is a single event, not noise —
+//! and it is guaranteed to surface: the store diverges from the history's
 //! committed-state sequence at that commit, so the next transaction
 //! that reads an affected t-variable observes a value no consistent
 //! serialization can produce. On increment-style workloads the very
@@ -13,7 +15,7 @@
 //! attempt, which makes detection deterministic even single-threaded —
 //! exactly what a differential suite needs from a fault it must *catch*.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -27,14 +29,16 @@ use super::api::{ConcurrentTm, Transaction, TxAbort};
 pub struct ConcurrentBuggy {
     store: Mutex<Vec<Value>>,
     commits: AtomicU64,
-    /// 1-based index of the commit whose writes are discarded.
+    /// 1-based index of the first commit whose writes may be discarded.
     drop_at: u64,
+    /// Whether the seeded commit has been dropped.
+    dropped: AtomicBool,
 }
 
 impl ConcurrentBuggy {
     /// Creates a store of `tvars` t-variables, losing the writes of the
-    /// `drop_at`-th commit (1-based; `0` never triggers, yielding a
-    /// correct TM).
+    /// first commit from the `drop_at`-th on (1-based) that would change
+    /// the store; `0` never triggers, yielding a correct TM.
     ///
     /// # Panics
     ///
@@ -45,6 +49,7 @@ impl ConcurrentBuggy {
             store: Mutex::new(vec![INITIAL_VALUE; tvars]),
             commits: AtomicU64::new(0),
             drop_at,
+            dropped: AtomicBool::new(false),
         }
     }
 
@@ -63,6 +68,16 @@ pub struct BuggyTx<'a> {
     writes: Vec<(usize, Value)>,
 }
 
+impl BuggyTx<'_> {
+    /// Whether publishing the buffered writes would change the store:
+    /// the last write to a t-variable is the one that lands.
+    fn changes_store(&self) -> bool {
+        self.writes.iter().enumerate().any(|(i, &(j, v))| {
+            self.guard[j] != v && self.writes[i + 1..].iter().all(|&(k, _)| k != j)
+        })
+    }
+}
+
 impl Transaction for BuggyTx<'_> {
     fn read(&mut self, x: TVarId) -> Result<Value, TxAbort> {
         let j = x.index();
@@ -79,7 +94,13 @@ impl Transaction for BuggyTx<'_> {
 
     fn commit_at(mut self, point: &mut dyn FnMut()) -> Result<(), TxAbort> {
         let n = self.tm.commits.fetch_add(1, Ordering::AcqRel) + 1;
-        if n != self.tm.drop_at {
+        let victim = self.tm.drop_at != 0
+            && n >= self.tm.drop_at
+            && !self.tm.dropped.load(Ordering::Acquire)
+            && self.changes_store();
+        if victim {
+            self.tm.dropped.store(true, Ordering::Release);
+        } else {
             for &(j, v) in &self.writes {
                 self.guard[j] = v;
             }
@@ -128,6 +149,27 @@ mod tests {
             });
         }
         // Commit 2's increment was lost: 1, (dropped), stale+1 = 2.
+        assert_eq!(tm.snapshot(), vec![2]);
+    }
+
+    #[test]
+    fn a_write_back_of_the_stored_values_is_passed_over() {
+        let tm = ConcurrentBuggy::new(1, 2);
+        let increment = |tx: &mut BuggyTx<'_>| {
+            let v = tx.read(TVarId(0))?;
+            tx.write(TVarId(0), v + 1)
+        };
+        atomically(&tm, increment);
+        // Commit 2 writes back what it read, net of a write it undoes:
+        // dropping it would lose nothing, so it lands and is no victim.
+        atomically(&tm, |tx| {
+            let v = tx.read(TVarId(0))?;
+            tx.write(TVarId(0), v + 5)?;
+            tx.write(TVarId(0), v)
+        });
+        // Commit 3 is the victim; commit 4 re-reads the stale value.
+        atomically(&tm, increment);
+        atomically(&tm, increment);
         assert_eq!(tm.snapshot(), vec![2]);
     }
 
