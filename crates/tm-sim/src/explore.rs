@@ -230,9 +230,9 @@ impl ExploreConfig {
     /// (`all_opaque`, and every violation actually reported) is the one
     /// over all `n^depth` schedules: each reported violation is a real
     /// explored schedule that the enumerator [`explore_schedules`] also
-    /// reports. For TMs that keep the
-    /// conservative default oracle every step conflicts, and the walk
-    /// soundly degenerates to full exploration.
+    /// reports. For TMs that keep the conservative default oracle every
+    /// step conflicts, and the walk soundly degenerates to full
+    /// exploration.
     pub fn new(depth: usize) -> Self {
         ExploreConfig {
             depth,
